@@ -72,7 +72,7 @@ pub fn f(x: f64, decimals: usize) -> String {
 /// failing CI log is diagnosable without re-running the bench: how many
 /// cores the host exposed, plus a reminder that the gated metrics are
 /// busy-time aggregates (time inside observe calls, queue waits
-/// excluded) and therefore hardware-independent.
+/// excluded), which still move with the host.
 pub fn host_context() -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -80,8 +80,9 @@ pub fn host_context() -> String {
     format!(
         "host context: available_parallelism = {cores}; gates compare \
          busy-time metrics (time inside observe calls, queue waits \
-         excluded), which are hardware-independent — a small host changes \
-         wall-clock rates, not these"
+         excluded), not wall-clock rates; they still depend on the host \
+         (core count, cache, clock), so compare them only across runs on \
+         the same host"
     )
 }
 

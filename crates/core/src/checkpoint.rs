@@ -15,11 +15,9 @@
 //! through the [`Wire`] trait, the same encoding the simulated key-value
 //! store in `tbs-distributed` charges its network cost model for.
 //!
-//! The codec lives here (not in `tbs-distributed`, its pre-PR-4 home) so
-//! the core samplers can serialize themselves without the core crate
-//! depending on the distributed substrate. This module is the canonical
-//! import path; the `tbs_distributed::checkpoint` re-export shim is
-//! deprecated and hidden from the docs.
+//! The codec lives here (not in `tbs-distributed`) so the core samplers
+//! can serialize themselves without the core crate depending on the
+//! distributed substrate.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

@@ -17,7 +17,6 @@
 //! verify it — they differ only in data movement and coordination, which
 //! the [`CostTracker`] accounts.
 
-use crate::checkpoint::CheckpointError;
 use crate::cluster::WorkerPool;
 use crate::copart::CoPartitionedReservoir;
 use crate::cost::{CostModel, CostTracker};
@@ -25,6 +24,7 @@ use crate::kvstore::KvReservoir;
 use crate::partition::Partitioned;
 use crate::wire::{Wire, WIRE_ENVELOPE_BYTES};
 use rand::{Rng, RngCore, SeedableRng};
+use tbs_core::checkpoint::CheckpointError;
 use tbs_core::traits::BatchSampler;
 use tbs_core::util::draw_without_replacement;
 use tbs_stats::multivariate::multivariate_hypergeometric;
@@ -561,7 +561,7 @@ impl<T: Wire + Send + 'static> DRTbs<T> {
     /// self-contained checkpoint blob (§5.1 fault tolerance). Restoring
     /// with [`DRTbs::restore`] continues the stream bit-identically.
     pub fn checkpoint(&self) -> bytes::Bytes {
-        use crate::checkpoint::Writer;
+        use tbs_core::checkpoint::Writer;
         let mut w = Writer::new();
         // Configuration.
         w.put_f64(self.cfg.lambda);
@@ -633,8 +633,8 @@ impl<T: Wire + Send + 'static> DRTbs<T> {
 
     /// Rebuild a sampler from a checkpoint blob created by
     /// [`DRTbs::checkpoint`].
-    pub fn restore(blob: bytes::Bytes) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Reader};
+    pub fn restore(blob: bytes::Bytes) -> Result<Self, tbs_core::checkpoint::CheckpointError> {
+        use tbs_core::checkpoint::{CheckpointError, Reader};
         let mut r = Reader::new(blob)?;
         let lambda = r.get_f64()?;
         let capacity = r.get_u64()? as usize;

@@ -100,7 +100,7 @@ use crate::snapshot::{EpochCell, EpochWait};
 use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -361,6 +361,12 @@ type TreeTask<S> = (Arc<EpochTree<S>>, usize);
 /// any worker can serve it, plus its queues and counters.
 struct ShardCell<S: MergeableSample> {
     core: Mutex<ShardCore<S>>,
+    /// Set when a worker died holding messages drained from this cell.
+    /// The state behind the lock is then missing chunks, so nobody may
+    /// advance it again: in particular a later `Barrier` must not
+    /// overwrite the fork record recovery trusts. Written and read only
+    /// under the core lock, which orders it (`Relaxed` suffices).
+    lost: AtomicBool,
     work: BatchQueue<ShardMsg<S::Item>>,
     resp: BatchQueue<ShardResp<S>>,
     recycle: BatchQueue<Vec<S::Item>>,
@@ -1354,6 +1360,7 @@ where
                     rng,
                     seen: batches0,
                 }),
+                lost: AtomicBool::new(false),
                 work: BatchQueue::with_capacity(depth),
                 resp: BatchQueue::with_capacity(2),
                 recycle,
@@ -1615,16 +1622,22 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
         work: &my.work,
         resp: &my.resp,
     };
-    // Armed while this worker processes messages *stolen* from another
-    // shard's cell; disarmed (forgotten) on success. See the steal sweep
-    // below for why the victim's queues must close if the thief unwinds.
-    struct StolenMsgsGuard<'a, S: MergeableSample> {
-        victim: &'a ShardCell<S>,
+    // Armed while this worker processes messages drained from a cell, its
+    // own or a stolen one; disarmed (forgotten) on success. Declared after
+    // the core guard, so on unwind it runs while the lock is still held:
+    // the cell is marked lost before any other worker can lock it and
+    // advance the state that is now missing the dead worker's chunks.
+    // Closing the cell's queues makes the loss visible to the driver even
+    // when the cell's owner is a healthy thread, so the supervisor fails
+    // typed or respawns from the barrier.
+    struct LostCellGuard<'a, S: MergeableSample> {
+        cell: &'a ShardCell<S>,
     }
-    impl<S: MergeableSample> Drop for StolenMsgsGuard<'_, S> {
+    impl<S: MergeableSample> Drop for LostCellGuard<'_, S> {
         fn drop(&mut self) {
-            self.victim.work.close();
-            self.victim.resp.close();
+            self.cell.lost.store(true, Ordering::Relaxed);
+            self.cell.work.close();
+            self.cell.resp.close();
         }
     }
 
@@ -1637,13 +1650,22 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
     loop {
         // 1. Serve the own cell. Lock-before-drain: draining only under
         //    the core lock is what keeps the logical shard FIFO when a
-        //    thief and the owner race.
+        //    thief and the owner race. A lost cell's backlog is
+        //    discarded; its queue is closed, so the worker then exits
+        //    below. A cell that is closed but not lost (engine drop)
+        //    still drains in full.
         let mut progressed = false;
         if !my.work.is_empty() {
             let mut core = my.core.lock();
             if my.work.try_drain_into(&mut msgs) > 0 {
-                process_shard_msgs(shard_id, &mut core, my, shared, &mut msgs, &mut done);
-                progressed = true;
+                if my.lost.load(Ordering::Relaxed) {
+                    msgs.clear();
+                } else {
+                    let guard = LostCellGuard { cell: my };
+                    process_shard_msgs(shard_id, &mut core, my, shared, &mut msgs, &mut done);
+                    std::mem::forget(guard);
+                    progressed = true;
+                }
             }
             drop(core);
             for buf in done.drain(..) {
@@ -1666,16 +1688,11 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
             let Some(mut core) = victim.core.try_lock() else {
                 continue;
             };
-            if victim.work.try_drain_into(&mut msgs) > 0 {
-                // A thief dying mid-steal takes the victim's drained
-                // messages (data batches, maybe a Sync or Barrier) to the
-                // grave while the victim's own queues stay open and its
-                // owner stays healthy — a driver blocked in pop_resp on
-                // the victim would then wait forever, since only the
-                // thief's own queues close on unwind. Closing the
-                // *victim's* endpoints too makes the loss detectable, so
-                // the supervisor fails typed or respawns from the barrier.
-                let guard = StolenMsgsGuard { victim };
+            // A lost cell is left alone: its owner discards the backlog,
+            // or, when the owner is the worker that died, the supervisor
+            // rebuilds the pipeline.
+            if !victim.lost.load(Ordering::Relaxed) && victim.work.try_drain_into(&mut msgs) > 0 {
+                let guard = LostCellGuard { cell: victim };
                 process_shard_msgs(j, &mut core, victim, shared, &mut msgs, &mut done);
                 std::mem::forget(guard);
                 progressed = true;

@@ -36,7 +36,6 @@
 //! * [`cluster`] — the worker pool: sequential, or threaded over a cache
 //!   of persistent worker threads (no per-batch `thread::spawn`).
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod copart;
 pub mod cost;
@@ -63,6 +62,6 @@ pub use fault::{FaultPlan, FaultSite, PushAction, WireAction};
 pub use kvstore::KvReservoir;
 pub use partition::{Location, Partitioned};
 pub use queue::BatchQueue;
-pub use snapshot::{EpochCell, EpochWait, EpochWaitFuture};
+pub use snapshot::{EpochCell, EpochWait};
 pub use tbs_core::checkpoint::CheckpointError;
 pub use wire::{Wire, WIRE_ENVELOPE_BYTES};

@@ -28,24 +28,19 @@
 //! waiters return instead of blocking forever; already-published samples
 //! remain readable afterwards.
 //!
-//! ## Blocking and async waiters
+//! ## Waiting
 //!
-//! Waiting is built on `tbs_core::notify::Notify`, which wakes blocked
-//! *threads* and parked async *tasks* from the same generation counter.
-//! Every blocking variant ([`EpochCell::wait_for_epoch`],
-//! [`EpochCell::wait_for_epoch_timeout`]) routes through one shared
-//! closed-checked loop, and [`EpochCell::poll_epoch`] /
-//! [`EpochCell::wait_for_epoch_owned`] expose the identical semantics to
-//! futures — the network serving tier's `SUBSCRIBE_EPOCH` long-poll parks
-//! a connection task here instead of a thread.
+//! Waiting is built on `tbs_core::notify::Notify`, a condvar over one
+//! generation counter. Every blocking variant
+//! ([`EpochCell::wait_for_epoch`], [`EpochCell::wait_for_epoch_timeout`])
+//! routes through one shared closed-checked loop. The network serving
+//! tier's `SUBSCRIBE_EPOCH` long poll blocks its connection thread here
+//! in short timed slices, so it notices server shutdown.
 
 use arc_swap::ArcSwapOption;
 use parking_lot::Mutex;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::time::Instant;
 use tbs_core::frozen::FrozenSample;
 use tbs_core::notify::{Notify, WaitOutcome};
@@ -63,7 +58,7 @@ pub struct EpochCell<T> {
     /// Serializes publishers so stale-check + store + counter-advance is
     /// atomic with respect to other publishers. Readers never take it.
     publish_lock: Mutex<()>,
-    /// Wakes blocked threads and parked connection tasks alike.
+    /// Wakes every blocked waiter.
     notify: Notify,
 }
 
@@ -103,12 +98,11 @@ impl<T> EpochCell<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Publish `frozen` as the newest sample and wake every waiter —
-    /// blocked threads and parked async tasks alike. The epoch counter
-    /// advances monotonically to `frozen.epoch()`; a **stale**
-    /// publication (epoch not newer than the counter) is discarded, so
-    /// the slot can never hold an older sample than the counter
-    /// advertises.
+    /// Publish `frozen` as the newest sample and wake every waiter. The
+    /// epoch counter advances monotonically to `frozen.epoch()`; a
+    /// **stale** publication (epoch not newer than the counter) is
+    /// discarded, so the slot can never hold an older sample than the
+    /// counter advertises.
     pub fn publish(&self, frozen: Arc<FrozenSample<T>>) {
         let epoch = frozen.epoch();
         let _guard = self.publish_lock.lock();
@@ -181,57 +175,6 @@ impl<T> EpochCell<T> {
     pub fn wait_for_epoch_timeout(&self, epoch: u64, timeout: std::time::Duration) -> EpochWait<T> {
         self.wait_inner(epoch, Some(Instant::now() + timeout))
     }
-
-    /// Async-task counterpart of the wait loop: resolve immediately when
-    /// a sample of epoch ≥ `epoch` is published (or the publisher is
-    /// gone), otherwise park `cx`'s waker for the next publication.
-    /// Never returns [`EpochWait::TimedOut`] — deadline handling belongs
-    /// to the caller's timer (race this against a sleep future).
-    pub fn poll_epoch(&self, epoch: u64, cx: &mut Context<'_>) -> Poll<EpochWait<T>> {
-        loop {
-            let seen = self.notify.generation();
-            if self.published.load(Ordering::Acquire) >= epoch {
-                return Poll::Ready(match self.latest() {
-                    Some(frozen) => EpochWait::Published(frozen),
-                    None => EpochWait::PublisherGone,
-                });
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return Poll::Ready(EpochWait::PublisherGone);
-            }
-            match self.notify.register(seen, cx.waker()) {
-                Ok(()) => return Poll::Pending,
-                // Notification slipped in between the checks and the
-                // registration: re-check rather than park.
-                Err(_) => continue,
-            }
-        }
-    }
-
-    /// An owned future resolving when a sample of epoch ≥ `epoch` lands
-    /// (or the publisher dies). Owned (`Arc<Self>`) rather than borrowed
-    /// so connection tasks — which must be `'static` — can hold it.
-    pub fn wait_for_epoch_owned(self: &Arc<Self>, epoch: u64) -> EpochWaitFuture<T> {
-        EpochWaitFuture {
-            cell: Arc::clone(self),
-            epoch,
-        }
-    }
-}
-
-/// Future returned by [`EpochCell::wait_for_epoch_owned`].
-#[derive(Debug)]
-pub struct EpochWaitFuture<T> {
-    cell: Arc<EpochCell<T>>,
-    epoch: u64,
-}
-
-impl<T> Future for EpochWaitFuture<T> {
-    type Output = EpochWait<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.cell.poll_epoch(self.epoch, cx)
-    }
 }
 
 /// Outcome of [`EpochCell::wait_for_epoch_timeout`].
@@ -259,8 +202,6 @@ impl<T> EpochWait<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::task::{Wake, Waker};
 
     fn frozen(epoch: u64, items: Vec<u32>) -> Arc<FrozenSample<u32>> {
         let expected = items.len() as f64;
@@ -410,57 +351,5 @@ mod tests {
         // Epoch 1 was reached before the close, so the wait succeeds.
         assert!(cell.wait_for_epoch(1).is_some());
         assert!(cell.wait_for_epoch(2).is_none());
-    }
-
-    struct CountingWake(AtomicUsize);
-    impl Wake for CountingWake {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn counting_waker() -> (Arc<CountingWake>, Waker) {
-        let counter = Arc::new(CountingWake(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&counter));
-        (counter, waker)
-    }
-
-    #[test]
-    fn poll_epoch_parks_then_wakes_on_publish() {
-        let cell = Arc::new(EpochCell::<u32>::new());
-        let (counter, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = cell.wait_for_epoch_owned(1);
-        assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Pending));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        cell.publish(frozen(1, vec![8]));
-        // The publish fired the parked waker; re-polling resolves.
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        match Pin::new(&mut fut).poll(&mut cx) {
-            Poll::Ready(EpochWait::Published(f)) => assert_eq!(f.epoch(), 1),
-            other => panic!("expected Published, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn poll_epoch_resolves_gone_on_close_and_immediately_when_satisfied() {
-        let cell = Arc::new(EpochCell::<u32>::new());
-        let (_, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = cell.wait_for_epoch_owned(2);
-        assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Pending));
-        cell.close();
-        assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
-            Poll::Ready(EpochWait::PublisherGone)
-        ));
-        // A satisfied wait never parks at all.
-        cell.reopen();
-        cell.publish(frozen(5, vec![1]));
-        let mut fut = cell.wait_for_epoch_owned(3);
-        assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
-            Poll::Ready(EpochWait::Published(_))
-        ));
     }
 }

@@ -15,9 +15,10 @@
 //!   from a `SamplerConfig`) and [`service::CellService`] (read-only
 //!   `EpochCell` replica); [`service::LineFit`], the default served
 //!   model.
-//! * [`server`] — [`server::serve`]: one `miniloop` executor thread,
-//!   pipelined connections, fault injection at exact reply-frame
-//!   boundaries via the engine's `FaultPlan`.
+//! * [`server`] — [`server::serve`]: blocking `std::net` sockets, one
+//!   accept thread plus one thread per connection, pipelined requests,
+//!   fault injection at exact reply-frame boundaries via the engine's
+//!   `FaultPlan`.
 //! * [`client`] — [`client::BlockingClient`], a synchronous typed
 //!   client with socket timeouts.
 //!

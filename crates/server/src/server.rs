@@ -1,6 +1,13 @@
 //! The serve loop: accept connections, decode request frames, dispatch
-//! into a [`WireService`], and write back framed replies — all on one
-//! `miniloop` executor thread.
+//! into a [`WireService`], and write back framed replies — on blocking
+//! `std::net` sockets, one thread per connection.
+//!
+//! A `tbs-accept` thread blocks in `accept` and hands each connection to
+//! its own `tbs-server` thread. Every verb except `SUBSCRIBE_EPOCH` runs
+//! under one service lock. A subscription takes the service's
+//! [`WireService::epoch_reader`] under the lock and then waits on it with
+//! the lock released, in slices of at most 25 ms so it notices
+//! shutdown.
 //!
 //! Connections are fully pipelined: every complete request frame in a
 //! read burst is dispatched and the replies are coalesced into one
@@ -11,40 +18,83 @@
 //! frame is appended, the plan is consulted with this connection's
 //! accept ordinal and the 1-based reply frame number. `DropConnection`
 //! flushes the replies already batched, shuts the socket, and ends the
-//! task; `HalfOpen` flushes and then parks the task forever — the
-//! socket stays open but never speaks again, exactly the half-open peer
-//! a client's read timeout must survive.
+//! thread; `HalfOpen` flushes and then reads and discards until the
+//! socket closes — the socket stays open but never speaks again, exactly
+//! the half-open peer a client's read timeout must survive.
+//!
+//! Shutdown (a `SHUTDOWN` frame or [`ServerHandle::request_shutdown`])
+//! sets a flag and unblocks `accept` with a loopback connection to the
+//! server's own address. The accept thread then shuts down every live
+//! socket and joins every connection thread, so nothing outlives
+//! [`ServerHandle::join`].
 
-use std::future::Future;
-use std::io;
-use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener};
-use std::pin::Pin;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use miniloop::net::{AsyncTcpListener, AsyncTcpStream};
-use miniloop::{Executor, Handle};
 use parking_lot::Mutex;
 use tbs_core::checkpoint::Wire;
+use tbs_distributed::snapshot::EpochWait;
 use tbs_distributed::{FaultPlan, WireAction};
 
 use crate::proto::{encode_frame, EpochOutcome, FrameDecoder, ProtoError, Reply, Request};
 use crate::service::WireService;
 
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
+/// Longest a parked `SUBSCRIBE_EPOCH` waits before re-checking shutdown.
+const WAIT_SLICE: Duration = Duration::from_millis(25);
 /// Read buffer per connection.
 const READ_BUF: usize = 64 * 1024;
+
+/// The shutdown flag plus the address that unblocks `accept`.
+#[derive(Clone)]
+struct Stop {
+    flag: Arc<AtomicBool>,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn new(addr: SocketAddr) -> Self {
+        let mut wake = addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Self {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake,
+        }
+    }
+
+    /// Set the flag, then connect once so a blocked `accept` returns and
+    /// sees it. The connect fails harmlessly once the listener is gone.
+    fn request(&self) {
+        self.flag.store(true, Ordering::Release);
+        let _ = TcpStream::connect(self.wake);
+    }
+
+    fn requested(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
+
+/// What every connection thread shares.
+struct Shared<S> {
+    service: Mutex<S>,
+    fault_plan: Option<Arc<FaultPlan>>,
+    stop: Stop,
+}
 
 /// A running server; dropping it requests shutdown and joins the serve
 /// thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<io::Result<()>>>,
+    stop: Stop,
+    thread: Option<JoinHandle<io::Result<()>>>,
 }
 
 impl ServerHandle {
@@ -53,10 +103,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Ask the serve loop to stop (idempotent, non-blocking); the loop
-    /// notices within one accept tick.
+    /// Ask the server to stop (idempotent); returns without waiting for
+    /// it to exit.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.stop.request();
     }
 
     /// Request shutdown and wait for the serve thread to exit.
@@ -83,9 +133,9 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.request_shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        if self.thread.is_some() {
+            self.request_shutdown();
+            let _ = self.join_inner();
         }
     }
 }
@@ -118,79 +168,84 @@ where
     S: WireService<T>,
 {
     let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let shutdown_thread = Arc::clone(&shutdown);
-    let service = Arc::new(Mutex::new(service));
-
+    let stop = Stop::new(addr);
+    let shared = Arc::new(Shared {
+        service: Mutex::new(service),
+        fault_plan,
+        stop: stop.clone(),
+    });
     let thread = std::thread::Builder::new()
-        .name("tbs-server".into())
-        .spawn(move || -> io::Result<()> {
-            let ex = Executor::new();
-            let handle = ex.handle();
-            let listener = AsyncTcpListener::from_std(listener, handle.clone())?;
-            ex.block_on(accept_loop::<T, S>(
-                listener,
-                service,
-                fault_plan,
-                shutdown_thread,
-                handle,
-            ))
-        })?;
-
+        .name("tbs-accept".into())
+        .spawn(move || accept_loop::<T, S>(listener, shared))?;
     Ok(ServerHandle {
         addr,
-        shutdown,
+        stop,
         thread: Some(thread),
     })
 }
 
-async fn accept_loop<T, S>(
-    listener: AsyncTcpListener,
-    service: Arc<Mutex<S>>,
-    fault_plan: Option<Arc<FaultPlan>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Handle,
-) -> io::Result<()>
+fn accept_loop<T, S>(listener: TcpListener, shared: Arc<Shared<S>>) -> io::Result<()>
 where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
 {
+    // Live connections: a clone of each socket (to shut it down on exit)
+    // and the thread serving it.
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
     // Accept ordinals are 1-based so fault plans can say "connection 1".
     let mut next_conn: u64 = 0;
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept_timeout(ACCEPT_TICK).await {
-            Ok(Some((stream, _peer))) => {
-                next_conn += 1;
-                handle.spawn(connection_task::<T, S>(
-                    stream,
-                    Arc::clone(&service),
-                    fault_plan.clone(),
-                    next_conn,
-                    Arc::clone(&shutdown),
-                    handle.clone(),
-                ));
-            }
-            Ok(None) => {}
+    let mut panicked = false;
+    let result = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
             // Transient accept errors (peer reset mid-handshake) should
             // not kill the server.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => continue,
+            Err(e) => break Err(e),
+        };
+        if shared.stop.requested() {
+            break Ok(());
         }
+        next_conn += 1;
+        let (done, live) = conns.into_iter().partition(|(_, t)| t.is_finished());
+        conns = live;
+        panicked |= join_all(done);
+        let conn = next_conn;
+        let shared = Arc::clone(&shared);
+        // A connection whose socket cannot be cloned or whose thread
+        // cannot start is dropped (closed); the server keeps accepting.
+        let Ok(control) = stream.try_clone() else {
+            continue;
+        };
+        if let Ok(thread) = std::thread::Builder::new()
+            .name("tbs-server".into())
+            .spawn(move || connection::<T, S>(stream, &shared, conn))
+        {
+            conns.push((control, thread));
+        }
+    };
+    for (control, _) in &conns {
+        let _ = control.shutdown(Shutdown::Both);
     }
-    Ok(())
+    if join_all(conns) | panicked {
+        return Err(io::Error::other("a connection thread panicked"));
+    }
+    result
 }
 
-async fn connection_task<T, S>(
-    mut stream: AsyncTcpStream,
-    service: Arc<Mutex<S>>,
-    fault_plan: Option<Arc<FaultPlan>>,
-    conn: u64,
-    shutdown: Arc<AtomicBool>,
-    handle: Handle,
-) where
+/// Join every connection thread; true if any of them panicked.
+fn join_all(conns: Vec<(TcpStream, JoinHandle<()>)>) -> bool {
+    conns
+        .into_iter()
+        .fold(false, |panicked, (_, t)| t.join().is_err() | panicked)
+}
+
+fn connection<T, S>(mut stream: TcpStream, shared: &Shared<S>, conn: u64)
+where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
 {
+    let _ = stream.set_nodelay(true);
     let mut decoder = FrameDecoder::new();
     let mut read_buf = vec![0u8; READ_BUF];
     let mut out: Vec<u8> = Vec::new();
@@ -199,7 +254,7 @@ async fn connection_task<T, S>(
     let mut reply_frame: u64 = 0;
 
     loop {
-        let n = match stream.read_some(&mut read_buf).await {
+        let n = match stream.read(&mut read_buf) {
             Ok(0) | Err(_) => return, // EOF or broken socket: done.
             Ok(n) => n,
         };
@@ -214,7 +269,7 @@ async fn connection_task<T, S>(
                 Err(_) => {
                     // Unrecoverable framing (oversized prefix): the
                     // stream offset is lost, drop the connection.
-                    let _ = stream.shutdown();
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
             };
@@ -226,33 +281,23 @@ async fn connection_task<T, S>(
                 Ok(Request::SubscribeEpoch { epoch, timeout_ms }) => {
                     // Long poll: flush what we already owe, then wait.
                     if !out.is_empty() {
-                        if stream.write_all(&out).await.is_err() {
+                        if stream.write_all(&out).is_err() {
                             return;
                         }
                         out.clear();
                     }
-                    let deadline = (timeout_ms > 0)
-                        .then(|| Instant::now() + Duration::from_millis(timeout_ms));
-                    let (outcome, epoch, batches) = EpochSubscription {
-                        service: Arc::clone(&service),
-                        epoch,
-                        deadline,
-                        handle: handle.clone(),
-                        _item: PhantomData,
-                    }
-                    .await;
-                    Reply::Epoch {
-                        outcome,
-                        epoch,
-                        batches,
+                    match subscribe(shared, epoch, timeout_ms) {
+                        Some(reply) => reply,
+                        None => return, // Server shutting down.
                     }
                 }
-                Ok(req) => dispatch(&service, req),
+                Ok(req) => dispatch(&shared.service, req),
                 Err(e) => proto_error_reply(&e),
             };
 
             reply_frame += 1;
-            let action = fault_plan
+            let action = shared
+                .fault_plan
                 .as_ref()
                 .map(|p| p.wire_action(conn, reply_frame))
                 .unwrap_or(WireAction::Deliver);
@@ -261,41 +306,83 @@ async fn connection_task<T, S>(
                 WireAction::DropConnection => {
                     // Deliver everything before the fault boundary,
                     // then cut the socket under the client.
-                    if !out.is_empty() {
-                        let _ = stream.write_all(&out).await;
-                    }
-                    let _ = stream.shutdown();
+                    let _ = stream.write_all(&out);
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
                 WireAction::HalfOpen => {
-                    if !out.is_empty() {
-                        let _ = stream.write_all(&out).await;
-                    }
-                    // Keep the socket open but never answer again. A
-                    // bare `pending()` future would leave the task with
-                    // no registered waker and the executor would drop
-                    // it (closing the socket); an endless timer keeps
-                    // it — and the half-open stream — alive.
-                    loop {
-                        handle.sleep(Duration::from_secs(3600)).await;
-                    }
+                    // Keep the socket open but never answer again; the
+                    // thread ends when the peer or shutdown closes it.
+                    let _ = stream.write_all(&out);
+                    while matches!(stream.read(&mut read_buf), Ok(n) if n > 0) {}
+                    return;
                 }
             }
         }
 
-        if !out.is_empty() && stream.write_all(&out).await.is_err() {
+        if !out.is_empty() && stream.write_all(&out).is_err() {
             return;
         }
         if stop_after_flush {
-            shutdown.store(true, Ordering::Release);
-            let _ = stream.shutdown();
+            shared.stop.request();
+            let _ = stream.shutdown(Shutdown::Both);
             return;
         }
     }
 }
 
+/// Wait for `epoch` without holding the service lock. `None` means the
+/// server is shutting down and the connection should close unanswered.
+fn subscribe<T, S>(shared: &Shared<S>, epoch: u64, timeout_ms: u64) -> Option<Reply<T>>
+where
+    T: Wire + Clone + Send + Sync + 'static,
+    S: WireService<T>,
+{
+    // `timeout_ms == 0`, or a deadline past the clock's range, waits
+    // until published.
+    let deadline = (timeout_ms > 0)
+        .then(|| Instant::now().checked_add(Duration::from_millis(timeout_ms)))
+        .flatten();
+    let mut reader = shared.service.lock().epoch_reader();
+    loop {
+        let slice = deadline.map_or(WAIT_SLICE, |d| {
+            d.saturating_duration_since(Instant::now()).min(WAIT_SLICE)
+        });
+        let (outcome, epoch, batches) = match reader.wait_for_epoch_timeout(epoch, slice) {
+            EpochWait::Published(frozen) => (
+                EpochOutcome::Published,
+                frozen.epoch(),
+                frozen.batches_observed(),
+            ),
+            EpochWait::TimedOut => {
+                if shared.stop.requested() {
+                    return None;
+                }
+                if deadline.is_none_or(|d| Instant::now() < d) {
+                    continue;
+                }
+                (EpochOutcome::TimedOut, reader.published_epoch(), 0)
+            }
+            EpochWait::PublisherGone => {
+                // A CHECKPOINT_PUSH on another connection replaces the
+                // publisher: follow the new one if there is one.
+                reader = shared.service.lock().epoch_reader();
+                if !reader.is_publisher_gone() {
+                    continue;
+                }
+                (EpochOutcome::PublisherGone, reader.published_epoch(), 0)
+            }
+        };
+        return Some(Reply::Epoch {
+            outcome,
+            epoch,
+            batches,
+        });
+    }
+}
+
 /// Handle every verb that resolves immediately under one service lock.
-fn dispatch<T, S>(service: &Arc<Mutex<S>>, req: Request<T>) -> Reply<T>
+fn dispatch<T, S>(service: &Mutex<S>, req: Request<T>) -> Reply<T>
 where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
@@ -321,7 +408,7 @@ where
         Request::Ping => Ok(Reply::Pong),
         // Handled by the connection loop before dispatch.
         Request::SubscribeEpoch { .. } | Request::Shutdown => {
-            unreachable!("handled in connection_task")
+            unreachable!("handled in connection")
         }
     };
     result.unwrap_or_else(|e| {
@@ -334,41 +421,5 @@ fn proto_error_reply<T: Wire>(e: &ProtoError) -> Reply<T> {
     Reply::Error {
         code: crate::proto::ErrorCode::Corrupt,
         detail: format!("bad request frame: {e}"),
-    }
-}
-
-/// Races the service's epoch wait against an optional deadline.
-struct EpochSubscription<T, S> {
-    service: Arc<Mutex<S>>,
-    epoch: u64,
-    deadline: Option<Instant>,
-    handle: Handle,
-    // `fn() -> T` keeps the future `Unpin` regardless of `T`.
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T, S> Future for EpochSubscription<T, S>
-where
-    T: Wire + Clone + Send + Sync + 'static,
-    S: WireService<T>,
-{
-    type Output = (EpochOutcome, u64, u64);
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut svc = this.service.lock();
-        match svc.poll_epoch(this.epoch, cx) {
-            Poll::Ready(out) => Poll::Ready(out),
-            Poll::Pending => {
-                if let Some(deadline) = this.deadline {
-                    if Instant::now() >= deadline {
-                        return Poll::Ready((EpochOutcome::TimedOut, svc.published_epoch(), 0));
-                    }
-                    drop(svc);
-                    this.handle.wake_at(deadline, cx.waker().clone());
-                }
-                Poll::Pending
-            }
-        }
     }
 }

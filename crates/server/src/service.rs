@@ -14,18 +14,17 @@
 //!   process.
 
 use std::sync::Arc;
-use std::task::{Context, Poll};
 
 use bytes::Bytes;
 use tbs_core::checkpoint::Wire;
 use tbs_core::frozen::FrozenSample;
-use tbs_distributed::snapshot::{EpochCell, EpochWait};
+use tbs_distributed::snapshot::EpochCell;
 use temporal_sampling::api::{
     ModelManager, RetrainPolicy, SampleReader, Sampler, SamplerConfig, TbsError,
 };
 use temporal_sampling::ml::pipeline::OnlineModel;
 
-use crate::proto::{EpochOutcome, ErrorCode};
+use crate::proto::ErrorCode;
 
 /// Typed failure from a service method; the server turns it into a
 /// [`Reply::Error`](crate::proto::Reply::Error) frame.
@@ -72,21 +71,20 @@ pub type SampleView<T> = (u64, u64, Vec<T>);
 
 /// Engine surface the connection loop programs against.
 ///
-/// `poll_epoch` is poll-based (not `async fn`) so the server can race
-/// it against a deadline timer without boxing; it must register the
-/// waker with the underlying publisher before returning `Pending`, and
-/// it never resolves `TimedOut` — deadlines are the server's job.
+/// The server holds the service behind one lock and calls every method
+/// under it. `SUBSCRIBE_EPOCH` is the exception: the connection thread
+/// takes a [`WireService::epoch_reader`] handle under the lock, then
+/// blocks on the handle with the lock released, so a long poll never
+/// stalls the other connections.
 pub trait WireService<T: Wire + Clone + Send + Sync + 'static>: Send + 'static {
     /// Latest published sample.
     fn latest(&mut self) -> Result<SampleView<T>, ServiceError>;
 
-    /// Wait for `epoch`: `Ready` once published (or the publisher is
-    /// gone), `Pending` with a registered waker otherwise.
-    fn poll_epoch(&mut self, epoch: u64, cx: &mut Context<'_>) -> Poll<(EpochOutcome, u64, u64)>;
-
-    /// Highest epoch published so far (0 if none) — used to stamp
-    /// timed-out subscription replies.
-    fn published_epoch(&self) -> u64;
+    /// A handle on the publisher `SUBSCRIBE_EPOCH` waits on. A service
+    /// that replaces its publisher (`restore`) must hand out a reader on
+    /// the new one from then on: a subscriber whose wait ends in
+    /// `PublisherGone` asks again and follows the replacement.
+    fn epoch_reader(&self) -> SampleReader<T>;
 
     /// Feed one batch; returns (batches observed, published epoch).
     fn ingest(&mut self, items: Vec<T>) -> Result<(u64, u64), ServiceError>;
@@ -268,24 +266,8 @@ where
         }
     }
 
-    fn poll_epoch(&mut self, epoch: u64, cx: &mut Context<'_>) -> Poll<(EpochOutcome, u64, u64)> {
-        match self.reader.poll_epoch(epoch, cx) {
-            Poll::Ready(EpochWait::Published(frozen)) => Poll::Ready((
-                EpochOutcome::Published,
-                frozen.epoch(),
-                frozen.batches_observed(),
-            )),
-            Poll::Ready(_) => Poll::Ready((
-                EpochOutcome::PublisherGone,
-                self.reader.published_epoch(),
-                0,
-            )),
-            Poll::Pending => Poll::Pending,
-        }
-    }
-
-    fn published_epoch(&self) -> u64 {
-        self.reader.published_epoch()
+    fn epoch_reader(&self) -> SampleReader<T> {
+        self.reader.clone()
     }
 
     fn ingest(&mut self, items: Vec<T>) -> Result<(u64, u64), ServiceError> {
@@ -338,13 +320,15 @@ where
 /// and `SUBSCRIBE_EPOCH` from whatever publisher owns the cell; every
 /// mutating verb answers `Unsupported`.
 pub struct CellService<T> {
-    cell: Arc<EpochCell<T>>,
+    reader: SampleReader<T>,
 }
 
 impl<T> CellService<T> {
     /// Serve the given cell.
     pub fn new(cell: Arc<EpochCell<T>>) -> Self {
-        Self { cell }
+        Self {
+            reader: SampleReader::from(cell),
+        }
     }
 }
 
@@ -353,28 +337,14 @@ where
     T: Wire + Clone + Send + Sync + 'static,
 {
     fn latest(&mut self) -> Result<SampleView<T>, ServiceError> {
-        match self.cell.latest() {
+        match self.reader.latest() {
             Some(frozen) => Ok(view(&frozen)),
             None => Err(ServiceError::Unavailable("no sample published yet")),
         }
     }
 
-    fn poll_epoch(&mut self, epoch: u64, cx: &mut Context<'_>) -> Poll<(EpochOutcome, u64, u64)> {
-        match self.cell.poll_epoch(epoch, cx) {
-            Poll::Ready(EpochWait::Published(frozen)) => Poll::Ready((
-                EpochOutcome::Published,
-                frozen.epoch(),
-                frozen.batches_observed(),
-            )),
-            Poll::Ready(_) => {
-                Poll::Ready((EpochOutcome::PublisherGone, self.cell.published_epoch(), 0))
-            }
-            Poll::Pending => Poll::Pending,
-        }
-    }
-
-    fn published_epoch(&self) -> u64 {
-        self.cell.published_epoch()
+    fn epoch_reader(&self) -> SampleReader<T> {
+        self.reader.clone()
     }
 
     fn ingest(&mut self, _items: Vec<T>) -> Result<(u64, u64), ServiceError> {

@@ -273,3 +273,70 @@ fn second_sampler_restores_from_a_pulled_checkpoint() {
         other => panic!("expected Unavailable, got {other:?}"),
     }
 }
+
+#[test]
+fn subscription_follows_a_checkpoint_push_from_another_connection() {
+    let server = start_line_server(None);
+    let addr = server.addr();
+    let mut producer: BlockingClient<[f64; 2]> = BlockingClient::connect(addr).unwrap();
+    producer.ingest(line_batch(0..300)).unwrap();
+    let (_, e2) = producer.ingest(line_batch(300..600)).unwrap();
+    let blob = producer.checkpoint_pull().unwrap();
+
+    // Park a subscriber for the next epoch, then replace the engine it
+    // waits on.
+    let waiter = std::thread::spawn(move || {
+        let mut c: BlockingClient<[f64; 2]> = BlockingClient::connect(addr).unwrap();
+        c.subscribe_epoch(e2 + 1, Some(Duration::from_secs(10)))
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    producer.checkpoint_push(blob).unwrap();
+    for t in 2..5 {
+        let (batches, _) = producer.ingest(line_batch(t * 300..(t + 1) * 300)).unwrap();
+        assert_eq!(batches as i32, t + 1);
+    }
+
+    // The first engine never got past batch 2: a publication carrying
+    // more came from the restored one.
+    let (outcome, epoch, batches) = waiter.join().unwrap().unwrap();
+    assert_eq!(outcome, EpochOutcome::Published);
+    assert!(epoch > e2, "epoch {epoch} must pass {e2}");
+    assert!(batches > 2, "published before the push: {batches} batches");
+}
+
+#[test]
+fn join_returns_promptly_with_parked_connections_and_drops_the_service() {
+    let cell: Arc<EpochCell<u64>> = Arc::new(EpochCell::new());
+    let plan = Arc::new(FaultPlan::new().half_open_socket(1, 1));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = serve_on(listener, CellService::new(Arc::clone(&cell)), Some(plan)).unwrap();
+    let addr = server.addr();
+
+    // Connection 1 goes half-open on its first reply.
+    let mut half_open: BlockingClient<u64> =
+        BlockingClient::connect_timeout(addr, Duration::from_millis(200)).unwrap();
+    assert!(matches!(half_open.ping(), Err(ClientError::Io(_))));
+    // An untimed subscriber on an epoch that never comes.
+    let subscriber = std::thread::spawn(move || {
+        let mut c: BlockingClient<u64> = BlockingClient::connect(addr).unwrap();
+        c.subscribe_epoch(99, None)
+    });
+    // And a connection that never sends anything.
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let start = std::time::Instant::now();
+    server.join().unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "join took {:?}",
+        start.elapsed()
+    );
+    // Every connection thread is gone, and the service with them.
+    assert_eq!(Arc::strong_count(&cell), 1);
+    assert!(matches!(
+        subscriber.join().unwrap(),
+        Err(ClientError::Io(_))
+    ));
+    drop((half_open, idle));
+}

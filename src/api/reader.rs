@@ -27,10 +27,9 @@
 //! to block until a specific request lands.
 
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::time::Duration;
 use tbs_core::frozen::FrozenSample;
-use tbs_distributed::snapshot::{EpochCell, EpochWait, EpochWaitFuture};
+use tbs_distributed::snapshot::{EpochCell, EpochWait};
 
 /// A clonable, thread-safe handle reading epoch-published samples; see
 /// the [`crate::api`] module docs and [`crate::api::Sampler::reader`].
@@ -54,15 +53,19 @@ impl<T> Clone for SampleReader<T> {
     }
 }
 
-impl<T> SampleReader<T> {
-    pub(crate) fn new(cell: Arc<EpochCell<T>>) -> Self {
+impl<T> From<Arc<EpochCell<T>>> for SampleReader<T> {
+    /// A reader over any epoch cell — e.g. a serving replica mirroring a
+    /// publisher owned elsewhere in the process. Starts cold.
+    fn from(cell: Arc<EpochCell<T>>) -> Self {
         Self {
             cell,
             seen_epoch: 0,
             cached: None,
         }
     }
+}
 
+impl<T> SampleReader<T> {
     /// The most recently published sample, or `None` before the first
     /// publication. Non-blocking: a poll that finds nothing new is one
     /// atomic load plus an `Arc` clone of the cached value, and never
@@ -105,29 +108,6 @@ impl<T> SampleReader<T> {
             self.cached = Some(Arc::clone(frozen));
         }
         wait
-    }
-
-    /// Async-task counterpart of [`SampleReader::wait_for_epoch`]:
-    /// resolve immediately when a sample of epoch ≥ `epoch` is available
-    /// (or the publisher is gone), otherwise park `cx`'s waker for the
-    /// next publication — a connection task long-polling for fresh
-    /// models parks here instead of pinning a thread. Never returns
-    /// [`EpochWait::TimedOut`]; race the wait against a timer for
-    /// deadlines.
-    pub fn poll_epoch(&mut self, epoch: u64, cx: &mut Context<'_>) -> Poll<EpochWait<T>> {
-        let wait = self.cell.poll_epoch(epoch, cx);
-        if let Poll::Ready(EpochWait::Published(frozen)) = &wait {
-            self.seen_epoch = frozen.epoch();
-            self.cached = Some(Arc::clone(frozen));
-        }
-        wait
-    }
-
-    /// An owned future resolving like [`SampleReader::poll_epoch`] (it
-    /// does not update this handle's cache; poll through the handle when
-    /// you want that).
-    pub fn wait_for_epoch_owned(&self, epoch: u64) -> EpochWaitFuture<T> {
-        self.cell.wait_for_epoch_owned(epoch)
     }
 
     /// Highest epoch published so far (0 before the first publication) —

@@ -459,7 +459,7 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
     /// synchronous [`Sampler::sample`] when you hold `&mut self` anyway
     /// and want the freshest possible sample with no epoch machinery.
     pub fn reader(&self) -> SampleReader<T> {
-        SampleReader::new(Arc::clone(&self.cell))
+        SampleReader::from(Arc::clone(&self.cell))
     }
 
     /// Publish a snapshot of the current sample to every reader and

@@ -121,6 +121,53 @@ fn respawn_matrix_is_bit_identical_through_the_facade() {
 }
 
 #[test]
+fn respawn_stays_bit_identical_under_host_contention() {
+    // A worker killed mid-group leaves its cell's state short of the
+    // chunks it held. Under CPU contention the dead worker's core lock
+    // is released long before its queues close, and a thief that drains
+    // the cell in that window must not refresh the fork record recovery
+    // replays from. Two spinners keep the host oversubscribed so the
+    // window actually opens.
+    silence_injected_panics();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let spinners: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let mut diverged = Vec::new();
+    for seed in 0..30u64 {
+        for config in configs(seed) {
+            let config = config.recovery_policy(RecoveryPolicy::RespawnFromBarrier);
+            let clean = drive(&mut config.build::<u64>().expect("valid config"))
+                .expect("fault-free run must succeed");
+            let plan = Arc::new(FaultPlan::new().kill_worker(1, 8));
+            let mut sampler = config
+                .build_with_fault_plan::<u64>(Arc::clone(&plan))
+                .expect("valid faulted config");
+            let got = drive(&mut sampler).expect("respawn policy must absorb the fault");
+            assert_eq!(plan.fired_count(), 1, "seed={seed}: the fault never fired");
+            if got != clean {
+                diverged.push(format!("{}/seed={seed}", sampler.name()));
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    for spinner in spinners {
+        spinner.join().unwrap();
+    }
+    assert!(
+        diverged.is_empty(),
+        "recovered samples diverged: {diverged:?}"
+    );
+}
+
+#[test]
 fn fail_policy_surfaces_typed_errors_through_the_facade() {
     silence_injected_panics();
     for config in configs(42) {
