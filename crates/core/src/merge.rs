@@ -412,8 +412,25 @@ impl BalancedSplitter {
     /// Split `batch` into `out.len()` shard sub-batches and advance the
     /// deviation state. Each `out[i]` is cleared and refilled.
     pub fn split<T>(&mut self, batch: &mut Vec<T>, out: &mut [Vec<T>]) {
-        let k = out.len();
-        debug_assert_eq!(k, self.deviations.len(), "shard count mismatch");
+        debug_assert_eq!(out.len(), self.deviations.len(), "shard count mismatch");
+        self.split_append(batch, |i, chunk| {
+            out[i].clear();
+            out[i].extend(chunk);
+        });
+    }
+
+    /// The appending variant of [`Self::split`]: the same split and
+    /// deviation update, but each shard's chunk is handed to
+    /// `append(shard, chunk)` as a draining iterator (in its original
+    /// order) instead of replacing a per-shard vector — so a caller can
+    /// pack many consecutive batches' chunks into one buffer per shard.
+    /// `append` is called exactly once per shard, empty chunks included.
+    pub fn split_append<T>(
+        &mut self,
+        batch: &mut Vec<T>,
+        mut append: impl FnMut(usize, std::vec::Drain<'_, T>),
+    ) {
+        let k = self.deviations.len();
         let b = batch.len();
         let base = b / k;
         let rem = b % k;
@@ -441,9 +458,7 @@ impl BalancedSplitter {
         let mut end = b;
         for i in (0..k).rev() {
             let len = self.sizes[i];
-            let buf = &mut out[i];
-            buf.clear();
-            buf.extend(batch.drain(end - len..));
+            append(i, batch.drain(end - len..));
             end -= len;
             self.deviations[i] += len as f64 - even;
         }
@@ -984,6 +999,38 @@ mod tests {
             }
         }
         assert_eq!(sa.deviations(), sb.deviations());
+    }
+
+    #[test]
+    fn split_append_packs_the_same_chunks_back_to_back() {
+        // Appending many batches' chunks into one buffer per shard must
+        // equal concatenating the per-batch `split` outputs, with the
+        // same deviation state at the end.
+        let mut plain = BalancedSplitter::new(0.1, 3);
+        let mut packed = BalancedSplitter::new(0.1, 3);
+        let mut out = vec![Vec::new(); 3];
+        let mut expect = vec![Vec::new(); 3];
+        let mut runs: Vec<(Vec<u32>, Vec<usize>)> = vec![Default::default(); 3];
+        for t in 0..30u32 {
+            let b = [17u32, 0, 5, 100, 3][t as usize % 5];
+            let mut batch_a: Vec<u32> = (0..b).map(|i| t * 1000 + i).collect();
+            let mut batch_b = batch_a.clone();
+            plain.split(&mut batch_a, &mut out);
+            for (acc, part) in expect.iter_mut().zip(&out) {
+                acc.extend_from_slice(part);
+            }
+            packed.split_append(&mut batch_b, |i, chunk| {
+                runs[i].1.push(chunk.len());
+                runs[i].0.extend(chunk);
+            });
+            assert!(batch_b.is_empty());
+        }
+        for (i, (items, lens)) in runs.iter().enumerate() {
+            assert_eq!(items, &expect[i], "shard {i}: packed items differ");
+            assert_eq!(lens.len(), 30, "one length per batch, empties too");
+            assert_eq!(lens.iter().sum::<usize>(), items.len());
+        }
+        assert_eq!(plain.deviations(), packed.deviations());
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!
 //! ```text
 //!              ┌────────────┐  work: BatchQueue<ShardMsg>  ┌─────────────┐
-//!  ingest() ──▶│  driver:   │ ───────────────────────────▶ │ shard cell 0│
+//!  ingest() ──▶│  driver:   │ ─── Run{items, lens} ──────▶ │ shard cell 0│
 //!              │ balanced   │ ◀─────────────────────────── │ Mutex<R-TBS │
-//!              │   split    │  recycle: BatchQueue<Vec<T>> │  + own RNG> │
-//!              └────────────┘            …× N              └─────────────┘
+//!              │ split into │  pool: BatchQueue<Run>       │  + own RNG> │
+//!              │ open runs  │  (3 reusable buffers/cell)   └─────────────┘
+//!              └────────────┘            …× N
 //!                                                  ▲ any idle worker may
 //!                                                  │ lock a cell & serve it
 //! ```
@@ -30,6 +31,15 @@
 //!   stays within **one item** of `W/K`, which licenses the `⌈n/K⌉ + 1`
 //!   adaptive shard capacity (see the `tbs_core::merge` module docs) and
 //!   keeps high-K shards on the saturated fast path.
+//! * **Coalesced runs**: the driver appends each batch's chunks straight
+//!   into one open *run* per cell — many consecutive sub-batches back to
+//!   back in one buffer, plus their lengths — and hands a run to its
+//!   shard in **one** queue push once it reaches an internal size target
+//!   (8192 items), and always before any `Sync`, `Snapshot`, `Barrier` or
+//!   `CheckpointFork` and at drop. Every read path therefore sees exactly
+//!   the batches fed before it, with no timer. The shard feeds the run's
+//!   sub-batches to its sampler one at a time, in order, so where a run
+//!   is cut never moves the sample.
 //! * **Work stealing**: a shard's sampler lives in a `Mutex`ed cell, not
 //!   in thread-local state. Each worker serves its own cell first, then
 //!   sweeps the other cells and drains any backlog it can lock. Because a
@@ -39,10 +49,13 @@
 //!   whether or not any stealing happened; only the thread that happened
 //!   to do the work differs. Determinism keys off the logical chunk
 //!   assignment, never off thread timing.
-//! * Consumed batch buffers flow back to the driver through a recycle
-//!   queue, so steady-state ingest performs **zero heap allocations**
-//!   beyond the caller-provided batch (verified by the engine's
-//!   counting-allocator test).
+//! * Run buffers circulate through a fixed pool of three per cell: the
+//!   driver fills one, blocks on the pool when it needs another, and the
+//!   shard hands each consumed buffer back. In-flight ingest memory is
+//!   thus bounded in *items* (cells × 3 × the run target), and after
+//!   warm-up no buffer is ever allocated or grown, so steady-state ingest
+//!   performs **zero heap allocations** beyond the caller-provided batch
+//!   (verified by the engine's counting-allocator test).
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
 //!
@@ -101,7 +114,7 @@ use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tbs_core::frozen::FrozenSample;
@@ -120,13 +133,14 @@ pub enum RecoveryPolicy {
     Fail,
     /// Supervised recovery: each shard's state is recorded at every
     /// barrier/checkpoint fork, the driver keeps a replay log of the
-    /// chunks it split since then, and on a fault the engine rebuilds the
+    /// runs it handed off since then, and on a fault the engine rebuilds the
     /// whole pipeline from the fork records and replays the log —
     /// restoring **bit-identical** `(seed, K)` state, because splits and
     /// per-shard RNG substreams are deterministic. Costs one state clone
-    /// per shard per barrier plus one chunk clone per shard per batch;
-    /// the replay log is trimmed at each barrier/checkpoint, so publish
-    /// or checkpoint periodically to bound its memory.
+    /// per shard per barrier plus one clone per run handed to a shard
+    /// (runs coalesce many batches; see the module docs); the replay log
+    /// is trimmed at each barrier/checkpoint, so publish or checkpoint
+    /// periodically to bound its memory.
     RespawnFromBarrier,
 }
 
@@ -146,12 +160,13 @@ pub enum EngineError {
     },
     /// The merger thread is gone; snapshots can no longer publish.
     MergerDead,
-    /// A chunk delivery to a shard queue was dropped (fault-injected
-    /// lost push): the shard's state no longer matches the stream.
+    /// A run delivery to a shard queue was dropped (fault-injected lost
+    /// push): the shard's state no longer matches the stream.
     ChunkDropped {
-        /// Destination shard of the lost chunk.
+        /// Destination shard of the lost run.
         shard: usize,
-        /// 1-based global batch number of the lost chunk.
+        /// 1-based global batch number of the sub-batch whose push the
+        /// fault plan dropped.
         batch: u64,
     },
     /// A requested epoch can no longer publish (the publisher closed the
@@ -205,8 +220,12 @@ pub struct EngineConfig {
     /// The single-node sampler the merged output must be equivalent to,
     /// plus the shard count.
     pub spec: ShardSpec,
-    /// Bounded depth of each shard's work queue, in batches. Deeper queues
-    /// smooth bursty producers; shallower ones bound in-flight memory.
+    /// Bounded depth of each shard's work queue, in messages: coalesced
+    /// runs of batches plus control messages (sync, snapshot, barrier,
+    /// checkpoint). It bounds how many requests can queue up ahead of a
+    /// shard; in-flight *items* are bounded separately, by each shard's
+    /// fixed pool of run buffers times the run size target (see the
+    /// module docs), whatever the depth.
     pub queue_depth: usize,
     /// Master seed; the driver and every shard derive non-overlapping
     /// jump-ahead substreams from it.
@@ -216,7 +235,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// An engine config with the default queue depth (64 batches) and
+    /// An engine config with the default queue depth (64 messages) and
     /// [`RecoveryPolicy::Fail`].
     pub fn new(spec: ShardSpec, seed: u64) -> Self {
         Self {
@@ -261,10 +280,78 @@ struct ShardCounters {
     busy_ns: AtomicU64,
 }
 
+/// Items per run at which the driver hands an open run to its shard.
+/// Large enough that one queue push and one worker wake-up amortize
+/// over thousands of items; small enough that the pool stays a few
+/// hundred KB per cell and the run left open at a publication drains
+/// in microseconds.
+const RUN_ITEMS: usize = 8192;
+/// Sub-batches per run at which the driver hands it off regardless of
+/// its item count (a long streak of empty or tiny batches).
+const RUN_BATCHES: usize = 1024;
+/// Run buffers per cell: one filling in the driver, one queued, one
+/// being ingested by a shard.
+const RUN_POOL: usize = 3;
+
+/// A coalesced run of consecutive sub-batches for one cell: their items
+/// back to back in `items`, their lengths (empty ones included — every
+/// batch advances every shard's decay clock) in `lens`.
+#[derive(Clone)]
+struct Run<T> {
+    items: Vec<T>,
+    lens: Vec<usize>,
+}
+
+impl<T> Run<T> {
+    /// A pool buffer, pre-sized so that filling it never allocates.
+    fn pooled() -> Self {
+        Self {
+            items: Vec::with_capacity(RUN_ITEMS),
+            lens: Vec::with_capacity(RUN_BATCHES),
+        }
+    }
+
+    /// Append one sub-batch.
+    fn push(&mut self, chunk: std::vec::Drain<'_, T>) {
+        self.lens.push(chunk.len());
+        self.items.extend(chunk);
+    }
+
+    /// Whether the run must be handed off before a sub-batch of up to
+    /// `chunk` more items is appended. An empty run always takes it, so
+    /// a chunk larger than the target travels alone.
+    fn is_full_for(&self, chunk: usize) -> bool {
+        !self.lens.is_empty()
+            && (self.items.len() + chunk > RUN_ITEMS || self.lens.len() == RUN_BATCHES)
+    }
+
+    /// Move the sub-batches out in order, handing each to `observe` in
+    /// `scratch` (cleared after each); leaves the run empty for reuse.
+    fn drain_batches(&mut self, scratch: &mut Vec<T>, mut observe: impl FnMut(&mut Vec<T>)) {
+        let mut items = self.items.drain(..);
+        for &len in &self.lens {
+            scratch.extend(items.by_ref().take(len));
+            observe(scratch);
+            scratch.clear();
+        }
+        drop(items);
+        self.lens.clear();
+    }
+}
+
+/// Injected push verdicts collected for one cell's open run at append
+/// time, applied when the run is handed off (fault-matrix only).
+#[derive(Debug, Default, Clone, Copy)]
+struct RunFaults {
+    /// First batch of the run whose push the plan drops.
+    dropped: Option<u64>,
+    /// Total stall the plan puts before the push.
+    stall: Duration,
+}
+
 enum ShardMsg<T> {
-    /// One sub-batch to ingest (possibly empty — empty batches still
-    /// advance the shard's decay clock).
-    Batch(Vec<T>),
+    /// A run of sub-batches to ingest in order.
+    Run(Run<T>),
     /// Reply with a clone of the shard sampler plus the shard RNG's
     /// current 256-bit position (quiesces: FIFO order guarantees all
     /// prior batches are absorbed first).
@@ -369,8 +456,21 @@ struct ShardCell<S: MergeableSample> {
     lost: AtomicBool,
     work: BatchQueue<ShardMsg<S::Item>>,
     resp: BatchQueue<ShardResp<S>>,
-    recycle: BatchQueue<Vec<S::Item>>,
+    /// The cell's [`RUN_POOL`] run buffers not currently held by the
+    /// driver or queued; the driver blocks here when it needs one.
+    pool: BatchQueue<Run<S::Item>>,
     counters: ShardCounters,
+}
+
+impl<S: MergeableSample> ShardCell<S> {
+    /// Close every driver-facing queue of the cell: a driver blocked in
+    /// `pop_resp`, on a full work queue, or on an empty run pool wakes
+    /// with an error instead of waiting on a consumer that is gone.
+    fn close_queues(&self) {
+        self.work.close();
+        self.resp.close();
+        self.pool.close();
+    }
 }
 
 struct ShardCore<S> {
@@ -378,8 +478,8 @@ struct ShardCore<S> {
     rng: Xoshiro256PlusPlus,
     /// Data batches this logical shard has processed (== the driver's
     /// `batches_ingested` once the shard catches up, since every ingest
-    /// sends one chunk to every shard). Positions fault-injection sites
-    /// and stamps recovery fork records.
+    /// appends one sub-batch to every shard's run). Positions
+    /// fault-injection sites and stamps recovery fork records.
     seen: u64,
 }
 
@@ -401,8 +501,6 @@ struct EngineShared<S: MergeableSample> {
     /// The merger thread's inbox.
     merger: BatchQueue<MergerMsg<S>>,
     spec: ShardSpec,
-    /// Per-worker queue depth (drained groups are bounded by this).
-    depth: usize,
     /// Per-shard recovery fork records; `Some` iff the policy is
     /// [`RecoveryPolicy::RespawnFromBarrier`].
     recovery: Option<Vec<Mutex<Option<ForkRecord<S>>>>>,
@@ -461,16 +559,14 @@ where
     batches_ingested: u64,
     /// The deviation-balanced deterministic batch splitter.
     splitter: BalancedSplitter,
-    /// Largest per-shard chunk seen so far. Recycled split buffers are
-    /// reserved up to this before filling, so every circulating buffer
-    /// converges to the high-water capacity after one population cycle —
-    /// making steady-state ingest deterministically allocation-free
-    /// instead of "once every buffer has happened to carry a big chunk".
-    chunk_high_water: usize,
     /// Driver-side substream: merge randomization + sample realization.
     driver_rng: Xoshiro256PlusPlus,
-    /// Per-shard split buffers, refilled from the recycle queues.
-    split: Vec<Vec<S::Item>>,
+    /// Per-cell open run, filled by the split; `None` after a hand-off
+    /// until the next ingest takes a buffer from the cell's pool. Its
+    /// batches are always the last `lens.len()` ingested.
+    runs: Vec<Option<Run<S::Item>>>,
+    /// Injected push verdicts for each open run (fault-matrix only).
+    run_faults: Vec<RunFaults>,
     /// Responses are popped into this scratch vector (capacity 1).
     resp_scratch: Vec<ShardResp<S>>,
     /// The config the pipeline was built from (recovery respawns reuse it).
@@ -481,9 +577,10 @@ where
     recoveries: u64,
     /// Generation assigned to the next checkpoint request (first is 1).
     next_ckpt_gen: u64,
-    /// Per-shard replay log `(global batch_no, chunk)` since the last
-    /// fork record; only filled under `RespawnFromBarrier`.
-    replay: Vec<VecDeque<(u64, Vec<S::Item>)>>,
+    /// Per-cell replay log of the runs handed off since the last fork
+    /// record, each with the global number of its last batch; only
+    /// filled under `RespawnFromBarrier`.
+    replay: Vec<VecDeque<(u64, Run<S::Item>)>>,
 }
 
 impl<S: MergeableSample + Clone + Send + 'static> ParallelIngestEngine<S>
@@ -510,17 +607,17 @@ where
         let mut substreams =
             Xoshiro256PlusPlus::seed_from_u64(cfg.seed).split_streams(cfg.spec.cells() + 1);
         let driver_rng = substreams.remove(0);
-        let shard_samplers = S::make_shards(&cfg.spec);
+        let cores = S::make_shards(&cfg.spec)
+            .into_iter()
+            .zip(substreams)
+            .map(|(sampler, rng)| ShardCore {
+                sampler,
+                rng,
+                seen: 0,
+            })
+            .collect();
         let splitter = BalancedSplitter::new(cfg.spec.lambda, cfg.spec.cells());
-        Self::spawn(
-            cfg,
-            shard_samplers,
-            substreams,
-            driver_rng,
-            splitter,
-            0,
-            faults,
-        )
+        Self::spawn(cfg, cores, driver_rng, splitter, 0, faults)
     }
 
     /// Rebuild an engine from a quiesced checkpoint (see
@@ -546,29 +643,23 @@ where
             parts.split_deviations.len(),
             cfg.spec.cells()
         );
-        let mut samplers = Vec::with_capacity(parts.shard_states.len());
-        let mut rngs = Vec::with_capacity(parts.shard_states.len());
-        for (sampler, state) in parts.shard_states {
-            samplers.push(sampler);
-            rngs.push(Xoshiro256PlusPlus::from_state(state));
-        }
+        let cores = parts
+            .shard_states
+            .into_iter()
+            .map(|(sampler, state)| ShardCore {
+                sampler,
+                rng: Xoshiro256PlusPlus::from_state(state),
+                seen: parts.batches,
+            })
+            .collect();
         let driver_rng = Xoshiro256PlusPlus::from_state(parts.driver_rng);
         let splitter = BalancedSplitter::from_deviations(cfg.spec.lambda, parts.split_deviations);
-        Self::spawn(
-            cfg,
-            samplers,
-            rngs,
-            driver_rng,
-            splitter,
-            parts.batches,
-            None,
-        )
+        Self::spawn(cfg, cores, driver_rng, splitter, parts.batches, None)
     }
 
     fn spawn(
         cfg: EngineConfig,
-        shard_samplers: Vec<S>,
-        substreams: Vec<Xoshiro256PlusPlus>,
+        cores: Vec<ShardCore<S>>,
         driver_rng: Xoshiro256PlusPlus,
         splitter: BalancedSplitter,
         batches0: u64,
@@ -579,17 +670,11 @@ where
         // recovery respawn hands the same queue to the new merger), so
         // generations assembled before a fault stay claimable after it.
         let ckpts_done = Arc::new(BatchQueue::with_capacity(4));
-        let (shared, worker_joins, merger_join) = spawn_pipeline(
-            &cfg,
-            shard_samplers,
-            substreams,
-            batches0,
-            faults,
-            ckpts_done,
-            &cell,
-        );
+        let (shared, worker_joins, merger_join) =
+            spawn_pipeline(&cfg, cores, faults, ckpts_done, &cell);
         Self {
-            split: (0..cfg.spec.cells()).map(|_| Vec::new()).collect(),
+            runs: (0..cfg.spec.cells()).map(|_| None).collect(),
+            run_faults: vec![RunFaults::default(); cfg.spec.cells()],
             replay: (0..cfg.spec.cells()).map(|_| VecDeque::new()).collect(),
             shared,
             worker_joins,
@@ -598,7 +683,6 @@ where
             next_epoch: 1,
             batches_ingested: batches0,
             splitter,
-            chunk_high_water: 0,
             driver_rng,
             resp_scratch: Vec::with_capacity(1),
             cfg,
@@ -629,98 +713,105 @@ where
     }
 
     /// Feed one arriving batch. The batch is split deterministically
-    /// across the shard queues by the balanced splitter (blocking only
-    /// when a queue is full — backpressure, not data loss); empty batches
-    /// are delivered too, since every shard's decay clock must advance.
+    /// across the shard cells by the balanced splitter and appended to
+    /// each cell's open run (see the module docs); a run is handed to its
+    /// shard once it reaches the size target, blocking only when the
+    /// shard still holds every other buffer of its pool or its queue is
+    /// full — backpressure, not data loss. Empty batches are delivered
+    /// too, since every shard's decay clock must advance.
     ///
     /// If the pipeline died, returns the typed cause under
     /// [`RecoveryPolicy::Fail`]; under
     /// [`RecoveryPolicy::RespawnFromBarrier`] the engine rebuilds itself
-    /// (absorbing this batch via the replay log) and returns `Ok`.
+    /// (absorbing what it had handed off via the replay log) and returns
+    /// `Ok`.
     pub fn ingest(&mut self, mut batch: Vec<S::Item>) -> Result<(), EngineError> {
         self.check_alive()?;
+        // No cell's chunk of this batch exceeds ⌈b/G⌉ items.
+        let chunk = batch.len().div_ceil(self.runs.len());
+        for k in 0..self.runs.len() {
+            if self.runs[k]
+                .as_ref()
+                .is_some_and(|run| run.is_full_for(chunk))
+            {
+                self.flush(k)?;
+            }
+            while self.runs[k].is_none() {
+                // A closed pool means the shard's worker is gone.
+                match self.shared.cells[k].pool.pop() {
+                    Some(run) => self.runs[k] = Some(run),
+                    None => self.incident(EngineError::ShardDead { shard: k })?,
+                }
+            }
+        }
         self.batches_ingested += 1;
-        let batch_no = self.batches_ingested;
-        if self.shared.cells.len() == 1 {
-            // Single shard: hand the caller's buffer over untouched (the
-            // splitter state stays identically zero for K = 1).
-            if self.shared.recovery.is_some() {
-                self.replay[0].push_back((batch_no, batch.clone()));
-            }
-            return self.deliver(0, batch_no, batch).map(|_| ());
-        }
-        let cells = &self.shared.cells;
-        self.chunk_high_water = self.chunk_high_water.max(batch.len().div_ceil(cells.len()));
-        for (slot, cell) in self.split.iter_mut().zip(cells) {
-            *slot = cell.recycle.try_pop().unwrap_or_default();
-            slot.reserve(self.chunk_high_water);
-        }
-        self.splitter.split(&mut batch, &mut self.split);
-        if self.shared.recovery.is_some() {
-            for (k, slot) in self.split.iter().enumerate() {
-                self.replay[k].push_back((batch_no, slot.clone()));
-            }
-        }
-        for k in 0..self.shared.cells.len() {
-            let chunk = std::mem::take(&mut self.split[k]);
-            if self.deliver(k, batch_no, chunk)? {
-                // A recovery replayed the whole batch from the log; the
-                // chunks not yet pushed are already absorbed.
-                return Ok(());
+        let runs = &mut self.runs;
+        self.splitter.split_append(&mut batch, |k, chunk| {
+            // INVARIANT: the loop above left every cell holding a run.
+            runs[k].as_mut().expect("open run present").push(chunk);
+        });
+        if let Some(plan) = &self.shared.faults {
+            let batch_no = self.batches_ingested;
+            for (shard, faults) in self.run_faults.iter_mut().enumerate() {
+                match plan.push_action(shard, batch_no) {
+                    PushAction::Drop => {
+                        faults.dropped.get_or_insert(batch_no);
+                    }
+                    PushAction::Delay(stall) => faults.stall += stall,
+                    PushAction::Deliver => {}
+                }
             }
         }
         Ok(())
     }
 
-    /// Push one chunk to one shard, applying any injected fault. Returns
-    /// whether a supervised recovery ran (meaning the caller's remaining
-    /// chunks of this batch were absorbed via the replay log).
-    fn deliver(
-        &mut self,
-        shard: usize,
-        batch_no: u64,
-        chunk: Vec<S::Item>,
-    ) -> Result<bool, EngineError> {
-        let action = match &self.shared.faults {
-            Some(plan) => plan.push_action(shard, batch_no),
-            None => PushAction::Deliver,
+    /// Hand cell `k`'s open run to its shard (nothing to do when it holds
+    /// no batches). Under `RespawnFromBarrier` the run is logged before
+    /// the push, so a push that fails or is dropped is replayed by the
+    /// recovery it triggers.
+    fn try_flush(&mut self, k: usize) -> Result<(), EngineError> {
+        let Some(run) = self.runs[k].take_if(|run| !run.lens.is_empty()) else {
+            return Ok(());
         };
-        match action {
-            PushAction::Drop => {
-                // The enqueue was "lost": the shard's state no longer
-                // matches its stream. Surfaced exactly like a dead shard —
-                // fail typed, or restore from fork + replay (the log holds
-                // the lost chunk).
-                drop(chunk);
-                self.incident(EngineError::ChunkDropped {
-                    shard,
-                    batch: batch_no,
-                })?;
-                Ok(true)
-            }
-            PushAction::Delay(stall) => {
-                std::thread::sleep(stall);
-                self.push_chunk(shard, chunk)
-            }
-            PushAction::Deliver => self.push_chunk(shard, chunk),
+        if self.shared.recovery.is_some() {
+            self.replay[k].push_back((self.batches_ingested, run.clone()));
         }
+        let faults = std::mem::take(&mut self.run_faults[k]);
+        if let Some(batch) = faults.dropped {
+            // The enqueue was "lost": the shard's state no longer
+            // matches its stream. Surfaced exactly like a dead shard —
+            // fail typed, or restore from fork + replay (the log holds
+            // the lost run).
+            return Err(EngineError::ChunkDropped { shard: k, batch });
+        }
+        if !faults.stall.is_zero() {
+            std::thread::sleep(faults.stall);
+        }
+        self.shared.cells[k]
+            .work
+            .push(ShardMsg::Run(run))
+            .map_err(|_| EngineError::ShardDead { shard: k })
     }
 
-    fn push_chunk(&mut self, shard: usize, chunk: Vec<S::Item>) -> Result<bool, EngineError> {
-        if self.shared.cells[shard]
-            .work
-            .push(ShardMsg::Batch(chunk))
-            .is_err()
-        {
-            self.incident(EngineError::ShardDead { shard })?;
-            return Ok(true);
+    /// [`Self::try_flush`] with any failure routed through the
+    /// supervisor.
+    fn flush(&mut self, k: usize) -> Result<(), EngineError> {
+        self.try_flush(k).or_else(|cause| self.incident(cause))
+    }
+
+    /// Hand every cell's open run to its shard — the step before any
+    /// message that must see everything ingested so far.
+    fn flush_all(&mut self) -> Result<(), EngineError> {
+        for k in 0..self.runs.len() {
+            self.flush(k)?;
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Block until every shard has absorbed everything queued so far.
     pub fn quiesce(&mut self) -> Result<(), EngineError> {
         self.check_alive()?;
+        self.flush_all()?;
         loop {
             match self.try_sync() {
                 Ok(()) => return Ok(()),
@@ -768,6 +859,7 @@ where
 
     fn snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
         self.check_alive()?;
+        self.flush_all()?;
         loop {
             match self.try_snapshot_shards() {
                 Ok(snaps) => return Ok(snaps),
@@ -822,6 +914,7 @@ where
     /// retained; the oldest unclaimed one is evicted.
     pub fn request_checkpoint(&mut self) -> Result<u64, EngineError> {
         self.check_alive()?;
+        self.flush_all()?;
         loop {
             let gen = self.next_ckpt_gen;
             let mut cause = None;
@@ -937,6 +1030,7 @@ where
     /// request a faulted epoch from its original pre-`long_jump` position
     /// — keeping the retried merge bit-identical to a fault-free run.
     fn request_snapshot_at(&mut self, pos: [u64; 4]) -> Result<u64, EngineError> {
+        self.flush_all()?;
         loop {
             let epoch = self.next_epoch;
             let mut cause = None;
@@ -1144,8 +1238,8 @@ where
     /// threads over the same epoch cell.
     fn recover_from(&mut self) {
         self.shutdown_pipeline();
-        let mut samplers = Vec::with_capacity(self.shared.cells.len());
-        let mut rngs = Vec::with_capacity(self.shared.cells.len());
+        let mut cores = Vec::with_capacity(self.shared.cells.len());
+        let mut scratch = Vec::new();
         {
             // INVARIANT: `incident` only routes here when recovery slots
             // exist, and a record is installed in every slot before the
@@ -1155,21 +1249,27 @@ where
                 .recovery
                 .as_ref()
                 .expect("recovery slots exist under RespawnFromBarrier");
-            for (i, slot) in slots.iter().enumerate() {
+            for (slot, log) in slots.iter().zip(&mut self.replay) {
                 let record = slot
                     .lock()
                     .take()
                     .expect("fork record installed before spawn");
-                let mut sampler = record.sampler;
-                let mut rng = Xoshiro256PlusPlus::from_state(record.rng);
-                for (batch_no, chunk) in &self.replay[i] {
-                    if *batch_no > record.batches {
-                        let mut buf = chunk.clone();
-                        sampler.observe_shard(&mut buf, &mut rng);
-                    }
+                let mut core = ShardCore {
+                    sampler: record.sampler,
+                    rng: Xoshiro256PlusPlus::from_state(record.rng),
+                    seen: record.batches,
+                };
+                for (last, mut run) in log.drain(..) {
+                    let mut batch_no = last - run.lens.len() as u64;
+                    run.drain_batches(&mut scratch, |batch| {
+                        batch_no += 1;
+                        if batch_no > core.seen {
+                            core.sampler.observe_shard(batch, &mut core.rng);
+                            core.seen = batch_no;
+                        }
+                    });
                 }
-                samplers.push(sampler);
-                rngs.push(rng);
+                cores.push(core);
             }
         }
         // Same cell: reader handles cloned before the fault stay valid.
@@ -1178,13 +1278,20 @@ where
         self.cell.reopen();
         let (shared, worker_joins, merger_join) = spawn_pipeline(
             &self.cfg,
-            samplers,
-            rngs,
-            self.batches_ingested,
+            cores,
             self.shared.faults.clone(),
             Arc::clone(&self.shared.ckpts_done),
             &self.cell,
         );
+        // Open runs stay in the driver across the rebuild and reach the
+        // new shards at their next hand-off. Their buffers came from the
+        // old pools, so retire one fresh buffer per held run: each pool's
+        // population stays at RUN_POOL.
+        for (run, cell) in self.runs.iter().zip(&shared.cells) {
+            if run.is_some() {
+                drop(cell.pool.try_pop());
+            }
+        }
         self.shared = shared;
         self.worker_joins = worker_joins;
         self.merger_join = merger_join;
@@ -1193,9 +1300,6 @@ where
         // `>= epoch` contract hands a re-issued publication to anyone
         // still waiting on a lost number.
         self.next_epoch = self.cell.published_epoch() + 1;
-        for log in &mut self.replay {
-            log.clear();
-        }
         self.recoveries += 1;
     }
 
@@ -1209,7 +1313,7 @@ where
         for (log, slot) in self.replay.iter_mut().zip(slots) {
             if let Some(guard) = slot.try_lock() {
                 if let Some(record) = guard.as_ref() {
-                    while log.front().is_some_and(|(no, _)| *no <= record.batches) {
+                    while log.front().is_some_and(|(last, _)| *last <= record.batches) {
                         log.pop_front();
                     }
                 }
@@ -1243,8 +1347,15 @@ where
     S::Item: Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        // Closing the work queues lets each worker drain the backlog and
-        // exit; join re-raises genuine worker panics.
+        // Hand the open runs off, then close the work queues: each worker
+        // drains its backlog and exits; join re-raises genuine worker
+        // panics. A failed push only means a dead shard, and nothing is
+        // left to report it to.
+        for (run, cell) in self.runs.iter_mut().zip(&self.shared.cells) {
+            if let Some(run) = run.take_if(|run| !run.lens.is_empty()) {
+                let _ = cell.work.push(ShardMsg::Run(run));
+            }
+        }
         for cell in &self.shared.cells {
             cell.work.close();
         }
@@ -1292,9 +1403,7 @@ fn reraise(failure_recorded: bool, payload: Box<dyn std::any::Any + Send>) {
 #[allow(clippy::type_complexity)]
 fn spawn_pipeline<S: MergeableSample + Clone + Send + 'static>(
     cfg: &EngineConfig,
-    shard_samplers: Vec<S>,
-    substreams: Vec<Xoshiro256PlusPlus>,
-    batches0: u64,
+    cores: Vec<ShardCore<S>>,
     faults: Option<Arc<FaultPlan>>,
     ckpts_done: Arc<BatchQueue<(u64, EngineCheckpoint<S>)>>,
     cell: &Arc<EpochCell<S::Item>>,
@@ -1310,14 +1419,13 @@ where
     let depth = cfg.queue_depth.max(1);
     let recovery = match cfg.recovery {
         RecoveryPolicy::RespawnFromBarrier => Some(
-            shard_samplers
+            cores
                 .iter()
-                .zip(&substreams)
-                .map(|(sampler, rng)| {
+                .map(|core| {
                     Mutex::new(Some(ForkRecord {
-                        batches: batches0,
-                        sampler: sampler.clone(),
-                        rng: rng.state(),
+                        batches: core.seen,
+                        sampler: core.sampler.clone(),
+                        rng: core.rng.state(),
                     }))
                 })
                 .collect(),
@@ -1327,7 +1435,7 @@ where
     // One cell per incoming sampler: `make_shards`/`from_parts` sized the
     // vector by `spec.cells()`, the logical shard count the stream is
     // split across (== `spec.shards` unless grouping is active).
-    let cell_count = shard_samplers.len();
+    let cell_count = cores.len();
     debug_assert_eq!(cell_count, spec.cells(), "sampler count must match cells");
     // Room for a few epochs in flight (each is 1 request + G forks +
     // 1 publish); beyond that the snapshot path exerts backpressure on
@@ -1336,34 +1444,24 @@ where
     // Leaf tasks for a few epochs; dispatch never blocks on this
     // queue (overflow executes inline on the merger).
     let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * cell_count + 4);
-    let cells: Vec<ShardCell<S>> = shard_samplers
+    let cells: Vec<ShardCell<S>> = cores
         .into_iter()
-        .zip(substreams)
-        .map(|(sampler, rng)| {
-            // The recycle queue is created at its full buffer
-            // population, 2·depth + 2: at most depth buffers sit in
-            // the work queue, at most depth in the (unique, lock-
-            // holding) processor's unflushed done-list, and one in
-            // the driver — so at least one is always available, the
-            // driver's try_pop never misses, the processor's try_push
-            // never drops a warm buffer, and steady-state ingest
-            // never calls the allocator for a buffer (the counting-
-            // allocator test pins this down).
-            let population = 2 * depth + 2;
-            let recycle = BatchQueue::with_capacity(population);
-            for _ in 0..population {
-                let _ = recycle.try_push(Vec::new());
+        .map(|core| {
+            // The pool starts full and is the only source of run
+            // buffers, each pre-sized to the run target: the driver
+            // blocks on it rather than allocate, so the population never
+            // creeps and steady-state ingest never calls the allocator
+            // (the counting-allocator test pins this down).
+            let pool = BatchQueue::with_capacity(RUN_POOL);
+            for _ in 0..RUN_POOL {
+                let _ = pool.try_push(Run::pooled());
             }
             ShardCell {
-                core: Mutex::new(ShardCore {
-                    sampler,
-                    rng,
-                    seen: batches0,
-                }),
+                core: Mutex::new(core),
                 lost: AtomicBool::new(false),
                 work: BatchQueue::with_capacity(depth),
                 resp: BatchQueue::with_capacity(2),
-                recycle,
+                pool,
                 counters: ShardCounters::default(),
             }
         })
@@ -1373,7 +1471,6 @@ where
         tasks,
         merger,
         spec,
-        depth,
         recovery,
         ckpts_done,
         faults,
@@ -1381,6 +1478,12 @@ where
     // In-order publication continues wherever the cell left off — a
     // recovery respawn must not restart the epoch sequence at 1.
     let start_pub = cell.published_epoch() + 1;
+    // Every thread checks in before this returns. The OS may first run a
+    // thread long after its spawn, and the runtime allocates as a thread
+    // starts; with work stealing covering for a worker that has not run
+    // yet, that start-up would otherwise land mid-stream and break the
+    // zero-allocation steady state.
+    let started = Arc::new(Barrier::new(cell_count + 2));
     // INVARIANT: thread spawn fails only on OS resource exhaustion
     // (thread limit, out of memory) — an environment failure at
     // construction/recovery time, not a runtime fault the supervisor
@@ -1390,7 +1493,11 @@ where
         .spawn({
             let shared = Arc::clone(&shared);
             let cell = Arc::clone(cell);
-            move || merger_worker(&shared, &cell, start_pub)
+            let started = Arc::clone(&started);
+            move || {
+                started.wait();
+                merger_worker(&shared, &cell, start_pub)
+            }
         })
         .expect("spawn merger worker");
     // One worker thread per reservoir cell, `min(K, G)` in total. A
@@ -1406,14 +1513,16 @@ where
     let worker_joins = (0..cell_count)
         .map(|i| {
             let shared = Arc::clone(&shared);
+            let started = Arc::clone(&started);
             Some(
                 std::thread::Builder::new()
                     .name(format!("tbs-shard-{i}"))
-                    .spawn(move || shard_worker(i, &shared))
+                    .spawn(move || shard_worker(i, &shared, depth, &started))
                     .expect("spawn shard worker"),
             )
         })
         .collect();
+    started.wait();
     (shared, worker_joins, Some(merger_join))
 }
 
@@ -1423,24 +1532,26 @@ where
 /// cell's queue under that same lock — which is exactly what keeps a
 /// stolen drain FIFO-consistent with the owner's.
 ///
-/// Recycled buffers are pushed into `done`; the caller hands them back
-/// to the cell's recycle queue *after* releasing the core lock.
+/// Each run's sub-batches pass through `scratch` one at a time; the
+/// emptied run buffers are pushed into `done`, and the caller hands them
+/// back to the cell's pool *after* releasing the core lock.
 fn process_shard_msgs<S: MergeableSample + Clone>(
     shard_id: usize,
     core: &mut ShardCore<S>,
     cell: &ShardCell<S>,
     shared: &EngineShared<S>,
     msgs: &mut Vec<ShardMsg<S::Item>>,
-    done: &mut Vec<Vec<S::Item>>,
+    scratch: &mut Vec<S::Item>,
+    done: &mut Vec<Run<S::Item>>,
 ) {
     let merger = &shared.merger;
     let counters = &cell.counters;
     let mut items = 0u64;
     let mut batches = 0u64;
     let mut busy = 0u64;
-    // One timed span per contiguous run of batches: with a fast producer
-    // the drain delivers work in large groups, so the two clock reads
-    // amortize to nothing per batch.
+    // One timed span per contiguous stretch of runs: each run already
+    // coalesces many batches, so the two clock reads amortize to nothing
+    // per batch.
     let mut span: Option<Instant> = None;
     let close_span = |span: &mut Option<Instant>, busy: &mut u64| {
         if let Some(t) = span.take() {
@@ -1459,23 +1570,25 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
     };
     for msg in msgs.drain(..) {
         match msg {
-            ShardMsg::Batch(mut buf) => {
-                if let Some(plan) = &shared.faults {
-                    // Injection site: "the worker processing logical
-                    // shard `shard_id`'s `seen`-th batch". Keyed to the
-                    // shard's deterministic stream position, not the
-                    // (timing-dependent) thread identity.
-                    plan.fire_kill_worker(shard_id, core.seen);
-                }
-                core.seen += 1;
+            ShardMsg::Run(mut run) => {
                 if span.is_none() {
                     span = Some(Instant::now());
                 }
-                items += buf.len() as u64;
-                core.sampler.observe_shard(&mut buf, &mut core.rng);
-                buf.clear();
-                done.push(buf);
-                batches += 1;
+                items += run.items.len() as u64;
+                batches += run.lens.len() as u64;
+                run.drain_batches(scratch, |batch| {
+                    if let Some(plan) = &shared.faults {
+                        // Injection site: "the worker processing logical
+                        // shard `shard_id`'s `seen`-th batch". Keyed to
+                        // the shard's deterministic stream position, not
+                        // the (timing-dependent) thread identity or run
+                        // boundaries.
+                        plan.fire_kill_worker(shard_id, core.seen);
+                    }
+                    core.seen += 1;
+                    core.sampler.observe_shard(batch, &mut core.rng);
+                });
+                done.push(run);
             }
             ShardMsg::Snapshot => {
                 close_span(&mut span, &mut busy);
@@ -1599,29 +1712,29 @@ fn run_tree_task<S: MergeableSample>(
 /// The long-lived shard worker: serve the own cell's queue, then sweep
 /// the other cells for stealable backlog, then help execute merge-tree
 /// leaf tasks, then briefly wait for own work.
-fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShared<S>) {
+fn shard_worker<S: MergeableSample + Clone>(
+    shard_id: usize,
+    shared: &EngineShared<S>,
+    depth: usize,
+    started: &Barrier,
+) {
     let k = shared.cells.len();
     let my = &shared.cells[shard_id];
     // If the worker unwinds (a sampler panic), close its driver-facing
     // queues: a driver blocked in pop_resp fails fast ("shard worker
-    // terminated"), and one blocked on a full work queue in ingest()
-    // wakes with a push error instead of waiting forever on a consumer
-    // that no longer exists. On normal exit the engine is being dropped
-    // and the closes are harmless.
+    // terminated"), and one blocked on a full work queue or an empty run
+    // pool in ingest() wakes with an error instead of waiting forever on
+    // a consumer that no longer exists. On normal exit the engine is
+    // being dropped and the closes are harmless.
     struct PanicCloser<'a, S: MergeableSample> {
-        work: &'a BatchQueue<ShardMsg<S::Item>>,
-        resp: &'a BatchQueue<ShardResp<S>>,
+        cell: &'a ShardCell<S>,
     }
     impl<S: MergeableSample> Drop for PanicCloser<'_, S> {
         fn drop(&mut self) {
-            self.work.close();
-            self.resp.close();
+            self.cell.close_queues();
         }
     }
-    let _closer = PanicCloser::<S> {
-        work: &my.work,
-        resp: &my.resp,
-    };
+    let _closer = PanicCloser { cell: my };
     // Armed while this worker processes messages drained from a cell, its
     // own or a stolen one; disarmed (forgotten) on success. Declared after
     // the core guard, so on unwind it runs while the lock is still held:
@@ -1636,17 +1749,21 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
     impl<S: MergeableSample> Drop for LostCellGuard<'_, S> {
         fn drop(&mut self) {
             self.cell.lost.store(true, Ordering::Relaxed);
-            self.cell.work.close();
-            self.cell.resp.close();
+            self.cell.close_queues();
         }
     }
 
     // A drained group holds at most `depth` messages (every work queue's
-    // bound), so sizing the local buffers up front makes the loop
-    // allocation-free from the first batch on — for own work and stolen
-    // work alike.
-    let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(shared.depth);
-    let mut done: Vec<Vec<S::Item>> = Vec::with_capacity(shared.depth);
+    // bound), and a sub-batch at most the run target unless one batch
+    // alone outgrew it, so sizing the local buffers up front makes the
+    // loop allocation-free from the first message on — for own work and
+    // stolen work alike. They are allocated before checking in, so a
+    // worker that first gets its cell's lock mid-stream (stealing lets
+    // the others cover for it) allocates nothing then.
+    let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(depth);
+    let mut done: Vec<Run<S::Item>> = Vec::with_capacity(depth);
+    let mut scratch: Vec<S::Item> = Vec::with_capacity(RUN_ITEMS);
+    started.wait();
     loop {
         // 1. Serve the own cell. Lock-before-drain: draining only under
         //    the core lock is what keeps the logical shard FIFO when a
@@ -1662,14 +1779,22 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
                     msgs.clear();
                 } else {
                     let guard = LostCellGuard { cell: my };
-                    process_shard_msgs(shard_id, &mut core, my, shared, &mut msgs, &mut done);
+                    process_shard_msgs(
+                        shard_id,
+                        &mut core,
+                        my,
+                        shared,
+                        &mut msgs,
+                        &mut scratch,
+                        &mut done,
+                    );
                     std::mem::forget(guard);
                     progressed = true;
                 }
             }
             drop(core);
-            for buf in done.drain(..) {
-                let _ = my.recycle.try_push(buf);
+            for run in done.drain(..) {
+                let _ = my.pool.try_push(run);
             }
         } else if my.work.is_closed() {
             // Closed and fully drained (any messages a thief drained are
@@ -1693,13 +1818,21 @@ fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShar
             // rebuilds the pipeline.
             if !victim.lost.load(Ordering::Relaxed) && victim.work.try_drain_into(&mut msgs) > 0 {
                 let guard = LostCellGuard { cell: victim };
-                process_shard_msgs(j, &mut core, victim, shared, &mut msgs, &mut done);
+                process_shard_msgs(
+                    j,
+                    &mut core,
+                    victim,
+                    shared,
+                    &mut msgs,
+                    &mut scratch,
+                    &mut done,
+                );
                 std::mem::forget(guard);
                 progressed = true;
             }
             drop(core);
-            for buf in done.drain(..) {
-                let _ = victim.recycle.try_push(buf);
+            for run in done.drain(..) {
+                let _ = victim.pool.try_push(run);
             }
         }
         // 3. Help execute a merge-tree leaf task.

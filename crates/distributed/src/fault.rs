@@ -15,7 +15,8 @@
 //! Injection sites are checked with [`FaultPlan::fire_kill_worker`] &
 //! friends from inside the engine; an engine built without a plan (the
 //! only way production code builds one) pays a single always-false branch
-//! per *batch group*, nothing per item. Each fault fires at most once —
+//! per batch in the driver and per run in a shard, nothing per item. Each
+//! fault fires at most once —
 //! after supervised recovery replays the stream past the injection point,
 //! the plan stays quiet so tests converge.
 //!
@@ -51,19 +52,21 @@ pub enum FaultSite {
         /// 0-based message ordinal.
         msg_index: u64,
     },
-    /// Silently drop the driver→shard push of `shard`'s chunk of global
-    /// batch `batch_no` (1-based, the engine's `batches_ingested` after
-    /// the ingest). Models a lost enqueue; the supervisor must restore
-    /// the chunk from its replay log or fail typed.
+    /// Silently drop the driver→shard push of the run carrying `shard`'s
+    /// chunk of global batch `batch_no` (1-based, the engine's
+    /// `batches_ingested` after the ingest). The verdict is taken when
+    /// the chunk is appended and applied when its run is handed off.
+    /// Models a lost enqueue; the supervisor must restore the run from
+    /// its replay log or fail typed.
     DropPush {
         /// Destination shard of the dropped chunk.
         shard: usize,
         /// 1-based global batch number.
         batch_no: u64,
     },
-    /// Stall the driver for `millis` before pushing `shard`'s chunk of
-    /// global batch `batch_no` — a hung/slow queue, exercising timeout
-    /// paths without killing anything.
+    /// Stall the driver for `millis` before pushing the run carrying
+    /// `shard`'s chunk of global batch `batch_no` — a hung/slow queue,
+    /// exercising timeout paths without killing anything.
     DelayPush {
         /// Destination shard of the delayed chunk.
         shard: usize,

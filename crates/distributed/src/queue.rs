@@ -13,8 +13,10 @@
 //!    producer the queue delivers work in large groups, so per-item lock
 //!    traffic vanishes.
 //! 3. **Backpressure** — `push` blocks while the queue is at capacity,
-//!    bounding the engine's in-flight memory at
-//!    `shards × depth × batch_size` items.
+//!    and a consumer can block in [`BatchQueue::pop`] until an entry
+//!    comes back. The engine uses the latter to bound its in-flight
+//!    memory in items: each shard's run buffers circulate through a
+//!    small fixed pool the driver blocks on.
 //!
 //! Built on the vendored `parking_lot` shim (`Mutex` + `Condvar`).
 
@@ -171,6 +173,24 @@ impl<T> BatchQueue<T> {
         }
     }
 
+    /// Dequeue a single entry, blocking while the queue is empty.
+    /// Returns `None` only after [`BatchQueue::close`] once the queue has
+    /// fully drained.
+    pub fn pop(&self) -> Option<T> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(item) = state.buf.pop_front() {
+                drop(state);
+                self.not_full.notify_all();
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.not_empty.wait(state);
+        }
+    }
+
     /// Dequeue a single entry without blocking.
     pub fn try_pop(&self) -> Option<T> {
         let mut state = self.state.lock();
@@ -321,6 +341,18 @@ mod tests {
         q.close();
         assert!(waiter.join().unwrap(), "close must wake the waiter");
         assert!(q.is_closed());
+    }
+
+    #[test]
+    fn pop_blocks_until_pushed_and_ends_at_close() {
+        let q = Arc::new(BatchQueue::<u32>::with_capacity(2));
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || (q2.pop(), q2.pop()));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        q.push(5).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        q.close();
+        assert_eq!(consumer.join().unwrap(), (Some(5), None));
     }
 
     #[test]

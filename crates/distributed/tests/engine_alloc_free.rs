@@ -4,12 +4,11 @@
 //!
 //! The same counting global allocator tallies every `alloc` / `realloc` /
 //! `alloc_zeroed` across *all* threads, so a clean count proves the whole
-//! pipeline allocation-free at once: the driver's split (recycled
-//! sub-batch buffers), the bounded queues (VecDeques at high-water), and
-//! every shard's sampler (`observe_drain` on warm buffers). The engine is
-//! warmed until the circulating buffer population reaches its fixed point
-//! (the driver's recycle `try_pop` never misses again), measured batches
-//! are pre-generated, and the counter must not move while they are fed.
+//! pipeline allocation-free at once: the driver's split (into pooled,
+//! pre-sized run buffers), the bounded queues (VecDeques at high-water),
+//! and every shard's sampler (`observe_drain` on warm buffers). The
+//! engine is warmed up, measured batches are pre-generated, and the
+//! counter must not move while they are fed.
 //! Deallocation of the consumed caller batches is intentionally not
 //! counted — handing over the batch is the caller's cost by contract.
 //!
@@ -110,8 +109,8 @@ fn steady_state_engine_ingest_allocates_nothing() {
         ParallelIngestEngine::new(EngineConfig::new(ShardSpec::rtbs(0.1, 1000, 4), 2));
     assert_engine_alloc_free("R-TBS 4-shard bursty", &mut rtbs_bursty, bursty, 600, 600);
 
-    // Single-shard fast path: the caller's batch is handed to the shard
-    // untouched, so nothing in the engine allocates at all.
+    // Single shard: the batch is copied whole into the shard's run, the
+    // same pooled path every K takes.
     let mut rtbs_single: ParallelIngestEngine<RTbs<u64>> =
         ParallelIngestEngine::new(EngineConfig::new(ShardSpec::rtbs(0.1, 1000, 1), 3));
     assert_engine_alloc_free("R-TBS 1-shard", &mut rtbs_single, |_| 100, 500, 500);
@@ -120,4 +119,29 @@ fn steady_state_engine_ingest_allocates_nothing() {
     let mut ttbs: ParallelIngestEngine<TTbs<u64>> =
         ParallelIngestEngine::new(EngineConfig::new(ShardSpec::ttbs(0.1, 1000, 100.0, 2), 4));
     assert_engine_alloc_free("T-TBS 2-shard", &mut ttbs, |_| 100, 2000, 300);
+
+    // Long window, no fence: R-TBS at K = 2 on the bursty schedule with
+    // no quiesce between warm-up and measurement, so runs are handed off
+    // at the size target while the driver outruns the shards. A run
+    // buffer population that crept (a fresh buffer whenever a hand-off
+    // found the pool empty) would show up here as allocations.
+    let mut long: ParallelIngestEngine<RTbs<u64>> =
+        ParallelIngestEngine::new(EngineConfig::new(ShardSpec::rtbs(0.1, 1000, 2), 5));
+    for batch in gen(bursty, 0, 2000) {
+        long.ingest(batch).unwrap();
+    }
+    let batches = gen(bursty, 2000, 20_000);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for batch in batches {
+        long.ingest(batch).unwrap();
+    }
+    long.quiesce().unwrap();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "R-TBS 2-shard bursty long window: {} heap allocations across \
+         20000 unfenced ingest calls",
+        after - before
+    );
 }

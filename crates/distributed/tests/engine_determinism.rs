@@ -148,3 +148,65 @@ fn backpressure_does_not_change_the_result() {
     };
     assert_eq!(run(1), run(64));
 }
+
+/// How a run-boundary test drives the engine.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Cut {
+    /// `quiesce()` after every batch: every run holds one batch.
+    EveryBatch,
+    /// No read until the final sample: runs are cut only at the driver's
+    /// size target (and the final hand-off).
+    SizeTarget,
+    /// As `SizeTarget`, through a depth-1 work queue.
+    DepthOne,
+}
+
+/// Drive 300 bursty batches (~67k items: several size-target cuts per
+/// cell even at K = 4) under `cut` and return the realized sample.
+fn drive_cut<S>(spec: ShardSpec, cut: Cut) -> Vec<u64>
+where
+    S: tbs_core::merge::MergeableSample<Item = u64> + Clone + Send + 'static,
+{
+    let bursty = |t: u64| [0u64, 1, 250, 7, 90, 1000][t as usize % 6];
+    let mut cfg = EngineConfig::new(spec, 8);
+    if cut == Cut::DepthOne {
+        cfg.queue_depth = 1;
+    }
+    let mut engine: ParallelIngestEngine<S> = ParallelIngestEngine::new(cfg);
+    for t in 0..300u64 {
+        engine
+            .ingest((0..bursty(t)).map(|i| t * 10_000 + i).collect())
+            .unwrap();
+        if cut == Cut::EveryBatch {
+            engine.quiesce().unwrap();
+        }
+    }
+    engine.sample().unwrap()
+}
+
+#[test]
+fn run_boundaries_never_move_the_sample() {
+    // Where the driver cuts its coalesced runs is a matter of timing and
+    // reads, never of the stream: each shard still observes its
+    // sub-batches one at a time, in order.
+    for k in [1usize, 2, 4] {
+        let rtbs = ShardSpec::rtbs(0.1, 500, k);
+        let expect = drive_cut::<RTbs<u64>>(rtbs, Cut::EveryBatch);
+        for cut in [Cut::SizeTarget, Cut::DepthOne] {
+            assert_eq!(
+                drive_cut::<RTbs<u64>>(rtbs, cut),
+                expect,
+                "R-TBS K={k}: {cut:?} moved the sample"
+            );
+        }
+        let ttbs = ShardSpec::ttbs(0.1, 500, 225.0, k);
+        let expect = drive_cut::<TTbs<u64>>(ttbs, Cut::EveryBatch);
+        for cut in [Cut::SizeTarget, Cut::DepthOne] {
+            assert_eq!(
+                drive_cut::<TTbs<u64>>(ttbs, cut),
+                expect,
+                "T-TBS K={k}: {cut:?} moved the sample"
+            );
+        }
+    }
+}

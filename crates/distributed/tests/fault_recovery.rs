@@ -395,3 +395,196 @@ fn drop_right_after_recovery_is_clean() {
     assert!(engine.recoveries() >= 1);
     drop(engine);
 }
+
+/// Where a fault's target batch sits relative to the driver's run
+/// hand-offs when the fault is realized.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Placement {
+    /// No read until the final sample: the target batch is still in the
+    /// driver's open run (the stream stays below the run size target), so
+    /// the fault surfaces at the sample's hand-off.
+    Unflushed,
+    /// A snapshot request a few batches after the target hands its run
+    /// to the shard; ingest then continues while that run is queued.
+    Queued,
+}
+
+/// The global batch number (1-based) every run-placement fault targets.
+const TARGET: u64 = 23;
+
+fn drive_placed<S>(
+    engine: &mut ParallelIngestEngine<S>,
+    placement: Placement,
+) -> Result<Vec<S::Item>, EngineError>
+where
+    S: tbs_core::merge::MergeableSample<Item = u64> + Clone + Send + 'static,
+{
+    for t in 0..BATCHES {
+        engine.ingest(batch_at(t))?;
+        if placement == Placement::Queued && t + 1 == TARGET + 3 {
+            engine.request_snapshot()?;
+        }
+    }
+    engine.sample()
+}
+
+fn run_placed(
+    ttbs: bool,
+    shards: usize,
+    recovery: RecoveryPolicy,
+    placement: Placement,
+    plan: Option<FaultPlan>,
+) -> (Result<Vec<u64>, EngineError>, EngineHealth) {
+    let spec = if ttbs {
+        ShardSpec::ttbs(0.1, 50, 47.0, shards)
+    } else {
+        ShardSpec::rtbs(0.2, 64, shards)
+    };
+    let cfg = EngineConfig::new(spec, 42).recovery(recovery);
+    if ttbs {
+        let mut engine: ParallelIngestEngine<TTbs<u64>> = match plan {
+            Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
+            None => ParallelIngestEngine::new(cfg),
+        };
+        let got = drive_placed(&mut engine, placement);
+        (got, engine.health())
+    } else {
+        let mut engine: ParallelIngestEngine<RTbs<u64>> = match plan {
+            Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
+            None => ParallelIngestEngine::new(cfg),
+        };
+        let got = drive_placed(&mut engine, placement);
+        (got, engine.health())
+    }
+}
+
+/// The push and worker faults, with the target batch inside a run the
+/// driver still holds and inside a run already queued to the shard:
+/// typed errors naming the exact shard and batch under `Fail`, the
+/// bit-identical sample and `Degraded` health under `RespawnFromBarrier`.
+#[test]
+fn faults_inside_open_and_queued_runs() {
+    silence_injected_panics();
+    type PlanBuilder = fn(usize) -> FaultPlan;
+    let plans: &[(&str, PlanBuilder)] = &[
+        // Worker kills are keyed to the shard's 0-based batch index.
+        ("kill_worker", |shards| {
+            FaultPlan::new().kill_worker(shards - 1, TARGET - 1)
+        }),
+        ("drop_push", |shards| {
+            FaultPlan::new().drop_push(shards / 2, TARGET)
+        }),
+        ("delay_push", |shards| {
+            FaultPlan::new().delay_push(shards / 2, TARGET, 5)
+        }),
+    ];
+    for ttbs in [false, true] {
+        for shards in [1usize, 4] {
+            for placement in [Placement::Unflushed, Placement::Queued] {
+                let (clean, _) = run_placed(ttbs, shards, RecoveryPolicy::Fail, placement, None);
+                let clean = clean.expect("fault-free run succeeds");
+                for (label, build) in plans {
+                    let ctx = format!("{label}/ttbs={ttbs}/K={shards}/{placement:?}");
+
+                    let (got, health) = run_placed(
+                        ttbs,
+                        shards,
+                        RecoveryPolicy::Fail,
+                        placement,
+                        Some(build(shards)),
+                    );
+                    match *label {
+                        "delay_push" => {
+                            assert_eq!(got.as_deref(), Ok(&clean[..]), "{ctx}: delay moved it");
+                            assert_eq!(health, EngineHealth::Healthy, "{ctx}");
+                        }
+                        _ => {
+                            let cause = got.expect_err(&format!("{ctx}: must fail typed"));
+                            assert_eq!(health, EngineHealth::Failed(cause.clone()), "{ctx}");
+                            match (*label, &cause) {
+                                ("kill_worker", EngineError::ShardDead { .. }) => {}
+                                ("drop_push", EngineError::ChunkDropped { shard, batch }) => {
+                                    assert_eq!((*shard, *batch), (shards / 2, TARGET), "{ctx}");
+                                }
+                                other => panic!("{ctx}: unexpected cause {other:?}"),
+                            }
+                        }
+                    }
+
+                    let (got, health) = run_placed(
+                        ttbs,
+                        shards,
+                        RecoveryPolicy::RespawnFromBarrier,
+                        placement,
+                        Some(build(shards)),
+                    );
+                    let got = got.unwrap_or_else(|e| panic!("{ctx}: respawn must absorb, got {e}"));
+                    assert_eq!(got, clean, "{ctx}: recovery not bit-identical");
+                    if *label == "delay_push" {
+                        assert_eq!(health, EngineHealth::Healthy, "{ctx}");
+                    } else {
+                        assert!(
+                            matches!(health, EngineHealth::Degraded { recoveries } if recoveries >= 1),
+                            "{ctx}: health must count the recovery, got {health:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A shard dies while the driver holds an open run for it (and for every
+/// other cell): the death is detected by a checkpoint wait, which sends
+/// nothing to the shards, so the open runs stay in the driver across the
+/// rebuild and reach the new shards at the next hand-off.
+#[test]
+fn shard_death_while_the_driver_holds_its_open_run() {
+    silence_injected_panics();
+    let run = |recovery: RecoveryPolicy, plan: Option<FaultPlan>| {
+        let cfg = EngineConfig::new(ShardSpec::rtbs(0.2, 64, 4), 3).recovery(recovery);
+        let mut engine: ParallelIngestEngine<RTbs<u64>> = match plan {
+            Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
+            None => ParallelIngestEngine::new(cfg),
+        };
+        let result = (|| {
+            for t in 0..12 {
+                engine.ingest(batch_at(t))?;
+            }
+            // Hands batches 1..=12 off; shard 1 dies at its 10th, before
+            // the checkpoint fork.
+            engine.request_checkpoint()?;
+            for t in 12..20 {
+                engine.ingest(batch_at(t))?;
+            }
+            engine.wait_checkpoint(Duration::from_secs(30))?;
+            for t in 20..BATCHES {
+                engine.ingest(batch_at(t))?;
+            }
+            engine.sample()
+        })();
+        (result, engine.health())
+    };
+    let (clean, health) = run(RecoveryPolicy::RespawnFromBarrier, None);
+    let clean = clean.expect("fault-free run succeeds");
+    assert_eq!(health, EngineHealth::Healthy);
+
+    let (got, health) = run(
+        RecoveryPolicy::Fail,
+        Some(FaultPlan::new().kill_worker(1, 9)),
+    );
+    let cause = got.expect_err("the death must surface under Fail");
+    assert!(matches!(cause, EngineError::ShardDead { .. }), "{cause:?}");
+    assert_eq!(health, EngineHealth::Failed(cause));
+
+    let (got, health) = run(
+        RecoveryPolicy::RespawnFromBarrier,
+        Some(FaultPlan::new().kill_worker(1, 9)),
+    );
+    assert_eq!(
+        got.expect("respawn absorbs the death"),
+        clean,
+        "the open runs held across the rebuild were lost or replayed twice"
+    );
+    assert_eq!(health, EngineHealth::Degraded { recoveries: 1 });
+}

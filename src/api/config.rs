@@ -394,9 +394,13 @@ impl SamplerConfig {
         self
     }
 
-    /// Bounded depth of each shard's work queue, in batches (only
-    /// meaningful with `shards > 1`; deeper queues smooth bursty
-    /// producers, shallower ones bound in-flight memory).
+    /// Bounded depth of each shard's work queue, in messages (only
+    /// meaningful with `shards > 1`). A message is a coalesced run of
+    /// batches or a control request (publish barrier, checkpoint, sync),
+    /// so the depth bounds how many requests can queue up ahead of a
+    /// shard. In-flight *items* are bounded independently of the depth:
+    /// each shard has a fixed pool of run buffers times the engine's run
+    /// size target (see `tbs_distributed::engine`).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
