@@ -7,15 +7,13 @@
 //! 1–64 shards over the saturated and bursty stream regimes,
 //! for R-TBS and T-TBS, plus a same-run single-threaded fast-path
 //! reference row (the PR 2 measurement repeated, so the pipeline overhead
-//! is read off one document). R-TBS rows run with the tail-flattening
-//! knobs on: batch-granular downsampling (`rtbs_defer_threshold`) and
-//! shard groups (per-regime `rtbs_group_threshold_*`), so each row
-//! reports both its worker count K and its cell count G ≤ K.
+//! is read off one document). Every shard is one worker thread owning
+//! one reservoir.
 //!
-//! Each engine row also records the merge-tree depth (`⌈log₂G⌉`) and the
-//! per-cell busy-time fractions, so load imbalance — the thing the
-//! balanced splitter plus work stealing exist to kill — is visible in the
-//! committed artifact. The acceptance gate
+//! Each engine row also records the merge-tree depth (`⌈log₂K⌉`) and the
+//! per-shard busy-time fractions, so load imbalance — the thing the
+//! balanced splitter exists to kill — is visible in the committed
+//! artifact. The acceptance gate
 //! ([`GATE_K8_FLOOR_ITEMS_PER_SEC`]) pins the 8-shard-cliff fix and the
 //! flattened K = 32 tail: the saturated R-TBS aggregate at K = 8 must
 //! clear twice the committed pre-fix row, K = 16 must not regress below
@@ -54,9 +52,7 @@ use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine, ShardStats};
 /// cliff must be at least halved-back. The rest of the gate is
 /// relative: the K = 16 aggregate must not fall below K = 8, and K = 32
 /// — where every shard's reservoir share sits just above its
-/// equilibrium weight, pinning the pre-fix engine in the eager per-step
-/// downsample — must not fall below K = 16 (the flattened-tail gate:
-/// batch-granular downsampling plus shard groups).
+/// equilibrium weight — must not fall below K = 16.
 pub const GATE_K8_FLOOR_ITEMS_PER_SEC: f64 = 535.4e6;
 
 /// Tuning knobs for one scaling run.
@@ -78,27 +74,6 @@ pub struct ScalingConfig {
     /// Iterations for the pool-dispatch comparison (spawn-per-batch —
     /// fewer, because each iteration pays k thread spawns).
     pub spawn_iters: usize,
-    /// Deferred-downsampling drift threshold θ applied to every R-TBS
-    /// engine row (1.0 = eager). At high K the per-shard reservoir sits
-    /// below saturation, and without deferral every batch pays the full
-    /// `O(n_k)` downsample sweep — the K = 32 tail.
-    pub rtbs_defer_threshold: f64,
-    /// Shard-group threshold for the saturated R-TBS rows (0 =
-    /// ungrouped): once `⌈n/G⌉` drops below it, worker threads share
-    /// fewer reservoir cells so per-batch fixed costs scale with G, not
-    /// K. The right threshold is workload-dependent — group when the
-    /// per-cell share of a *batch* is too small to amortize the per-cell
-    /// fixed costs. The saturated stream delivers 100 items/batch
-    /// against n = 1000, so cells below a ~48-item share (K ≥ 32) see
-    /// ~3 items/batch each and are better shared.
-    pub rtbs_group_threshold_saturated: usize,
-    /// Shard-group threshold for the bursty R-TBS rows. Bursty batches
-    /// run up to ~1000 items, so even a 32-item cell share still
-    /// receives enough arrivals per batch to amortize its fixed costs —
-    /// grouping at K = 32 would *forfeit* real scaling there (ungrouped
-    /// K = 32 clears K = 16 by ~30% aggregate). Only K = 64's 16-item
-    /// share drops below this threshold.
-    pub rtbs_group_threshold_bursty: usize,
 }
 
 impl Default for ScalingConfig {
@@ -111,9 +86,6 @@ impl Default for ScalingConfig {
             shard_counts: vec![1, 2, 4, 8, 16, 32, 64],
             dispatch_iters: 2_000,
             spawn_iters: 300,
-            rtbs_defer_threshold: 0.01,
-            rtbs_group_threshold_saturated: 48,
-            rtbs_group_threshold_bursty: 24,
         }
     }
 }
@@ -130,18 +102,6 @@ impl ScalingConfig {
             shard_counts: vec![1, 2],
             dispatch_iters: 20,
             spawn_iters: 5,
-            rtbs_defer_threshold: 0.01,
-            rtbs_group_threshold_saturated: 48,
-            rtbs_group_threshold_bursty: 24,
-        }
-    }
-
-    /// The shard-group threshold for an R-TBS row in `regime` (see the
-    /// two per-regime fields for why this is workload-dependent).
-    pub fn rtbs_group_threshold(&self, regime: Regime) -> usize {
-        match regime {
-            Regime::Bursty => self.rtbs_group_threshold_bursty,
-            _ => self.rtbs_group_threshold_saturated,
         }
     }
 }
@@ -154,12 +114,9 @@ pub struct ScalingRow {
     /// `engine` (sharded pipeline) or `single_fast` (PR 2's
     /// single-threaded monomorphized reference, measured in this run).
     pub mode: &'static str,
-    /// Shard count K — configured worker threads (1 for `single_fast`).
+    /// Shard count K — worker threads, one reservoir each (1 for
+    /// `single_fast`).
     pub shards: usize,
-    /// Logical reservoir cells G ≤ K the workers drive (== K unless
-    /// shard groups are active; 1 for `single_fast`). Busy fractions,
-    /// the merge tree, and the per-cell stats are all sized by this.
-    pub cells: usize,
     /// Regime label (`saturated`, `bursty`).
     pub regime: &'static str,
     /// Batches fed inside the timed repeat.
@@ -179,10 +136,9 @@ pub struct ScalingRow {
     /// Depth of the pairwise merge tree the engine runs for this K
     /// (`⌈log₂K⌉`; 0 for K = 1 and for the `single_fast` reference).
     pub merge_tree_depth: usize,
-    /// Each cell's share of the total busy time (`busy_g / Σ busy`,
-    /// sums to 1, one entry per cell). Balanced splits plus work
-    /// stealing should keep these near `1/G`; a hot cell shows up here
-    /// directly.
+    /// Each shard's share of the total busy time (`busy_k / Σ busy`,
+    /// sums to 1, one entry per shard). Balanced splits should keep these
+    /// near `1/K`; a hot shard shows up here directly.
     pub shard_busy_fracs: Vec<f64>,
 }
 
@@ -243,7 +199,7 @@ fn aggregate_rate(deltas: &[ShardStats]) -> f64 {
 /// One engine is built per row and **reused across every repeat**: the
 /// warmup's steady state (saturated reservoirs, high-water queues,
 /// recycled buffers) carries into each timed window instead of being
-/// re-paid per repeat, and the per-cell stats are windowed by delta.
+/// re-paid per repeat, and the per-shard stats are windowed by delta.
 /// The CI smoke schema check pins the resulting row count.
 fn measure_engine<S>(
     cfg: &ScalingConfig,
@@ -286,7 +242,6 @@ where
             sampler,
             mode: "engine",
             shards: spec.shards,
-            cells: spec.cells(),
             regime: regime.label(),
             batches: cfg.measured_batches,
             items,
@@ -295,7 +250,7 @@ where
             items_per_sec_wall: items as f64 * 1e9 / wall_ns as f64,
             items_per_sec_aggregate: aggregate,
             ns_per_item_busy: busy_ns as f64 / (items.max(1)) as f64,
-            merge_tree_depth: MergePlan::new(spec.cells()).depth(),
+            merge_tree_depth: MergePlan::new(spec.shards).depth(),
             shard_busy_fracs,
         };
         if best
@@ -322,7 +277,6 @@ fn measure_single_fast(cfg: &ScalingConfig, kind: SamplerKind, regime: Regime) -
         sampler: row.sampler,
         mode: "single_fast",
         shards: 1,
-        cells: 1,
         regime: row.regime,
         batches: row.batches,
         items: row.items,
@@ -407,15 +361,7 @@ pub fn run_scaling(cfg: &ScalingConfig) -> Vec<ScalingRow> {
     for regime in [Regime::Saturated, Regime::Bursty] {
         rows.push(measure_single_fast(cfg, SamplerKind::RTbs, regime));
         for &k in &cfg.shard_counts {
-            // R-TBS rows carry the tail-flattening knobs: lazy θ makes
-            // the unsaturated per-shard regime at high K O(1)-amortized
-            // per batch, and the group threshold collapses K workers
-            // onto G < K cells once the per-cell share gets small
-            // relative to the regime's per-batch arrivals (per-regime
-            // thresholds — see the `ScalingConfig` field docs).
-            let spec = ShardSpec::rtbs(regime.lambda(), regime.capacity(), k)
-                .with_defer_threshold(cfg.rtbs_defer_threshold)
-                .with_group_threshold(cfg.rtbs_group_threshold(regime));
+            let spec = ShardSpec::rtbs(regime.lambda(), regime.capacity(), k);
             let seed = cfg.seed.wrapping_add((k as u64) << 8 | regime as u64);
             rows.push(measure_engine::<RTbs<u64>>(
                 cfg, "R-TBS", spec, regime, seed,
@@ -457,9 +403,8 @@ fn summary(rows: &[ScalingRow]) -> Json {
     // The scaling gate: the saturated R-TBS aggregate at K = 8 must
     // clear twice the committed pre-fix row (the 8-shard-cliff fix),
     // K = 16 must not regress below K = 8, and K = 32 must not regress
-    // below K = 16 (the flattened-tail fix: batch-granular downsampling
-    // plus shard groups). Sweeps without all three rows (smoke) carry
-    // no verdict.
+    // below K = 16. Sweeps without all three rows (smoke) carry no
+    // verdict.
     let eight = find("engine", 8);
     let sixteen = find("engine", 16);
     let thirty_two = find("engine", 32);
@@ -512,7 +457,6 @@ pub fn report(rows: &[ScalingRow], pool: &[PoolDispatchRow]) {
                 r.sampler.to_string(),
                 r.mode.to_string(),
                 r.shards.to_string(),
-                r.cells.to_string(),
                 r.regime.to_string(),
                 r.items.to_string(),
                 f(r.items_per_sec_aggregate / 1e6, 2),
@@ -529,7 +473,6 @@ pub fn report(rows: &[ScalingRow], pool: &[PoolDispatchRow]) {
             "sampler",
             "mode",
             "shards",
-            "cells",
             "regime",
             "items",
             "aggregate_M_items_per_sec",
@@ -546,7 +489,6 @@ pub fn report(rows: &[ScalingRow], pool: &[PoolDispatchRow]) {
             "sampler",
             "mode",
             "shards",
-            "cells",
             "regime",
             "items",
             "agg M it/s",
@@ -601,7 +543,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
                 ("sampler", Json::str(r.sampler)),
                 ("mode", Json::str(r.mode)),
                 ("shards", Json::Int(r.shards as i64)),
-                ("cells", Json::Int(r.cells as i64)),
                 ("regime", Json::str(r.regime)),
                 ("batches", Json::Int(r.batches as i64)),
                 ("items", Json::UInt(r.items)),
@@ -652,15 +593,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
                     ),
                 ),
                 ("item_type", Json::str("u64")),
-                ("rtbs_defer_threshold", Json::Num(cfg.rtbs_defer_threshold)),
-                (
-                    "rtbs_group_threshold_saturated",
-                    Json::Int(cfg.rtbs_group_threshold_saturated as i64),
-                ),
-                (
-                    "rtbs_group_threshold_bursty",
-                    Json::Int(cfg.rtbs_group_threshold_bursty as i64),
-                ),
                 ("regimes", Json::Arr(regimes)),
             ]),
         ),
@@ -703,7 +635,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
 pub const SCALING_ROW_KEYS: &[&str] = &[
     "mode",
     "shards",
-    "cells",
     "wall_ns",
     "busy_ns",
     "items_per_sec_wall",
@@ -735,14 +666,13 @@ mod tests {
             assert!(r.items_per_sec_wall > 0.0);
             assert!(r.items_per_sec_aggregate > 0.0);
             if r.mode == "engine" {
-                assert!(r.cells <= r.shards && r.cells >= 1);
                 assert_eq!(
                     r.merge_tree_depth,
-                    (r.cells as f64).log2().ceil() as usize,
-                    "depth must be ⌈log₂G⌉ for G={}",
-                    r.cells
+                    (r.shards as f64).log2().ceil() as usize,
+                    "depth must be ⌈log₂K⌉ for K={}",
+                    r.shards
                 );
-                assert_eq!(r.shard_busy_fracs.len(), r.cells);
+                assert_eq!(r.shard_busy_fracs.len(), r.shards);
                 let sum: f64 = r.shard_busy_fracs.iter().sum();
                 assert!(
                     (sum - 1.0).abs() < 1e-9,
@@ -794,7 +724,6 @@ mod tests {
             sampler: "R-TBS",
             mode: "engine",
             shards,
-            cells: shards,
             regime: "saturated",
             batches: 1,
             items: 1,

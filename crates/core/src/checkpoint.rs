@@ -43,7 +43,12 @@ pub const MAGIC: u32 = 0x5442_5343; // "TBSC"
 ///   shard-group ledger (logical cell count `G ≤ K`). v3 blobs are
 ///   rejected with [`CheckpointError::UnsupportedVersion`] rather than
 ///   misparsed.
-pub const VERSION: u32 = 4;
+/// * 5 — batch-granular downsampling and shard groups are gone,
+///   so R-TBS payloads end after the latent sample again and the
+///   sharded-engine payload no longer leads with a group ledger (every
+///   shard owns one reservoir). v4 blobs are rejected with
+///   [`CheckpointError::UnsupportedVersion`] rather than misparsed.
+pub const VERSION: u32 = 5;
 
 /// Errors raised when decoding a checkpoint blob.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -258,81 +258,6 @@ impl<T> LatentSample<T> {
         self.weight = weight;
     }
 
-    /// Fold `other` into `self` by the §4.1 stochastic-rounding union —
-    /// the same algebra as the shard-merge's latent fold, draw-for-draw
-    /// (see `merge_latent` in [`crate::merge`]), but *in place*: `other`'s
-    /// full-item buffer is drained (its allocation survives for reuse) and
-    /// `other` is left empty. With fractional parts α (`self`) and β
-    /// (`other`), either the combined fraction stays below one — keep a
-    /// single partial item, `self`'s with probability α/(α+β) — or it
-    /// crosses one, promoting one of the two to full (`self`'s with
-    /// probability `(1−β)/(2−α−β)`, which solves
-    /// `Pr[promoted or realized] = α`) while the other remains partial
-    /// with fraction α+β−1. Every item's realized-inclusion probability is
-    /// preserved exactly.
-    ///
-    /// This is the batch-granular downsampling hot path: each deferred
-    /// arrival segment is downsampled to its composed scale and absorbed
-    /// into the live latent sample without allocating.
-    pub(crate) fn absorb<R: Rng + ?Sized>(&mut self, other: &mut LatentSample<T>, rng: &mut R) {
-        let alpha = self.frac();
-        let beta = other.frac();
-        let new_weight = self.weight + other.weight;
-        self.full.append(&mut other.full);
-        let mut a = self.partial.take();
-        let mut b = other.partial.take();
-        other.weight = 0.0;
-
-        // Ground truth for the structure is the *computed* new weight (as
-        // in the merge fold): the promotion count is whatever reconciles
-        // the full count with ⌊new_weight⌋ — 0 or 1 in exact arithmetic,
-        // clamped for the representability edge where α or β rounded to 1.
-        let candidates = usize::from(a.is_some()) + usize::from(b.is_some());
-        let promotions = (new_weight.floor() as usize)
-            .saturating_sub(self.full.len())
-            .min(candidates);
-
-        if promotions == 1 && candidates == 2 {
-            let p_first = (1.0 - beta) / (2.0 - alpha - beta);
-            let promoted = if rng.gen::<f64>() < p_first {
-                a.take()
-            } else {
-                b.take()
-            };
-            self.full
-                .push(promoted.expect("promotion needs a candidate"));
-        } else {
-            for _ in 0..promotions {
-                // 0 or 1 candidates: promotion is forced, not randomized.
-                // (The back candidate goes first, matching the merge fold.)
-                let promoted = b.take().or_else(|| a.take());
-                self.full
-                    .push(promoted.expect("promotion needs a candidate"));
-            }
-        }
-
-        let frac = new_weight - new_weight.floor();
-        self.partial = if frac > 0.0 {
-            match (a, b) {
-                (Some(pa), Some(pb)) => {
-                    // Both partials survived below the integer boundary:
-                    // keep self's with probability α/(α+β).
-                    if rng.gen::<f64>() < alpha / (alpha + beta) {
-                        Some(pa)
-                    } else {
-                        Some(pb)
-                    }
-                }
-                (Some(p), None) | (None, Some(p)) => Some(p),
-                (None, None) => None,
-            }
-        } else {
-            None
-        };
-        self.weight = new_weight;
-        debug_assert!(self.check_invariants().is_ok());
-    }
-
     /// Decompose into `(A, π, C)` — used by the shard-merge algebra in
     /// [`crate::merge`], which reassembles unions via
     /// [`Self::from_raw_parts`].
@@ -789,110 +714,6 @@ mod tests {
         // Refill: the retained buffer accepts items again.
         l.push_full(0..cap_before as u32);
         assert_eq!(l.weight(), cap_before as f64);
-    }
-
-    #[test]
-    fn absorb_conserves_items_and_weight() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(30);
-        for (w1, w2) in [(2.7, 1.6), (2.2, 1.3), (3.0, 2.5), (0.4, 0.9), (2.0, 3.0)] {
-            let mut a = raw_with_weight(0, w1);
-            let mut b = raw_with_weight(100, w2);
-            let before: f64 = w1 + w2;
-            a.absorb(&mut b, &mut rng);
-            assert_eq!(a.weight(), before, "weight not conserved for ({w1},{w2})");
-            assert!(b.is_empty());
-            assert_eq!(b.weight(), 0.0);
-            a.check_invariants()
-                .unwrap_or_else(|e| panic!("({w1},{w2}): {e}"));
-        }
-    }
-
-    /// A latent sample tagged from `base`: ⌊w⌋ full items, plus a partial
-    /// (tagged `base + 99`) when w is fractional.
-    fn raw_with_weight(base: u32, w: f64) -> LatentSample<u32> {
-        let full: Vec<u32> = (base..base + w.floor() as u32).collect();
-        let partial = (w.fract() > 0.0).then_some(base + 99);
-        LatentSample::from_raw_parts(full, partial, w)
-    }
-
-    #[test]
-    fn absorb_promotion_probability_matches_stochastic_rounding() {
-        // α + β ≥ 1 with two candidate partials: exactly one is promoted
-        // to full, the acceptor's w.p. (1−β)/(2−α−β) — the §4.1
-        // stochastic-rounding union's 1-of-2 case.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(31);
-        let trials = 60_000u64;
-        let (w1, w2) = (2.7, 1.6); // α = 0.7, β = 0.6
-        let mut acc_promoted = 0u64;
-        for _ in 0..trials {
-            let mut a = raw_with_weight(0, w1);
-            let mut b = raw_with_weight(100, w2);
-            a.absorb(&mut b, &mut rng);
-            assert_eq!(a.full_items().len(), 4);
-            // The non-promoted candidate survives as the partial.
-            if a.full_items().contains(&99) {
-                assert_eq!(a.partial_item(), Some(&199));
-                acc_promoted += 1;
-            } else {
-                assert_eq!(a.partial_item(), Some(&99));
-            }
-        }
-        let phat = acc_promoted as f64 / trials as f64;
-        let expect = (1.0 - 0.6) / (2.0 - 0.7 - 0.6);
-        assert!((phat - expect).abs() < 0.01, "phat {phat} vs {expect}");
-    }
-
-    #[test]
-    fn absorb_partial_choice_probability_matches_alpha_over_sum() {
-        // α + β < 1: no promotion; the acceptor's partial survives
-        // w.p. α/(α+β).
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(32);
-        let trials = 60_000u64;
-        let (w1, w2) = (2.2, 1.3); // α = 0.2, β = 0.3
-        let mut kept_acc = 0u64;
-        for _ in 0..trials {
-            let mut a = raw_with_weight(0, w1);
-            let mut b = raw_with_weight(100, w2);
-            a.absorb(&mut b, &mut rng);
-            assert_eq!(a.full_items().len(), 3);
-            match a.partial_item() {
-                Some(&99) => kept_acc += 1,
-                Some(&199) => {}
-                other => panic!("unexpected partial {other:?}"),
-            }
-        }
-        let phat = kept_acc as f64 / trials as f64;
-        let expect = 0.2 / (0.2 + 0.3);
-        assert!((phat - expect).abs() < 0.01, "phat {phat} vs {expect}");
-    }
-
-    #[test]
-    fn absorb_integral_cases_spend_no_randomness() {
-        // Integral + integral, and single-candidate forced promotions,
-        // are deterministic: the RNG stream must not advance.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(33);
-        let probe = rng.clone().gen::<u64>();
-        let mut a = LatentSample::from_full(vec![1u32, 2]);
-        let mut b = LatentSample::from_full(vec![3u32]);
-        a.absorb(&mut b, &mut rng);
-        assert_eq!(a.weight(), 3.0);
-        assert_eq!(a.full_items(), &[1, 2, 3]);
-
-        // One fractional side, no promotion: the lone candidate carries
-        // over as the partial with certainty.
-        let mut a2 = raw_with_weight(0, 2.6);
-        let mut b2 = raw_with_weight(100, 3.0);
-        a2.absorb(&mut b2, &mut rng);
-        assert_eq!(a2.weight(), 5.6);
-        assert_eq!(a2.full_items().len(), 5);
-        assert_eq!(a2.partial_item(), Some(&99));
-        a2.check_invariants().unwrap();
-
-        assert_eq!(
-            rng.gen::<u64>(),
-            probe,
-            "RNG advanced on deterministic path"
-        );
     }
 
     #[test]

@@ -109,18 +109,6 @@ pub struct ShardSpec {
     /// algebra unchanged: it alters only *how* each shard spends
     /// randomness per batch, not the shard-state law the merge relies on.
     pub ingest: IngestMode,
-    /// Batch-granular downsampling drift threshold θ ∈ (0, 1] applied to
-    /// every shard-local R-TBS (see [`RTbs::set_defer_threshold`]); 1.0
-    /// (the default) keeps the eager per-step downsample. Ignored by
-    /// T-TBS, which has no latent downsample to defer.
-    pub defer_threshold: f64,
-    /// Shard-group threshold: when the per-cell reservoir share
-    /// `⌈n/G⌉` would fall below this bound, shard threads are grouped
-    /// onto fewer shared *cells* (reservoirs) — `G` starts at `shards`
-    /// and halves until `⌈n/G⌉ ≥ threshold` (see [`Self::cells`]) — so
-    /// per-reservoir fixed costs scale with the cell count instead of the
-    /// thread count. 0 (the default) disables grouping (`cells == shards`).
-    pub group_threshold: usize,
 }
 
 impl ShardSpec {
@@ -132,8 +120,6 @@ impl ShardSpec {
             shards,
             mean_batch: 0.0,
             ingest: IngestMode::PerItem,
-            defer_threshold: 1.0,
-            group_threshold: 0,
         }
     }
 
@@ -145,8 +131,6 @@ impl ShardSpec {
             shards,
             mean_batch,
             ingest: IngestMode::PerItem,
-            defer_threshold: 1.0,
-            group_threshold: 0,
         }
     }
 
@@ -157,54 +141,21 @@ impl ShardSpec {
         self
     }
 
-    /// Enable batch-granular downsampling on every shard-local R-TBS with
-    /// drift threshold `theta ∈ (0, 1]` (default 1.0 = eager).
-    pub fn with_defer_threshold(mut self, theta: f64) -> Self {
-        self.defer_threshold = theta;
-        self
-    }
-
-    /// Group shard threads onto shared reservoir cells once `⌈n/G⌉`
-    /// falls below `threshold` (default 0 = never group).
-    pub fn with_group_threshold(mut self, threshold: usize) -> Self {
-        self.group_threshold = threshold;
-        self
-    }
-
-    /// Number of logical reservoir *cells* `G ≤ K`: the unit the sampler
-    /// states, batch splits, and merge tree are sized by. Without
-    /// grouping (`group_threshold == 0`) every shard thread owns its own
-    /// cell, `G = K`. With grouping, `G` halves from `shards` until the
-    /// per-cell reservoir share `⌈n/G⌉` reaches the threshold — so at
-    /// high K several threads share one cell and the per-batch reservoir
-    /// fixed costs (decay/downsample bookkeeping) scale with `G`, not K.
-    pub fn cells(&self) -> usize {
-        let mut g = self.shards;
-        if self.group_threshold == 0 {
-            return g;
-        }
-        while g > 1 && self.capacity.div_ceil(g) < self.group_threshold {
-            g = g.div_ceil(2);
-        }
-        g
-    }
-
-    /// Per-cell R-TBS capacity `n_k = ⌈n/G⌉ + 1` over the `G =`
-    /// [`Self::cells`] reservoir cells (no headroom for G = 1).
+    /// Per-shard R-TBS capacity `n_k = ⌈n/K⌉ + 1` (no headroom for
+    /// K = 1).
     ///
     /// The single spare slot is all the headroom mergeability needs
     /// *under the engine's balanced split*: [`BalancedSplitter`] keeps
-    /// every cell's decayed weight within one item of `W/G`, so the
-    /// downsample target `C·W^k/W` never exceeds `⌈n/G⌉ + 1` (module
+    /// every shard's decayed weight within one item of `W/K`, so the
+    /// downsample target `C·W^k/W` never exceeds `⌈n/K⌉ + 1` (module
     /// docs). This replaces the old per-shard `⌈1/(1−e^{−λ})⌉` headroom,
     /// which grew relative to `⌈n/K⌉` as K rose and pushed high-K shards
     /// off the saturated fast path.
     pub fn shard_capacity(&self) -> usize {
-        let cells = self.cells();
-        if cells <= 1 {
+        if self.shards <= 1 {
             return self.capacity;
         }
-        self.capacity.div_ceil(cells) + 1
+        self.capacity.div_ceil(self.shards) + 1
     }
 
     fn validate(&self) {
@@ -215,15 +166,9 @@ impl ShardSpec {
             "decay rate must be finite and non-negative"
         );
         assert!(
-            self.cells() == 1 || self.lambda > 0.0,
+            self.shards == 1 || self.lambda > 0.0,
             "sharded sampling requires λ > 0: the skew headroom 1/(1−e^{{−λ}}) \
              diverges at λ = 0 (use a single shard for undecayed sampling)"
-        );
-        assert!(
-            self.defer_threshold.is_finite()
-                && self.defer_threshold > 0.0
-                && self.defer_threshold <= 1.0,
-            "defer threshold must lie in (0, 1]"
         );
     }
 }
@@ -568,7 +513,7 @@ pub fn merge_replay<S: MergeableSample>(
     spec: &ShardSpec,
     rng: &mut Xoshiro256PlusPlus,
 ) -> S {
-    assert_eq!(shards.len(), spec.cells(), "shard cell count mismatch");
+    assert_eq!(shards.len(), spec.shards, "shard count mismatch");
     let k = shards.len();
     let plan = MergePlan::new(k);
     let scalars = S::merge_targets(&shards, spec);
@@ -665,18 +610,17 @@ impl<T: Clone> MergeableSample for RTbs<T> {
     fn make_shards(spec: &ShardSpec) -> Vec<Self> {
         spec.validate();
         let n_k = spec.shard_capacity();
-        (0..spec.cells())
+        (0..spec.shards)
             .map(|_| {
                 let mut s = RTbs::new(spec.lambda, n_k);
                 s.set_ingest_mode(spec.ingest);
-                s.set_defer_threshold(spec.defer_threshold);
                 s
             })
             .collect()
     }
 
     fn merge_targets(shards: &[Self], spec: &ShardSpec) -> MergeScalars {
-        assert_eq!(shards.len(), spec.cells(), "shard cell count mismatch");
+        assert_eq!(shards.len(), spec.shards, "shard count mismatch");
         let n = spec.capacity as f64;
         let w: f64 = shards.iter().map(|s| s.total_weight()).sum();
         let c = w.min(n);
@@ -706,10 +650,6 @@ impl<T: Clone> MergeableSample for RTbs<T> {
     }
 
     fn merge_leaf(mut self, target: f64, rng: &mut Xoshiro256PlusPlus) -> Self {
-        // A fork taken mid-deferral materializes on the leaf's own
-        // substream (the live shard keeps its pending state untouched);
-        // no-op consuming no randomness when nothing is deferred.
-        self.materialize_deferred(rng);
         if target > 0.0 && target < self.sample_weight() {
             crate::downsample::downsample(self.latent_mut(), target, rng);
         }
@@ -774,7 +714,7 @@ impl<T: Clone> MergeableSample for TTbs<T> {
         // q = n(1−e^{−λ})/b does not depend on the sub-stream, so shard
         // samples already obey the single-node inclusion law and sum to
         // the global equilibrium size n.
-        (0..spec.cells())
+        (0..spec.shards)
             .map(|_| {
                 let mut s = TTbs::new(spec.lambda, spec.capacity, spec.mean_batch);
                 s.set_ingest_mode(spec.ingest);
@@ -784,7 +724,7 @@ impl<T: Clone> MergeableSample for TTbs<T> {
     }
 
     fn merge_targets(shards: &[Self], spec: &ShardSpec) -> MergeScalars {
-        assert_eq!(shards.len(), spec.cells(), "shard cell count mismatch");
+        assert_eq!(shards.len(), spec.shards, "shard count mismatch");
         MergeScalars {
             // No leaf step: shard states already obey the single-node law.
             leaf_targets: Vec::new(),
@@ -911,70 +851,6 @@ mod tests {
         assert_eq!(ShardSpec::rtbs(0.1, 1000, 16).shard_capacity(), 64);
         assert_eq!(ShardSpec::rtbs(0.1, 1000, 32).shard_capacity(), 33);
         assert_eq!(ShardSpec::rtbs(0.1, 1000, 1).shard_capacity(), 1000);
-    }
-
-    #[test]
-    fn cells_halve_until_group_threshold_is_met() {
-        // Grouping off (threshold 0): cells == shards.
-        assert_eq!(ShardSpec::rtbs(0.1, 1000, 64).cells(), 64);
-        // ⌈1000/64⌉ = 16 < 24 → halve to 32; ⌈1000/32⌉ = 32 ≥ 24 → stop.
-        let spec = ShardSpec::rtbs(0.1, 1000, 64).with_group_threshold(24);
-        assert_eq!(spec.cells(), 32);
-        assert_eq!(spec.shard_capacity(), 33);
-        // K = 32 already meets the threshold: ungrouped.
-        let spec = ShardSpec::rtbs(0.1, 1000, 32).with_group_threshold(24);
-        assert_eq!(spec.cells(), 32);
-        // Tiny reservoir: halving bottoms out at a single shared cell.
-        let spec = ShardSpec::rtbs(0.1, 10, 64).with_group_threshold(24);
-        assert_eq!(spec.cells(), 1);
-        assert_eq!(spec.shard_capacity(), 10);
-        // Threshold met exactly at K: no grouping.
-        let spec = ShardSpec::rtbs(0.1, 96, 4).with_group_threshold(24);
-        assert_eq!(spec.cells(), 4);
-    }
-
-    /// A latent sample tagged from `base`: ⌊w⌋ full items plus a partial
-    /// (`base + 99`) when `w` is fractional.
-    fn raw_with_weight(base: u32, w: f64) -> LatentSample<u32> {
-        let full: Vec<u32> = (base..base + w.floor() as u32).collect();
-        let partial = (w.fract() > 0.0).then_some(base + 99);
-        LatentSample::from_raw_parts(full, partial, w)
-    }
-
-    #[test]
-    fn absorb_matches_merge_latent_bit_for_bit() {
-        // `LatentSample::absorb` (the deferred-downsample union) must be
-        // draw-for-draw identical to the merge tree's `merge_latent` —
-        // same RNG consumption, same structure — across every candidate
-        // configuration: 0/1/2 partials, promotion and no-promotion.
-        let weights = [2.0f64, 2.7, 2.2, 1.6, 1.3, 0.4, 0.9, 3.0, 1.0];
-        for (i, &w1) in weights.iter().enumerate() {
-            for (j, &w2) in weights.iter().enumerate() {
-                for seed in 0..10u64 {
-                    let seed = 1000 + seed + (i * weights.len() + j) as u64 * 100;
-                    let mut rng_m = Xoshiro256PlusPlus::seed_from_u64(seed);
-                    let mut rng_a = Xoshiro256PlusPlus::seed_from_u64(seed);
-
-                    let mut acc_m = raw_with_weight(0, w1);
-                    let inc_m = raw_with_weight(100, w2);
-                    merge_latent(&mut acc_m, inc_m, &mut rng_m);
-
-                    let mut acc_a = raw_with_weight(0, w1);
-                    let mut inc_a = raw_with_weight(100, w2);
-                    acc_a.absorb(&mut inc_a, &mut rng_a);
-
-                    assert_eq!(
-                        acc_m.full_items(),
-                        acc_a.full_items(),
-                        "({w1}, {w2}) seed {seed}: full items diverged"
-                    );
-                    assert_eq!(acc_m.partial_item(), acc_a.partial_item());
-                    assert_eq!(acc_m.weight().to_bits(), acc_a.weight().to_bits());
-                    // Same number of draws: the streams stay in lockstep.
-                    assert_eq!(rng_m.gen::<u64>(), rng_a.gen::<u64>());
-                }
-            }
-        }
     }
 
     #[test]

@@ -54,32 +54,6 @@ pub struct RTbs<T> {
     /// draw; pure acceleration state (never persisted, draw-for-draw
     /// identical to the one-shot sampler).
     binom: CachedBinomial,
-    /// Deferred-downsample drift threshold θ ∈ (0, 1]. At 1.0 (the
-    /// default) every unsaturated step physically downsamples, exactly as
-    /// Algorithm 2 writes it. Below 1.0 the unsaturated transition instead
-    /// accumulates the decay factor into [`Self::pending_scale`] (one
-    /// multiply per batch) and parks arrivals in [`Self::pending`]; the
-    /// physical sweep runs only when the accumulated scale drifts below θ
-    /// or a merge/realize/saturation forces materialization. Theorem 4.1's
-    /// uniform scaling composes multiplicatively, so the deferred sweep
-    /// realizes exactly the same inclusion probabilities (see
-    /// [`Self::materialize_deferred`]).
-    defer_threshold: f64,
-    /// Accumulated lazy decay scale `P = Π e^{−λ·gap}` since the last
-    /// materialization; 1.0 when nothing is deferred.
-    pending_scale: f64,
-    /// Arrival segments deferred since the last materialization:
-    /// `(item count, P at arrival)` in arrival order. An item that arrived
-    /// when the scale was `P_j` must, at materialization scale `P`, be
-    /// included with probability `P/P_j` — the product of every per-step
-    /// decay factor since its arrival.
-    segments: Vec<(usize, f64)>,
-    /// The deferred arrivals themselves, concatenated in segment order.
-    pending: Vec<T>,
-    /// Scratch latent sample for the per-segment downsample during
-    /// materialization; retained so the fold allocates nothing at its
-    /// high-water footprint.
-    scratch: LatentSample<T>,
 }
 
 impl<T> RTbs<T> {
@@ -102,11 +76,6 @@ impl<T> RTbs<T> {
             steps: 0,
             mode: IngestMode::PerItem,
             binom: CachedBinomial::new(),
-            defer_threshold: 1.0,
-            pending_scale: 1.0,
-            segments: Vec::new(),
-            pending: Vec::new(),
-            scratch: LatentSample::empty(),
         }
     }
 
@@ -140,54 +109,9 @@ impl<T> RTbs<T> {
         self.total_weight
     }
 
-    /// The deferred-downsample drift threshold θ (see
-    /// [`Self::set_defer_threshold`]); 1.0 means eager downsampling.
-    pub fn defer_threshold(&self) -> f64 {
-        self.defer_threshold
-    }
-
-    /// Enable batch-granular (deferred) downsampling with drift threshold
-    /// `theta ∈ (0, 1]`. At 1.0 (the default) the sampler runs Algorithm 2
-    /// eagerly; below 1.0 unsaturated steps accumulate the decay factor as
-    /// a lazy scalar and the physical downsample sweep is deferred until
-    /// the scale drifts below θ (or a merge/realize/saturation forces it),
-    /// turning the per-batch `O(n_k)` bookkeeping into `O(1)` amortized.
-    /// The realized inclusion probabilities are exactly those of the eager
-    /// path (Theorem 4.1 scaling composes multiplicatively); only the RNG
-    /// spend schedule differs. For `theta > e^{−λ}` materialization fires
-    /// every step and the run is bit-identical to the eager path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta` is not in `(0, 1]`, or if a deferral is already
-    /// pending (the threshold is configuration, set before ingest).
-    pub fn set_defer_threshold(&mut self, theta: f64) {
-        assert!(
-            theta.is_finite() && theta > 0.0 && theta <= 1.0,
-            "defer threshold must lie in (0, 1], got {theta}"
-        );
-        assert!(
-            !self.has_deferred(),
-            "cannot change the defer threshold mid-deferral"
-        );
-        self.defer_threshold = theta;
-    }
-
-    /// Whether a deferred downsample is pending (the latent sample lags
-    /// the true weight by the accumulated scale `P < 1`).
-    pub fn has_deferred(&self) -> bool {
-        self.pending_scale < 1.0
-    }
-
     /// Sample weight `C_t = min(n, W_t)` — the expected realized size.
     pub fn sample_weight(&self) -> f64 {
-        if self.has_deferred() {
-            // Deferral only happens while unsaturated, where C = W; the
-            // physical latent weight is stale until materialization.
-            self.total_weight.min(self.capacity as f64)
-        } else {
-            self.latent.weight()
-        }
+        self.latent.weight()
     }
 
     /// Whether the reservoir is saturated (`W_t ≥ n`, so `|S_t| = n`).
@@ -196,12 +120,6 @@ impl<T> RTbs<T> {
     }
 
     /// Access the underlying latent sample (full items + optional partial).
-    ///
-    /// While a deferral is pending ([`Self::has_deferred`]) this is the
-    /// *stale* physical state — its weight lags `C_t` by the accumulated
-    /// scale and the deferred arrivals are not yet folded in. Realization
-    /// and merging materialize first; use [`Self::sample_weight`] for the
-    /// true `C_t`.
     pub fn latent(&self) -> &LatentSample<T> {
         &self.latent
     }
@@ -319,23 +237,19 @@ impl<T> RTbs<T> {
 
         if self.total_weight < n {
             // ——— Previously unsaturated: C = W. ———
-            if self.defer_threshold < 1.0 {
-                self.step_unsaturated_deferred(batch, batch_size, decay, n, cheap, rng);
-            } else {
-                self.total_weight *= decay; // line 6: decay current items
-                if self.total_weight > 0.0 && !self.latent.is_empty() {
-                    // line 8: downsample to the decayed weight
-                    downsample_with(&mut self.latent, self.total_weight, rng, cheap);
-                } else if self.total_weight == 0.0 {
-                    self.latent.clear();
-                }
-                // line 9-10: accept all arriving items as full
-                self.latent.push_full(batch.drain(..));
-                self.total_weight += batch_size as f64;
-                if self.total_weight > n {
-                    // line 12: overshoot — downsample to n; now saturated.
-                    downsample_with(&mut self.latent, n, rng, cheap);
-                }
+            self.total_weight *= decay; // line 6: decay current items
+            if self.total_weight > 0.0 && !self.latent.is_empty() {
+                // line 8: downsample to the decayed weight
+                downsample_with(&mut self.latent, self.total_weight, rng, cheap);
+            } else if self.total_weight == 0.0 {
+                self.latent.clear();
+            }
+            // line 9-10: accept all arriving items as full
+            self.latent.push_full(batch.drain(..));
+            self.total_weight += batch_size as f64;
+            if self.total_weight > n {
+                // line 12: overshoot — downsample to n; now saturated.
+                downsample_with(&mut self.latent, n, rng, cheap);
             }
         } else {
             // ——— Previously saturated: C = n, no partial item. ———
@@ -385,121 +299,9 @@ impl<T> RTbs<T> {
         debug_assert!(self.latent.weight() <= n + 1e-9);
     }
 
-    /// The unsaturated transition with batch-granular downsampling
-    /// (`defer_threshold < 1`). Instead of physically downsampling every
-    /// step (lines 6–8 of Algorithm 2), the decay factor accumulates into
-    /// the lazy scale `P` and arrivals park in [`Self::pending`] stamped
-    /// with the scale at arrival. The physical sweep runs when `P` drifts
-    /// below θ, when the pending buffer exceeds its high-water bound, or
-    /// when saturation forces it.
-    ///
-    /// **Exactness (Theorem 4.1).** Downsampling scales every item's
-    /// inclusion probability by the same factor, so consecutive
-    /// downsamples compose multiplicatively: an item resident since scale
-    /// `P_j` owes a total factor `P/P_j` at materialization scale `P` —
-    /// exactly the product of the per-step factors the eager path would
-    /// have applied. The weight recursion `W_t = d·W_{t−1} + |B_t|` is
-    /// maintained eagerly either way, so `C = W` stays bit-identical to
-    /// the eager path and the overshoot/saturation boundary fires on the
-    /// same step.
-    fn step_unsaturated_deferred<R: Rng + ?Sized>(
-        &mut self,
-        batch: &mut Vec<T>,
-        batch_size: usize,
-        decay: f64,
-        n: f64,
-        cheap: bool,
-        rng: &mut R,
-    ) {
-        self.total_weight *= decay;
-        self.pending_scale *= decay;
-        if self.total_weight == 0.0 {
-            self.latent.clear();
-            self.pending.clear();
-            self.segments.clear();
-            self.pending_scale = 1.0;
-        } else if self.pending_scale < self.defer_threshold
-            || self.pending.len() >= self.capacity.saturating_mul(4)
-        {
-            self.materialize_deferred(rng);
-        }
-        if self.pending_scale < 1.0 {
-            // Park the arrivals; they are certain acceptances (C = W), so
-            // only their count and arrival scale matter until the sweep.
-            if batch_size > 0 {
-                self.segments.push((batch_size, self.pending_scale));
-                self.pending.append(batch);
-            }
-        } else {
-            self.latent.push_full(batch.drain(..));
-        }
-        self.total_weight += batch_size as f64;
-        if self.total_weight > n {
-            // Overshoot — materialize (the current batch folds in at
-            // scale 1, spending no randomness, exactly like the eager
-            // accept) and downsample to n; now saturated.
-            self.materialize_deferred(rng);
-            // The materialized weight equals the eagerly tracked W up to
-            // float ulps; clamp so the target never exceeds the physical C.
-            let target = n.min(self.latent.weight());
-            downsample_with(&mut self.latent, target, rng, cheap);
-        }
-    }
-
-    /// Run the deferred physical downsample: bring the resident latent
-    /// sample to scale, then fold every pending arrival segment in at its
-    /// composed scale `P/P_j` (a segment-local downsample + the §4.1
-    /// stochastic-rounding union, [`LatentSample::absorb`]). Consumes no
-    /// randomness when nothing is deferred; resets `P` to 1. The pending
-    /// buffers keep their allocations for reuse.
-    pub(crate) fn materialize_deferred<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        if self.pending_scale >= 1.0 {
-            return;
-        }
-        let cheap = self.mode == IngestMode::Jump;
-        if !self.latent.is_empty() {
-            let target = self.pending_scale * self.latent.weight();
-            if target > 0.0 {
-                downsample_with(&mut self.latent, target, rng, cheap);
-            } else {
-                // The scale underflowed (e.g. one enormous gap): the
-                // resident items' inclusion probability is ≈ 0.
-                self.latent.clear();
-            }
-        }
-        let mut items = self.pending.drain(..);
-        for &(count, stamp) in &self.segments {
-            let scale = self.pending_scale / stamp;
-            if scale >= 1.0 {
-                // Arrived at the current scale (the segment pushed this
-                // very step): certain acceptance, no randomness — the
-                // eager path's line 9-10.
-                self.latent.push_full(items.by_ref().take(count));
-            } else {
-                let seg_target = scale * count as f64;
-                if seg_target > 0.0 {
-                    self.scratch.clear();
-                    self.scratch.push_full(items.by_ref().take(count));
-                    downsample_with(&mut self.scratch, seg_target, rng, cheap);
-                    self.latent.absorb(&mut self.scratch, rng);
-                } else {
-                    items.by_ref().take(count).for_each(drop);
-                }
-            }
-        }
-        debug_assert!(items.next().is_none(), "segment counts cover pending");
-        drop(items);
-        self.segments.clear();
-        self.pending_scale = 1.0;
-        debug_assert!(self.latent.check_invariants().is_ok());
-    }
-
     /// Decompose into the merge-relevant parts `(λ, n, W, steps, latent)` —
-    /// consumed by [`crate::merge`]'s shard-union algebra. The caller must
-    /// have materialized any deferred downsample first (the merge's leaf
-    /// step does).
+    /// consumed by [`crate::merge`]'s shard-union algebra.
     pub(crate) fn into_merge_parts(self) -> (f64, usize, f64, u64, LatentSample<T>) {
-        debug_assert!(!self.has_deferred(), "merge parts require materialization");
         (
             self.decay.lambda(),
             self.capacity,
@@ -527,11 +329,6 @@ impl<T> RTbs<T> {
             steps,
             mode: IngestMode::PerItem,
             binom: CachedBinomial::new(),
-            defer_threshold: 1.0,
-            pending_scale: 1.0,
-            segments: Vec::new(),
-            pending: Vec::new(),
-            scratch: LatentSample::empty(),
         };
         debug_assert!(s.latent.check_invariants().is_ok());
         s
@@ -557,18 +354,6 @@ impl<T: Wire> RTbs<T> {
             }
             None => w.put_u8(0),
         }
-        // Batch-granular downsampling state (format v4). A mid-deferral
-        // snapshot persists the lazy scale and the parked segments
-        // *verbatim* — materializing here would consume randomness and
-        // break the bit-identical-resume contract.
-        w.put_f64(self.defer_threshold);
-        w.put_f64(self.pending_scale);
-        w.put_u64(self.segments.len() as u64);
-        for &(count, stamp) in &self.segments {
-            w.put_u64(count as u64);
-            w.put_f64(stamp);
-        }
-        w.put_items(self.pending.iter());
     }
 
     /// Rebuild a sampler from a [`Self::save_state`] payload, validating
@@ -593,44 +378,6 @@ impl<T: Wire> RTbs<T> {
         };
         let latent = LatentSample::try_from_raw_parts(full, partial, weight)
             .map_err(|_| CheckpointError::Corrupt("R-TBS latent sample"))?;
-        let defer_threshold = r.get_f64()?;
-        if !defer_threshold.is_finite() || defer_threshold <= 0.0 || defer_threshold > 1.0 {
-            return Err(CheckpointError::Corrupt("R-TBS defer threshold"));
-        }
-        let pending_scale = r.get_f64()?;
-        // The step invariant keeps P in [θ, 1]: P only leaves 1 by decay
-        // multiplication and materializes back to 1 the moment it drifts
-        // below θ. Anything else (NaN, > 1, below θ, ≤ 0) is corruption.
-        if !pending_scale.is_finite() || pending_scale > 1.0 || pending_scale < defer_threshold {
-            return Err(CheckpointError::Corrupt("R-TBS lazy scale"));
-        }
-        let seg_count = r.get_u64()? as usize;
-        r.check_count(seg_count, 16)?;
-        let mut segments = Vec::with_capacity(seg_count);
-        let mut total_pending = 0usize;
-        let mut prev_stamp = 1.0f64;
-        for _ in 0..seg_count {
-            let count = r.get_u64()? as usize;
-            let stamp = r.get_f64()?;
-            // Segments are stamped with P at arrival: positive counts,
-            // stamps non-increasing in arrival order, all within
-            // [pending_scale, 1].
-            if count == 0
-                || !stamp.is_finite()
-                || stamp > prev_stamp
-                || stamp < pending_scale
-                || stamp <= 0.0
-            {
-                return Err(CheckpointError::Corrupt("R-TBS deferred segment"));
-            }
-            total_pending = total_pending.saturating_add(count);
-            prev_stamp = stamp;
-            segments.push((count, stamp));
-        }
-        let pending: Vec<T> = r.get_items()?;
-        if pending.len() != total_pending || (pending_scale >= 1.0 && !pending.is_empty()) {
-            return Err(CheckpointError::Corrupt("R-TBS deferred arrivals"));
-        }
         Ok(Self {
             latent,
             total_weight,
@@ -639,41 +386,19 @@ impl<T: Wire> RTbs<T> {
             steps,
             mode: IngestMode::PerItem,
             binom: CachedBinomial::new(),
-            defer_threshold,
-            pending_scale,
-            segments,
-            pending,
-            scratch: LatentSample::empty(),
         })
     }
 }
 
 impl<T: Clone> RTbs<T> {
     /// Realize the current sample `S_t` — the monomorphized fast path.
-    ///
-    /// With batch-granular downsampling enabled a pending deferral is
-    /// materialized on a clone first (the live ingest state is never
-    /// disturbed by realization), so `S_t` carries exactly the Theorem 4.2
-    /// inclusion probabilities at every `t`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<T> {
-        if self.has_deferred() {
-            let mut snap = self.clone();
-            snap.materialize_deferred(rng);
-            return snap.latent.realize(rng);
-        }
         self.latent.realize(rng)
     }
 
     /// Realize `S_t` into a caller-owned buffer; allocation-free once the
-    /// buffer capacity covers the sample footprint (a pending deferral is
-    /// materialized on a clone first, as in [`Self::sample`]).
+    /// buffer capacity covers the sample footprint.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<T>) {
-        if self.has_deferred() {
-            let mut snap = self.clone();
-            snap.materialize_deferred(rng);
-            snap.latent.realize_into(rng, out);
-            return;
-        }
         self.latent.realize_into(rng, out);
     }
 }
@@ -892,267 +617,5 @@ mod tests {
         assert_eq!(s.name(), "R-TBS");
         assert_eq!(s.max_size(), Some(11));
         assert_eq!(s.decay_rate(), 0.07);
-    }
-
-    #[test]
-    fn deferral_with_high_threshold_is_bit_identical_to_eager() {
-        // θ > e^{-λ} forces materialization every unsaturated step, which
-        // must replay the eager path draw-for-draw: same RNG consumption,
-        // same latent bits, same saturation boundary. This pins the lazy
-        // machinery to Algorithm 2 exactly in the degenerate regime.
-        let lambda = 0.2f64; // e^{-0.2} ≈ 0.819 < θ = 0.9
-        let mut rng_e = Xoshiro256PlusPlus::seed_from_u64(40);
-        let mut rng_l = Xoshiro256PlusPlus::seed_from_u64(40);
-        let mut eager: RTbs<u64> = RTbs::new(lambda, 64);
-        let mut lazy: RTbs<u64> = RTbs::new(lambda, 64);
-        lazy.set_defer_threshold(0.9);
-        for t in 0..300u64 {
-            // Erratic sizes crossing the saturation boundary both ways.
-            let b = [9u64, 0, 31, 2, 0, 80, 1, 200][t as usize % 8];
-            let items: Vec<u64> = (0..b).map(|i| t * 1000 + i).collect();
-            eager.observe(items.clone(), &mut rng_e);
-            lazy.observe(items, &mut rng_l);
-            assert!(!lazy.has_deferred());
-            assert_eq!(
-                eager.total_weight().to_bits(),
-                lazy.total_weight().to_bits(),
-                "weight diverged at t={t}"
-            );
-            assert_eq!(
-                eager.latent().weight().to_bits(),
-                lazy.latent().weight().to_bits()
-            );
-            assert_eq!(
-                eager.latent().full_items(),
-                lazy.latent().full_items(),
-                "full items diverged at t={t}"
-            );
-            assert_eq!(eager.latent().partial_item(), lazy.latent().partial_item());
-        }
-    }
-
-    #[test]
-    fn deferred_weight_recursion_and_capacity_hold() {
-        // Deep deferral must not perturb the exact W recursion or let the
-        // realized sample exceed n.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(42);
-        let lambda = 0.3;
-        let mut s: RTbs<u64> = RTbs::new(lambda, 50);
-        s.set_defer_threshold(1e-9);
-        let mut w = 0.0f64;
-        for t in 0..200u64 {
-            let b = [30u64, 0, 120, 5, 0, 0, 2][t as usize % 7];
-            w = w * (-lambda).exp() + b as f64;
-            s.observe((0..b).collect(), &mut rng);
-            assert!(
-                (s.total_weight() - w).abs() < 1e-6 * w.max(1.0),
-                "t={t}: tracked {} vs exact {w}",
-                s.total_weight()
-            );
-            assert!(s.sample_weight() <= 50.0 + 1e-9);
-            assert!(s.sample(&mut rng).len() <= 50);
-        }
-    }
-
-    #[test]
-    fn deferred_inclusion_probability_matches_theorem_4_2() {
-        // The eager Theorem 4.2 Monte-Carlo, re-run with θ small enough
-        // that deferral windows span multiple steps and materialization
-        // composes scales P/P_j across parked segments (λ=0.4 ⇒ per-step
-        // decay 0.67 ≫ θ). Tiny n keeps the unsaturated↔saturated churn.
-        let lambda = 0.4f64;
-        let n = 6usize;
-        let schedule: &[u64] = &[4, 4, 0, 8, 0, 0, 3];
-        let trials = 120_000usize;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(43);
-
-        let mut appear: Vec<u64> = vec![0; schedule.len()];
-        let mut w_final = 0.0;
-        let mut c_final = 0.0;
-        for _ in 0..trials {
-            let mut s: RTbs<(usize, u64)> = RTbs::new(lambda, n);
-            s.set_defer_threshold(0.01);
-            for (bi, &b) in schedule.iter().enumerate() {
-                s.observe((0..b).map(|i| (bi, i)).collect(), &mut rng);
-            }
-            w_final = s.total_weight();
-            c_final = s.sample_weight();
-            for (bi, _) in s.sample(&mut rng) {
-                appear[bi] += 1;
-            }
-        }
-        let t_final = schedule.len() as f64 - 1.0;
-        for (bi, &b) in schedule.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let age = t_final - bi as f64;
-            let w_item = (-lambda * age).exp();
-            let expect = (c_final / w_final) * w_item;
-            let phat = appear[bi] as f64 / (trials as f64 * b as f64);
-            let tol = 4.5 * (expect * (1.0 - expect) / (trials as f64 * b as f64)).sqrt() + 0.003;
-            assert!(
-                (phat - expect).abs() < tol,
-                "batch {bi}: phat {phat} vs expect {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn deferred_unsaturated_window_matches_exponential_weights() {
-        // A purely unsaturated stream inside one long deferral window:
-        // C = W throughout, so Pr[i ∈ S] = w_t(i) = e^{-λ·age} exactly.
-        let lambda = 0.4f64;
-        let schedule: &[u64] = &[3, 2, 0, 1, 2, 0, 1];
-        let trials = 60_000usize;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(44);
-        let mut appear: Vec<u64> = vec![0; schedule.len()];
-        for _ in 0..trials {
-            let mut s: RTbs<(usize, u64)> = RTbs::new(lambda, 20);
-            s.set_defer_threshold(1e-4);
-            for (bi, &b) in schedule.iter().enumerate() {
-                s.observe((0..b).map(|i| (bi, i)).collect(), &mut rng);
-            }
-            assert!(s.has_deferred(), "window must span the whole stream");
-            for (bi, _) in s.sample(&mut rng) {
-                appear[bi] += 1;
-            }
-        }
-        let t_final = schedule.len() as f64 - 1.0;
-        for (bi, &b) in schedule.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let expect = (-lambda * (t_final - bi as f64)).exp();
-            let phat = appear[bi] as f64 / (trials as f64 * b as f64);
-            let tol = 4.5 * (expect * (1.0 - expect) / (trials as f64 * b as f64)).sqrt() + 0.003;
-            assert!(
-                (phat - expect).abs() < tol,
-                "batch {bi}: phat {phat} vs expect {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn mid_deferral_checkpoint_resumes_bit_identically() {
-        // Snapshot while a downsample is pending, restore, and continue:
-        // the restored run must track the uninterrupted one bit-for-bit.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(45);
-        let batch = |t: u64| -> Vec<u64> {
-            let b = [7u64, 0, 12, 3][t as usize % 4];
-            (0..b).map(|i| t * 100 + i).collect()
-        };
-        let mut s: RTbs<u64> = RTbs::new(0.1, 500);
-        s.set_defer_threshold(1e-6);
-        for t in 0..10 {
-            s.observe(batch(t), &mut rng);
-        }
-        assert!(s.has_deferred(), "the cut must land mid-deferral");
-
-        let mut w = Writer::new();
-        s.save_state(&mut w);
-        let mut r = Reader::new(w.finish()).unwrap();
-        let mut restored = RTbs::<u64>::load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert!(restored.has_deferred());
-        assert_eq!(restored.defer_threshold(), s.defer_threshold());
-
-        let mut rng2 = rng.clone();
-        for t in 10..40 {
-            s.observe(batch(t), &mut rng);
-            restored.observe(batch(t), &mut rng2);
-            assert_eq!(
-                s.total_weight().to_bits(),
-                restored.total_weight().to_bits()
-            );
-            assert_eq!(s.latent().full_items(), restored.latent().full_items());
-            assert_eq!(s.latent().partial_item(), restored.latent().partial_item());
-        }
-        let mut rc1 = rng.clone();
-        let mut rc2 = rng2.clone();
-        assert_eq!(s.sample(&mut rc1), restored.sample(&mut rc2));
-    }
-
-    fn header_through_empty_latent(w: &mut Writer) {
-        w.put_f64(0.1); // lambda
-        w.put_u64(8); // capacity
-        w.put_f64(4.0); // total weight
-        w.put_u64(3); // steps
-        w.put_f64(0.0); // latent weight
-        w.put_items(std::iter::empty::<&u64>()); // full items
-        w.put_u8(0); // no partial
-    }
-
-    #[test]
-    fn load_state_rejects_impossible_lazy_scale() {
-        // P must live in [θ, 1]; a scale above 1 (or below θ) is corrupt.
-        let mut w = Writer::new();
-        header_through_empty_latent(&mut w);
-        w.put_f64(0.5); // θ
-        w.put_f64(1.5); // P > 1 — impossible
-        w.put_u64(0); // no segments
-        w.put_items(std::iter::empty::<&u64>()); // no pending
-        let mut r = Reader::new(w.finish()).unwrap();
-        assert_eq!(
-            RTbs::<u64>::load_state(&mut r).unwrap_err(),
-            CheckpointError::Corrupt("R-TBS lazy scale")
-        );
-
-        let mut w = Writer::new();
-        header_through_empty_latent(&mut w);
-        w.put_f64(0.5); // θ
-        w.put_f64(0.25); // P < θ — the step invariant forbids this
-        w.put_u64(0);
-        w.put_items(std::iter::empty::<&u64>());
-        let mut r = Reader::new(w.finish()).unwrap();
-        assert_eq!(
-            RTbs::<u64>::load_state(&mut r).unwrap_err(),
-            CheckpointError::Corrupt("R-TBS lazy scale")
-        );
-    }
-
-    #[test]
-    fn load_state_rejects_malformed_deferred_segments() {
-        // Segment stamps must be non-increasing within [P, 1].
-        let mut w = Writer::new();
-        header_through_empty_latent(&mut w);
-        w.put_f64(0.5); // θ
-        w.put_f64(0.6); // P
-        w.put_u64(1);
-        w.put_u64(2); // count
-        w.put_f64(0.4); // stamp below P — impossible
-        w.put_items([1u64, 2].iter());
-        let mut r = Reader::new(w.finish()).unwrap();
-        assert_eq!(
-            RTbs::<u64>::load_state(&mut r).unwrap_err(),
-            CheckpointError::Corrupt("R-TBS deferred segment")
-        );
-
-        // Segment counts must cover the pending arrivals exactly.
-        let mut w = Writer::new();
-        header_through_empty_latent(&mut w);
-        w.put_f64(0.5);
-        w.put_f64(0.6);
-        w.put_u64(1);
-        w.put_u64(2); // claims two arrivals…
-        w.put_f64(0.8);
-        w.put_items([1u64].iter()); // …but carries one
-        let mut r = Reader::new(w.finish()).unwrap();
-        assert_eq!(
-            RTbs::<u64>::load_state(&mut r).unwrap_err(),
-            CheckpointError::Corrupt("R-TBS deferred arrivals")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot change the defer threshold mid-deferral")]
-    fn defer_threshold_is_fixed_while_deferred() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(46);
-        let mut s: RTbs<u8> = RTbs::new(0.2, 100);
-        s.set_defer_threshold(0.001);
-        s.observe(vec![1, 2, 3], &mut rng);
-        s.observe(vec![4], &mut rng);
-        assert!(s.has_deferred());
-        s.set_defer_threshold(0.5);
     }
 }

@@ -17,13 +17,11 @@
 //!
 //! ```text
 //!              ┌────────────┐  work: BatchQueue<ShardMsg>  ┌─────────────┐
-//!  ingest() ──▶│  driver:   │ ─── Run{items, lens} ──────▶ │ shard cell 0│
-//!              │ balanced   │ ◀─────────────────────────── │ Mutex<R-TBS │
-//!              │ split into │  pool: BatchQueue<Run>       │  + own RNG> │
-//!              │ open runs  │  (3 reusable buffers/cell)   └─────────────┘
+//!  ingest() ──▶│  driver:   │ ─── Run{items, lens} ──────▶ │ shard 0     │
+//!              │ balanced   │ ◀─────────────────────────── │ thread owns │
+//!              │ split into │  pool: BatchQueue<Run>       │ R-TBS + RNG │
+//!              │ open runs  │  (3 reusable buffers/shard)  └─────────────┘
 //!              └────────────┘            …× N
-//!                                                  ▲ any idle worker may
-//!                                                  │ lock a cell & serve it
 //! ```
 //!
 //! * Batches are split deterministically by a
@@ -32,7 +30,7 @@
 //!   adaptive shard capacity (see the `tbs_core::merge` module docs) and
 //!   keeps high-K shards on the saturated fast path.
 //! * **Coalesced runs**: the driver appends each batch's chunks straight
-//!   into one open *run* per cell — many consecutive sub-batches back to
+//!   into one open *run* per shard — many consecutive sub-batches back to
 //!   back in one buffer, plus their lengths — and hands a run to its
 //!   shard in **one** queue push once it reaches an internal size target
 //!   (8192 items), and always before any `Sync`, `Snapshot`, `Barrier` or
@@ -40,19 +38,15 @@
 //!   the batches fed before it, with no timer. The shard feeds the run's
 //!   sub-batches to its sampler one at a time, in order, so where a run
 //!   is cut never moves the sample.
-//! * **Work stealing**: a shard's sampler lives in a `Mutex`ed cell, not
-//!   in thread-local state. Each worker serves its own cell first, then
-//!   sweeps the other cells and drains any backlog it can lock. Because a
-//!   cell's queue is only drained *while holding the cell's lock*, every
-//!   logical shard still consumes its sub-stream in FIFO order with its
-//!   own sampler and RNG — so the realized sample is **bit-identical**
-//!   whether or not any stealing happened; only the thread that happened
-//!   to do the work differs. Determinism keys off the logical chunk
-//!   assignment, never off thread timing.
-//! * Run buffers circulate through a fixed pool of three per cell: the
+//! * **One owner per shard**: each shard's sampler and RNG live on its
+//!   worker thread's stack, moved there at spawn. No other thread can
+//!   reach them, so they need no lock, and the shard consumes its
+//!   sub-stream strictly in FIFO order. The realized sample is a pure
+//!   function of the chunk assignment, never of thread timing.
+//! * Run buffers circulate through a fixed pool of three per shard: the
 //!   driver fills one, blocks on the pool when it needs another, and the
 //!   shard hands each consumed buffer back. In-flight ingest memory is
-//!   thus bounded in *items* (cells × 3 × the run target), and after
+//!   thus bounded in *items* (shards × 3 × the run target), and after
 //!   warm-up no buffer is ever allocated or grown, so steady-state ingest
 //!   performs **zero heap allocations** beyond the caller-provided batch
 //!   (verified by the engine's counting-allocator test).
@@ -100,12 +94,13 @@
 //! stays on R-TBS's cheap saturated transition whenever
 //! `b/(K(1−e^{−λ})) ≥ n/K + 2` — i.e. per-shard equilibrium weight
 //! exceeds per-shard capacity, with only a constant (not
-//! decay-geometric) headroom term. The old "8-shard cliff" — per-shard
-//! `⌈1/(1−e^{−λ})⌉` headroom growing relative to `⌈n/K⌉` until high-K
-//! shards fell off the saturated path — is gone; scale K to the core
-//! count while the whole-stream equilibrium `b/(1−e^{−λ})` comfortably
-//! exceeds `n + 2K`. The committed `BENCH_scaling.json` quantifies both
-//! regimes.
+//! decay-geometric) headroom term, so keep the whole-stream equilibrium
+//! `b/(1−e^{−λ})` comfortably above `n + 2K`.
+//!
+//! Every shard is one thread, so K beyond the host's free cores does not
+//! add throughput: the extra threads only time-slice the same cores, and
+//! each one adds a hand-off and a merge leaf. Keep K at or below the
+//! free cores of `std::thread::available_parallelism()`.
 
 use crate::fault::{FaultPlan, PushAction};
 use crate::queue::BatchQueue;
@@ -113,7 +108,7 @@ use crate::snapshot::{EpochCell, EpochWait};
 use parking_lot::Mutex;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -254,13 +249,9 @@ impl EngineConfig {
 }
 
 /// Steady-state ingest counters for one shard, read with
-/// [`ParallelIngestEngine::shard_stats`].
-///
-/// Counters are charged to the **logical shard** whose sub-stream was
-/// processed, regardless of which worker thread did the processing — a
-/// stolen drain shows up in the victim shard's `busy_ns`, so the scaling
-/// bench's per-shard busy fractions describe where the stream's work
-/// went, not which OS thread ran it.
+/// [`ParallelIngestEngine::shard_stats`]. Each shard's worker thread is
+/// the only thread that processes its sub-stream, so the counters
+/// describe both the shard's share of the stream and its thread's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Items ingested by this shard.
@@ -283,17 +274,17 @@ struct ShardCounters {
 /// Items per run at which the driver hands an open run to its shard.
 /// Large enough that one queue push and one worker wake-up amortize
 /// over thousands of items; small enough that the pool stays a few
-/// hundred KB per cell and the run left open at a publication drains
+/// hundred KB per shard and the run left open at a publication drains
 /// in microseconds.
 const RUN_ITEMS: usize = 8192;
 /// Sub-batches per run at which the driver hands it off regardless of
 /// its item count (a long streak of empty or tiny batches).
 const RUN_BATCHES: usize = 1024;
-/// Run buffers per cell: one filling in the driver, one queued, one
+/// Run buffers per shard: one filling in the driver, one queued, one
 /// being ingested by a shard.
 const RUN_POOL: usize = 3;
 
-/// A coalesced run of consecutive sub-batches for one cell: their items
+/// A coalesced run of consecutive sub-batches for one shard: their items
 /// back to back in `items`, their lengths (empty ones included — every
 /// batch advances every shard's decay clock) in `lens`.
 #[derive(Clone)]
@@ -339,7 +330,7 @@ impl<T> Run<T> {
     }
 }
 
-/// Injected push verdicts collected for one cell's open run at append
+/// Injected push verdicts collected for one shard's open run at append
 /// time, applied when the run is handed off (fault-matrix only).
 #[derive(Debug, Default, Clone, Copy)]
 struct RunFaults {
@@ -444,26 +435,19 @@ struct EpochTree<S: MergeableSample> {
 /// A leaf-execution task: run `tree` starting from leaf `usize`.
 type TreeTask<S> = (Arc<EpochTree<S>>, usize);
 
-/// One logical shard's serving state: the sampler + RNG behind a lock so
-/// any worker can serve it, plus its queues and counters.
-struct ShardCell<S: MergeableSample> {
-    core: Mutex<ShardCore<S>>,
-    /// Set when a worker died holding messages drained from this cell.
-    /// The state behind the lock is then missing chunks, so nobody may
-    /// advance it again: in particular a later `Barrier` must not
-    /// overwrite the fork record recovery trusts. Written and read only
-    /// under the core lock, which orders it (`Relaxed` suffices).
-    lost: AtomicBool,
+/// The driver-facing side of one shard: its queues and counters. The
+/// shard's sampler and RNG ([`ShardCore`]) live on its worker thread.
+struct ShardQueues<S: MergeableSample> {
     work: BatchQueue<ShardMsg<S::Item>>,
     resp: BatchQueue<ShardResp<S>>,
-    /// The cell's [`RUN_POOL`] run buffers not currently held by the
+    /// The shard's [`RUN_POOL`] run buffers not currently held by the
     /// driver or queued; the driver blocks here when it needs one.
     pool: BatchQueue<Run<S::Item>>,
     counters: ShardCounters,
 }
 
-impl<S: MergeableSample> ShardCell<S> {
-    /// Close every driver-facing queue of the cell: a driver blocked in
+impl<S: MergeableSample> ShardQueues<S> {
+    /// Close every driver-facing queue of the shard: a driver blocked in
     /// `pop_resp`, on a full work queue, or on an empty run pool wakes
     /// with an error instead of waiting on a consumer that is gone.
     fn close_queues(&self) {
@@ -473,6 +457,7 @@ impl<S: MergeableSample> ShardCell<S> {
     }
 }
 
+/// One shard's sampler and RNG, owned by its worker thread.
 struct ShardCore<S> {
     sampler: S,
     rng: Xoshiro256PlusPlus,
@@ -495,7 +480,7 @@ struct ForkRecord<S> {
 
 /// Everything the worker and merger threads share.
 struct EngineShared<S: MergeableSample> {
-    cells: Vec<ShardCell<S>>,
+    shards: Vec<ShardQueues<S>>,
     /// Merge-tree leaf tasks, executed by idle workers (or the merger).
     tasks: BatchQueue<TreeTask<S>>,
     /// The merger thread's inbox.
@@ -522,14 +507,12 @@ struct EngineShared<S: MergeableSample> {
 /// uninterrupted run — the engine-determinism tests pin this down.
 #[derive(Debug, Clone)]
 pub struct EngineCheckpoint<S> {
-    /// Per-cell `(sampler, RNG state)`, in cell-id order — one entry per
-    /// logical shard cell (`ShardSpec::cells()`, == the shard count
-    /// unless grouping is active).
+    /// Per-shard `(sampler, RNG state)`, in shard-id order.
     pub shard_states: Vec<(S, [u64; 4])>,
     /// The driver's merge/realization RNG position.
     pub driver_rng: [u64; 4],
-    /// The balanced splitter's per-cell deviation state `D_k`, in
-    /// cell-id order (all zeros for a fresh engine).
+    /// The balanced splitter's per-shard deviation state `D_k`, in
+    /// shard-id order (all zeros for a fresh engine).
     pub split_deviations: Vec<f64>,
     /// Batches ingested so far — the staleness stamp future snapshot
     /// publications continue from.
@@ -541,8 +524,8 @@ pub struct EngineCheckpoint<S> {
 ///
 /// See the [module docs](self) for the pipeline anatomy. The engine is
 /// deterministic: the realized sample is a pure function of
-/// `(seed, shard count, batch sequence)` — work stealing and merge-tree
-/// scheduling change which threads do the work, never the result.
+/// `(seed, shard count, batch sequence)` — merge-tree scheduling changes
+/// which threads do the work, never the result.
 pub struct ParallelIngestEngine<S: MergeableSample + Clone + Send + 'static>
 where
     S::Item: Send + Sync + 'static,
@@ -561,8 +544,8 @@ where
     splitter: BalancedSplitter,
     /// Driver-side substream: merge randomization + sample realization.
     driver_rng: Xoshiro256PlusPlus,
-    /// Per-cell open run, filled by the split; `None` after a hand-off
-    /// until the next ingest takes a buffer from the cell's pool. Its
+    /// Per-shard open run, filled by the split; `None` after a hand-off
+    /// until the next ingest takes a buffer from the shard's pool. Its
     /// batches are always the last `lens.len()` ingested.
     runs: Vec<Option<Run<S::Item>>>,
     /// Injected push verdicts for each open run (fault-matrix only).
@@ -577,7 +560,7 @@ where
     recoveries: u64,
     /// Generation assigned to the next checkpoint request (first is 1).
     next_ckpt_gen: u64,
-    /// Per-cell replay log of the runs handed off since the last fork
+    /// Per-shard replay log of the runs handed off since the last fork
     /// record, each with the global number of its last batch; only
     /// filled under `RespawnFromBarrier`.
     replay: Vec<VecDeque<(u64, Run<S::Item>)>>,
@@ -600,12 +583,8 @@ where
     }
 
     fn build(cfg: EngineConfig, faults: Option<Arc<FaultPlan>>) -> Self {
-        // Everything stream-visible — RNG substreams, the balanced split,
-        // the samplers — is sized by the logical *cell* count, which is
-        // the shard count unless shard grouping (`ShardSpec::cells`)
-        // collapses small reservoirs. Worker threads stay at `shards`.
         let mut substreams =
-            Xoshiro256PlusPlus::seed_from_u64(cfg.seed).split_streams(cfg.spec.cells() + 1);
+            Xoshiro256PlusPlus::seed_from_u64(cfg.seed).split_streams(cfg.spec.shards + 1);
         let driver_rng = substreams.remove(0);
         let cores = S::make_shards(&cfg.spec)
             .into_iter()
@@ -616,7 +595,7 @@ where
                 seen: 0,
             })
             .collect();
-        let splitter = BalancedSplitter::new(cfg.spec.lambda, cfg.spec.cells());
+        let splitter = BalancedSplitter::new(cfg.spec.lambda, cfg.spec.shards);
         Self::spawn(cfg, cores, driver_rng, splitter, 0, faults)
     }
 
@@ -631,17 +610,17 @@ where
     pub fn from_parts(cfg: EngineConfig, parts: EngineCheckpoint<S>) -> Self {
         assert_eq!(
             parts.shard_states.len(),
-            cfg.spec.cells(),
-            "checkpoint has {} shard cells, config wants {}",
+            cfg.spec.shards,
+            "checkpoint has {} shards, config wants {}",
             parts.shard_states.len(),
-            cfg.spec.cells()
+            cfg.spec.shards
         );
         assert_eq!(
             parts.split_deviations.len(),
-            cfg.spec.cells(),
-            "checkpoint carries {} split deviations for {} shard cells",
+            cfg.spec.shards,
+            "checkpoint carries {} split deviations for {} shards",
             parts.split_deviations.len(),
-            cfg.spec.cells()
+            cfg.spec.shards
         );
         let cores = parts
             .shard_states
@@ -673,9 +652,9 @@ where
         let (shared, worker_joins, merger_join) =
             spawn_pipeline(&cfg, cores, faults, ckpts_done, &cell);
         Self {
-            runs: (0..cfg.spec.cells()).map(|_| None).collect(),
-            run_faults: vec![RunFaults::default(); cfg.spec.cells()],
-            replay: (0..cfg.spec.cells()).map(|_| VecDeque::new()).collect(),
+            runs: (0..cfg.spec.shards).map(|_| None).collect(),
+            run_faults: vec![RunFaults::default(); cfg.spec.shards],
+            replay: (0..cfg.spec.shards).map(|_| VecDeque::new()).collect(),
             shared,
             worker_joins,
             merger_join,
@@ -692,19 +671,9 @@ where
         }
     }
 
-    /// The configured shard count K (the spec's declared parallelism;
-    /// the engine spawns `min(K, G)` = [`Self::cells`] worker threads,
-    /// since at most one drain per cell can run at a time).
+    /// The shard count K: one worker thread and one reservoir each.
     pub fn shards(&self) -> usize {
         self.cfg.spec.shards
-    }
-
-    /// The logical shard cell count G ≤ K — equal to `shards()` unless
-    /// shard grouping ([`ShardSpec::cells`]) collapsed small reservoirs,
-    /// in which case the declared K shards share the G cells through the
-    /// lock-before-drain protocol.
-    pub fn cells(&self) -> usize {
-        self.shared.cells.len()
     }
 
     /// The single-node-equivalent spec this engine maintains.
@@ -713,8 +682,8 @@ where
     }
 
     /// Feed one arriving batch. The batch is split deterministically
-    /// across the shard cells by the balanced splitter and appended to
-    /// each cell's open run (see the module docs); a run is handed to its
+    /// across the shards by the balanced splitter and appended to each
+    /// shard's open run (see the module docs); a run is handed to its
     /// shard once it reaches the size target, blocking only when the
     /// shard still holds every other buffer of its pool or its queue is
     /// full — backpressure, not data loss. Empty batches are delivered
@@ -727,7 +696,7 @@ where
     /// `Ok`.
     pub fn ingest(&mut self, mut batch: Vec<S::Item>) -> Result<(), EngineError> {
         self.check_alive()?;
-        // No cell's chunk of this batch exceeds ⌈b/G⌉ items.
+        // No shard's chunk of this batch exceeds ⌈b/K⌉ items.
         let chunk = batch.len().div_ceil(self.runs.len());
         for k in 0..self.runs.len() {
             if self.runs[k]
@@ -738,7 +707,7 @@ where
             }
             while self.runs[k].is_none() {
                 // A closed pool means the shard's worker is gone.
-                match self.shared.cells[k].pool.pop() {
+                match self.shared.shards[k].pool.pop() {
                     Some(run) => self.runs[k] = Some(run),
                     None => self.incident(EngineError::ShardDead { shard: k })?,
                 }
@@ -747,7 +716,7 @@ where
         self.batches_ingested += 1;
         let runs = &mut self.runs;
         self.splitter.split_append(&mut batch, |k, chunk| {
-            // INVARIANT: the loop above left every cell holding a run.
+            // INVARIANT: the loop above left every shard holding a run.
             runs[k].as_mut().expect("open run present").push(chunk);
         });
         if let Some(plan) = &self.shared.faults {
@@ -765,7 +734,7 @@ where
         Ok(())
     }
 
-    /// Hand cell `k`'s open run to its shard (nothing to do when it holds
+    /// Hand shard `k`'s open run to its worker (nothing to do when it holds
     /// no batches). Under `RespawnFromBarrier` the run is logged before
     /// the push, so a push that fails or is dropped is replayed by the
     /// recovery it triggers.
@@ -787,7 +756,7 @@ where
         if !faults.stall.is_zero() {
             std::thread::sleep(faults.stall);
         }
-        self.shared.cells[k]
+        self.shared.shards[k]
             .work
             .push(ShardMsg::Run(run))
             .map_err(|_| EngineError::ShardDead { shard: k })
@@ -799,7 +768,7 @@ where
         self.try_flush(k).or_else(|cause| self.incident(cause))
     }
 
-    /// Hand every cell's open run to its shard — the step before any
+    /// Hand every shard's open run to its worker — the step before any
     /// message that must see everything ingested so far.
     fn flush_all(&mut self) -> Result<(), EngineError> {
         for k in 0..self.runs.len() {
@@ -821,13 +790,13 @@ where
     }
 
     fn try_sync(&mut self) -> Result<(), EngineError> {
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            if cell.work.push(ShardMsg::Sync).is_err() {
+        for (i, queues) in self.shared.shards.iter().enumerate() {
+            if queues.work.push(ShardMsg::Sync).is_err() {
                 return Err(EngineError::ShardDead { shard: i });
             }
         }
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            match pop_resp(i, cell, &mut self.resp_scratch)? {
+        for (i, queues) in self.shared.shards.iter().enumerate() {
+            match pop_resp(i, queues, &mut self.resp_scratch)? {
                 ShardResp::Ack => {}
                 // INVARIANT: the driver runs one request protocol at a
                 // time, so a Sync can only be answered by an Ack.
@@ -841,14 +810,14 @@ where
     /// shard-id order (shards keep running; their live state is
     /// untouched).
     fn try_snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            if cell.work.push(ShardMsg::Snapshot).is_err() {
+        for (i, queues) in self.shared.shards.iter().enumerate() {
+            if queues.work.push(ShardMsg::Snapshot).is_err() {
                 return Err(EngineError::ShardDead { shard: i });
             }
         }
-        let mut snapshots = Vec::with_capacity(self.shared.cells.len());
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            match pop_resp(i, cell, &mut self.resp_scratch)? {
+        let mut snapshots = Vec::with_capacity(self.shared.shards.len());
+        for (i, queues) in self.shared.shards.iter().enumerate() {
+            match pop_resp(i, queues, &mut self.resp_scratch)? {
                 ShardResp::Snapshot(s) => snapshots.push(*s),
                 // INVARIANT: one request protocol at a time (see try_sync).
                 ShardResp::Ack => unreachable!("snapshot request acked without payload"),
@@ -934,8 +903,8 @@ where
                 cause = Some(EngineError::MergerDead);
             }
             if cause.is_none() {
-                for (i, cell) in self.shared.cells.iter().enumerate() {
-                    if cell.work.push(ShardMsg::CheckpointFork { gen }).is_err() {
+                for (i, queues) in self.shared.shards.iter().enumerate() {
+                    if queues.work.push(ShardMsg::CheckpointFork { gen }).is_err() {
                         cause = Some(EngineError::ShardDead { shard: i });
                         break;
                     }
@@ -1049,8 +1018,8 @@ where
                 cause = Some(EngineError::MergerDead);
             }
             if cause.is_none() {
-                for (i, cell) in self.shared.cells.iter().enumerate() {
-                    if cell.work.push(ShardMsg::Barrier(epoch)).is_err() {
+                for (i, queues) in self.shared.shards.iter().enumerate() {
+                    if queues.work.push(ShardMsg::Barrier(epoch)).is_err() {
                         cause = Some(EngineError::ShardDead { shard: i });
                         break;
                     }
@@ -1134,11 +1103,10 @@ where
 
     /// Per-shard ingest counters (items, batches, busy nanoseconds).
     /// Exact after a [`ParallelIngestEngine::quiesce`]; otherwise a
-    /// point-in-time reading. Work-stolen batches are charged to the
-    /// logical shard that owns them, not the thread that ran them.
+    /// point-in-time reading.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared
-            .cells
+            .shards
             .iter()
             .map(|c| ShardStats {
                 items: c.counters.items.load(Ordering::Relaxed),
@@ -1179,8 +1147,8 @@ where
         if self.shared.merger.is_closed() {
             return Some(EngineError::MergerDead);
         }
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            if cell.work.is_closed() {
+        for (i, queues) in self.shared.shards.iter().enumerate() {
+            if queues.work.is_closed() {
                 return Some(EngineError::ShardDead { shard: i });
             }
         }
@@ -1216,8 +1184,8 @@ where
     /// and join the merger. Join panics are swallowed — by the time we
     /// are here the death has already been converted to a typed cause.
     fn shutdown_pipeline(&mut self) {
-        for cell in &self.shared.cells {
-            cell.work.close();
+        for queues in &self.shared.shards {
+            queues.work.close();
         }
         for join in &mut self.worker_joins {
             if let Some(join) = join.take() {
@@ -1238,7 +1206,7 @@ where
     /// threads over the same epoch cell.
     fn recover_from(&mut self) {
         self.shutdown_pipeline();
-        let mut cores = Vec::with_capacity(self.shared.cells.len());
+        let mut cores = Vec::with_capacity(self.shared.shards.len());
         let mut scratch = Vec::new();
         {
             // INVARIANT: `incident` only routes here when recovery slots
@@ -1287,9 +1255,9 @@ where
         // new shards at their next hand-off. Their buffers came from the
         // old pools, so retire one fresh buffer per held run: each pool's
         // population stays at RUN_POOL.
-        for (run, cell) in self.runs.iter().zip(&shared.cells) {
+        for (run, queues) in self.runs.iter().zip(&shared.shards) {
             if run.is_some() {
-                drop(cell.pool.try_pop());
+                drop(queues.pool.try_pop());
             }
         }
         self.shared = shared;
@@ -1329,11 +1297,11 @@ where
 /// error instead of blocking forever.
 fn pop_resp<S: MergeableSample>(
     shard: usize,
-    cell: &ShardCell<S>,
+    queues: &ShardQueues<S>,
     scratch: &mut Vec<ShardResp<S>>,
 ) -> Result<ShardResp<S>, EngineError> {
     scratch.clear();
-    if cell.resp.drain_into(scratch) == 1 {
+    if queues.resp.drain_into(scratch) == 1 {
         // INVARIANT: the driver runs one request protocol at a time, so a
         // successful drain yields exactly the one matching response.
         Ok(scratch.pop().expect("drained response present"))
@@ -1351,13 +1319,13 @@ where
         // drains its backlog and exits; join re-raises genuine worker
         // panics. A failed push only means a dead shard, and nothing is
         // left to report it to.
-        for (run, cell) in self.runs.iter_mut().zip(&self.shared.cells) {
+        for (run, queues) in self.runs.iter_mut().zip(&self.shared.shards) {
             if let Some(run) = run.take_if(|run| !run.lens.is_empty()) {
-                let _ = cell.work.push(ShardMsg::Run(run));
+                let _ = queues.work.push(ShardMsg::Run(run));
             }
         }
-        for cell in &self.shared.cells {
-            cell.work.close();
+        for queues in &self.shared.shards {
+            queues.work.close();
         }
         let failure_recorded = self.failure.is_some();
         for join in &mut self.worker_joins {
@@ -1396,7 +1364,7 @@ fn reraise(failure_recorded: bool, payload: Box<dyn std::any::Any + Send>) {
     }
 }
 
-/// Build the shared state and spawn the merger + G shard worker threads
+/// Build the shared state and spawn the merger + K shard worker threads
 /// over an existing epoch cell. Used both at construction and by
 /// supervised recovery respawns — which reuse the cell, so reader handles
 /// cloned before a fault stay valid across it.
@@ -1432,21 +1400,17 @@ where
         ),
         RecoveryPolicy::Fail => None,
     };
-    // One cell per incoming sampler: `make_shards`/`from_parts` sized the
-    // vector by `spec.cells()`, the logical shard count the stream is
-    // split across (== `spec.shards` unless grouping is active).
-    let cell_count = cores.len();
-    debug_assert_eq!(cell_count, spec.cells(), "sampler count must match cells");
-    // Room for a few epochs in flight (each is 1 request + G forks +
+    let shard_count = cores.len();
+    debug_assert_eq!(shard_count, spec.shards, "sampler count must match shards");
+    // Room for a few epochs in flight (each is 1 request + K forks +
     // 1 publish); beyond that the snapshot path exerts backpressure on
     // whoever requests faster than the pipeline can merge.
-    let merger: BatchQueue<MergerMsg<S>> = BatchQueue::with_capacity(4 * (cell_count + 2));
+    let merger: BatchQueue<MergerMsg<S>> = BatchQueue::with_capacity(4 * (shard_count + 2));
     // Leaf tasks for a few epochs; dispatch never blocks on this
     // queue (overflow executes inline on the merger).
-    let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * cell_count + 4);
-    let cells: Vec<ShardCell<S>> = cores
-        .into_iter()
-        .map(|core| {
+    let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * shard_count + 4);
+    let shards: Vec<ShardQueues<S>> = (0..shard_count)
+        .map(|_| {
             // The pool starts full and is the only source of run
             // buffers, each pre-sized to the run target: the driver
             // blocks on it rather than allocate, so the population never
@@ -1456,9 +1420,7 @@ where
             for _ in 0..RUN_POOL {
                 let _ = pool.try_push(Run::pooled());
             }
-            ShardCell {
-                core: Mutex::new(core),
-                lost: AtomicBool::new(false),
+            ShardQueues {
                 work: BatchQueue::with_capacity(depth),
                 resp: BatchQueue::with_capacity(2),
                 pool,
@@ -1467,7 +1429,7 @@ where
         })
         .collect();
     let shared = Arc::new(EngineShared {
-        cells,
+        shards,
         tasks,
         merger,
         spec,
@@ -1480,10 +1442,9 @@ where
     let start_pub = cell.published_epoch() + 1;
     // Every thread checks in before this returns. The OS may first run a
     // thread long after its spawn, and the runtime allocates as a thread
-    // starts; with work stealing covering for a worker that has not run
-    // yet, that start-up would otherwise land mid-stream and break the
+    // starts; that start-up would otherwise land mid-stream and break the
     // zero-allocation steady state.
-    let started = Arc::new(Barrier::new(cell_count + 2));
+    let started = Arc::new(Barrier::new(shard_count + 2));
     // INVARIANT: thread spawn fails only on OS resource exhaustion
     // (thread limit, out of memory) — an environment failure at
     // construction/recovery time, not a runtime fault the supervisor
@@ -1500,24 +1461,18 @@ where
             }
         })
         .expect("spawn merger worker");
-    // One worker thread per reservoir cell, `min(K, G)` in total. A
-    // cell's queue drains only under the cell's lock, so at most G
-    // drains ever run concurrently — threads beyond the cell count
-    // could never add throughput, only scheduler pressure (and, on
-    // small hosts, busy-span inflation through mid-span preemption).
-    // With grouping active the declared K shard threads therefore
-    // collapse onto G primary owners; any worker still drains *every*
-    // cell it can lock through the same lock-before-drain protocol work
-    // stealing uses, so the realized sample cannot depend on which
-    // owner did the work.
-    let worker_joins = (0..cell_count)
-        .map(|i| {
+    // One worker thread per shard; each takes its core by value, so no
+    // other thread can ever touch that shard's sampler or RNG.
+    let worker_joins = cores
+        .into_iter()
+        .enumerate()
+        .map(|(i, core)| {
             let shared = Arc::clone(&shared);
             let started = Arc::clone(&started);
             Some(
                 std::thread::Builder::new()
                     .name(format!("tbs-shard-{i}"))
-                    .spawn(move || shard_worker(i, &shared, depth, &started))
+                    .spawn(move || shard_worker(i, core, &shared, depth, &started))
                     .expect("spawn shard worker"),
             )
         })
@@ -1526,26 +1481,21 @@ where
     (shared, worker_joins, Some(merger_join))
 }
 
-/// Process one drained group of messages for the logical shard `cell`,
-/// whose core lock the caller holds. This is the only place shard state
-/// advances, and it always runs under the cell's lock after draining the
-/// cell's queue under that same lock — which is exactly what keeps a
-/// stolen drain FIFO-consistent with the owner's.
+/// Process one drained group of messages for shard `shard_id` on its
+/// worker thread — the only place shard state advances.
 ///
-/// Each run's sub-batches pass through `scratch` one at a time; the
-/// emptied run buffers are pushed into `done`, and the caller hands them
-/// back to the cell's pool *after* releasing the core lock.
+/// Each run's sub-batches pass through `scratch` one at a time, and each
+/// emptied run buffer goes straight back to the shard's pool.
 fn process_shard_msgs<S: MergeableSample + Clone>(
     shard_id: usize,
     core: &mut ShardCore<S>,
-    cell: &ShardCell<S>,
     shared: &EngineShared<S>,
     msgs: &mut Vec<ShardMsg<S::Item>>,
     scratch: &mut Vec<S::Item>,
-    done: &mut Vec<Run<S::Item>>,
 ) {
     let merger = &shared.merger;
-    let counters = &cell.counters;
+    let queues = &shared.shards[shard_id];
+    let counters = &queues.counters;
     let mut items = 0u64;
     let mut batches = 0u64;
     let mut busy = 0u64;
@@ -1578,22 +1528,21 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                 batches += run.lens.len() as u64;
                 run.drain_batches(scratch, |batch| {
                     if let Some(plan) = &shared.faults {
-                        // Injection site: "the worker processing logical
-                        // shard `shard_id`'s `seen`-th batch". Keyed to
-                        // the shard's deterministic stream position, not
-                        // the (timing-dependent) thread identity or run
-                        // boundaries.
+                        // Injection site: "the worker processing shard
+                        // `shard_id`'s `seen`-th batch". Keyed to the
+                        // shard's deterministic stream position, not the
+                        // (timing-dependent) run boundaries.
                         plan.fire_kill_worker(shard_id, core.seen);
                     }
                     core.seen += 1;
                     core.sampler.observe_shard(batch, &mut core.rng);
                 });
-                done.push(run);
+                let _ = queues.pool.try_push(run);
             }
             ShardMsg::Snapshot => {
                 close_span(&mut span, &mut busy);
                 flush(&mut items, &mut batches, &mut busy);
-                let _ = cell.resp.push(ShardResp::Snapshot(Box::new((
+                let _ = queues.resp.push(ShardResp::Snapshot(Box::new((
                     core.sampler.clone(),
                     core.rng.state(),
                 ))));
@@ -1642,7 +1591,7 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
             ShardMsg::Sync => {
                 close_span(&mut span, &mut busy);
                 flush(&mut items, &mut batches, &mut busy);
-                let _ = cell.resp.push(ShardResp::Ack);
+                let _ = queues.resp.push(ShardResp::Ack);
             }
         }
     }
@@ -1709,133 +1658,56 @@ fn run_tree_task<S: MergeableSample>(
     }
 }
 
-/// The long-lived shard worker: serve the own cell's queue, then sweep
-/// the other cells for stealable backlog, then help execute merge-tree
-/// leaf tasks, then briefly wait for own work.
+/// The long-lived shard worker: it owns shard `shard_id`'s `core`,
+/// serves the shard's queue, helps execute merge-tree leaf tasks, and
+/// otherwise briefly waits for work.
 fn shard_worker<S: MergeableSample + Clone>(
     shard_id: usize,
+    mut core: ShardCore<S>,
     shared: &EngineShared<S>,
     depth: usize,
     started: &Barrier,
 ) {
-    let k = shared.cells.len();
-    let my = &shared.cells[shard_id];
+    let my = &shared.shards[shard_id];
     // If the worker unwinds (a sampler panic), close its driver-facing
     // queues: a driver blocked in pop_resp fails fast ("shard worker
     // terminated"), and one blocked on a full work queue or an empty run
     // pool in ingest() wakes with an error instead of waiting forever on
-    // a consumer that no longer exists. On normal exit the engine is
-    // being dropped and the closes are harmless.
+    // a consumer that no longer exists. The core dies with this thread,
+    // so the supervisor rebuilds the shard from its fork record and the
+    // replay log. On normal exit the engine is being dropped and the
+    // closes are harmless.
     struct PanicCloser<'a, S: MergeableSample> {
-        cell: &'a ShardCell<S>,
+        queues: &'a ShardQueues<S>,
     }
     impl<S: MergeableSample> Drop for PanicCloser<'_, S> {
         fn drop(&mut self) {
-            self.cell.close_queues();
+            self.queues.close_queues();
         }
     }
-    let _closer = PanicCloser { cell: my };
-    // Armed while this worker processes messages drained from a cell, its
-    // own or a stolen one; disarmed (forgotten) on success. Declared after
-    // the core guard, so on unwind it runs while the lock is still held:
-    // the cell is marked lost before any other worker can lock it and
-    // advance the state that is now missing the dead worker's chunks.
-    // Closing the cell's queues makes the loss visible to the driver even
-    // when the cell's owner is a healthy thread, so the supervisor fails
-    // typed or respawns from the barrier.
-    struct LostCellGuard<'a, S: MergeableSample> {
-        cell: &'a ShardCell<S>,
-    }
-    impl<S: MergeableSample> Drop for LostCellGuard<'_, S> {
-        fn drop(&mut self) {
-            self.cell.lost.store(true, Ordering::Relaxed);
-            self.cell.close_queues();
-        }
-    }
+    let _closer = PanicCloser { queues: my };
 
     // A drained group holds at most `depth` messages (every work queue's
     // bound), and a sub-batch at most the run target unless one batch
     // alone outgrew it, so sizing the local buffers up front makes the
-    // loop allocation-free from the first message on — for own work and
-    // stolen work alike. They are allocated before checking in, so a
-    // worker that first gets its cell's lock mid-stream (stealing lets
-    // the others cover for it) allocates nothing then.
+    // loop allocation-free from the first message on.
     let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(depth);
-    let mut done: Vec<Run<S::Item>> = Vec::with_capacity(depth);
     let mut scratch: Vec<S::Item> = Vec::with_capacity(RUN_ITEMS);
     started.wait();
     loop {
-        // 1. Serve the own cell. Lock-before-drain: draining only under
-        //    the core lock is what keeps the logical shard FIFO when a
-        //    thief and the owner race. A lost cell's backlog is
-        //    discarded; its queue is closed, so the worker then exits
-        //    below. A cell that is closed but not lost (engine drop)
-        //    still drains in full.
+        // 1. Serve the shard's queue. `closed` is read before the drain:
+        //    a queue seen closed and then drained empty can never refill,
+        //    so the shard's stream has ended. A closed queue with a
+        //    backlog (engine drop) still drains in full first.
+        let closed = my.work.is_closed();
         let mut progressed = false;
-        if !my.work.is_empty() {
-            let mut core = my.core.lock();
-            if my.work.try_drain_into(&mut msgs) > 0 {
-                if my.lost.load(Ordering::Relaxed) {
-                    msgs.clear();
-                } else {
-                    let guard = LostCellGuard { cell: my };
-                    process_shard_msgs(
-                        shard_id,
-                        &mut core,
-                        my,
-                        shared,
-                        &mut msgs,
-                        &mut scratch,
-                        &mut done,
-                    );
-                    std::mem::forget(guard);
-                    progressed = true;
-                }
-            }
-            drop(core);
-            for run in done.drain(..) {
-                let _ = my.pool.try_push(run);
-            }
-        } else if my.work.is_closed() {
-            // Closed and fully drained (any messages a thief drained are
-            // the thief's to finish): this shard's stream has ended.
+        if my.work.try_drain_into(&mut msgs) > 0 {
+            process_shard_msgs(shard_id, &mut core, shared, &mut msgs, &mut scratch);
+            progressed = true;
+        } else if closed {
             return;
         }
-        // 2. Steal sweep: drain any other cell's backlog we can lock
-        //    without waiting. try_lock only — a sweeping worker must
-        //    never sleep on another shard's cell.
-        for off in 1..k {
-            let j = (shard_id + off) % k;
-            let victim = &shared.cells[j];
-            if victim.work.is_empty() {
-                continue;
-            }
-            let Some(mut core) = victim.core.try_lock() else {
-                continue;
-            };
-            // A lost cell is left alone: its owner discards the backlog,
-            // or, when the owner is the worker that died, the supervisor
-            // rebuilds the pipeline.
-            if !victim.lost.load(Ordering::Relaxed) && victim.work.try_drain_into(&mut msgs) > 0 {
-                let guard = LostCellGuard { cell: victim };
-                process_shard_msgs(
-                    j,
-                    &mut core,
-                    victim,
-                    shared,
-                    &mut msgs,
-                    &mut scratch,
-                    &mut done,
-                );
-                std::mem::forget(guard);
-                progressed = true;
-            }
-            drop(core);
-            for run in done.drain(..) {
-                let _ = victim.pool.try_push(run);
-            }
-        }
-        // 3. Help execute a merge-tree leaf task.
+        // 2. Help execute a merge-tree leaf task.
         if let Some((tree, leaf)) = shared.tasks.try_pop() {
             if let Some(frozen) = run_tree_task(&tree, leaf, &shared.spec) {
                 let _ = shared.merger.push(MergerMsg::Publish {
@@ -1844,8 +1716,8 @@ fn shard_worker<S: MergeableSample + Clone>(
             }
             progressed = true;
         }
-        // 4. Idle: briefly wait for own work (woken early by push or
-        //    close), then rescan the steal targets and the task queue.
+        // 3. Idle: briefly wait for work (woken early by push or close),
+        //    then look at the task queue again.
         if !progressed {
             my.work.wait_nonempty(Duration::from_millis(1));
         }
@@ -1973,7 +1845,7 @@ fn merger_worker<S: MergeableSample + Clone>(
     let _closer = PanicCloser { shared, cell };
 
     let spec = shared.spec;
-    let cell_count = shared.cells.len();
+    let shard_count = shared.shards.len();
     let mut pending: BTreeMap<u64, PendingEpoch<S>> = BTreeMap::new();
     let mut pending_ckpts: BTreeMap<u64, PendingCkpt<S>> = BTreeMap::new();
     // Completed-but-unpublished epochs, re-ordered for in-order
@@ -2026,7 +1898,7 @@ fn merger_worker<S: MergeableSample + Clone>(
                 } => {
                     pending
                         .entry(epoch)
-                        .or_insert_with(|| PendingEpoch::new(cell_count))
+                        .or_insert_with(|| PendingEpoch::new(shard_count))
                         .header = Some((rng, batches));
                 }
                 MergerMsg::Fork {
@@ -2036,7 +1908,7 @@ fn merger_worker<S: MergeableSample + Clone>(
                 } => {
                     let entry = pending
                         .entry(epoch)
-                        .or_insert_with(|| PendingEpoch::new(cell_count));
+                        .or_insert_with(|| PendingEpoch::new(shard_count));
                     if entry.forks[shard].replace(*state).is_none() {
                         entry.received += 1;
                     }
@@ -2053,13 +1925,13 @@ fn merger_worker<S: MergeableSample + Clone>(
                 } => {
                     pending_ckpts
                         .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(cell_count))
+                        .or_insert_with(|| PendingCkpt::new(shard_count))
                         .header = Some((driver_rng, deviations, batches));
                 }
                 MergerMsg::CkptFork { gen, shard, state } => {
                     let entry = pending_ckpts
                         .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(cell_count));
+                        .or_insert_with(|| PendingCkpt::new(shard_count));
                     if entry.parts[shard].replace(*state).is_none() {
                         entry.received += 1;
                     }
@@ -2068,7 +1940,7 @@ fn merger_worker<S: MergeableSample + Clone>(
         }
         // Assemble every complete checkpoint generation, oldest first.
         while let Some(entry) = pending_ckpts.first_entry() {
-            if !entry.get().is_complete(cell_count) {
+            if !entry.get().is_complete(shard_count) {
                 break;
             }
             let (gen, state) = entry.remove_entry();
@@ -2098,7 +1970,7 @@ fn merger_worker<S: MergeableSample + Clone>(
         // order — barriers flow FIFO through every shard — but the loop
         // does not rely on it).
         while let Some(entry) = pending.first_entry() {
-            if !entry.get().is_complete(cell_count) {
+            if !entry.get().is_complete(shard_count) {
                 break;
             }
             let (epoch, state) = entry.remove_entry();
@@ -2112,7 +1984,7 @@ fn merger_worker<S: MergeableSample + Clone>(
                 .collect();
             let tree = Arc::new(build_tree(epoch, batches, rng_state, forks, &spec));
             inflight += 1;
-            for leaf in 0..cell_count {
+            for leaf in 0..shard_count {
                 if let Err((tree, leaf)) = shared.tasks.try_push((Arc::clone(&tree), leaf)) {
                     // Task queue full (or closed): execute inline rather
                     // than ever blocking — the workers draining the queue
@@ -2303,11 +2175,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_never_changes_the_sample() {
-        // Slam a 16-shard engine with a shallow queue (maximizing steal
-        // opportunities and backpressure stalls) and compare against a
-        // second run with a deep queue (little stealing): same seed ⇒
-        // bit-identical samples, whatever the thread interleaving did.
+    fn queue_depth_never_changes_the_sample() {
+        // Slam a 16-shard engine with a shallow queue (maximizing
+        // backpressure stalls) and compare against a second run with a
+        // deep queue: same seed ⇒ bit-identical samples, whatever the
+        // thread interleaving did.
         let spec = ShardSpec::rtbs(0.1, 200, 16);
         let shallow = EngineConfig {
             spec,
@@ -2332,77 +2204,5 @@ mod tests {
             engine.sample().unwrap()
         };
         assert_eq!(drive(shallow), drive(deep));
-    }
-
-    fn drive_schedule(cfg: EngineConfig) -> Vec<u64> {
-        let mut engine = ParallelIngestEngine::<RTbs<u64>>::new(cfg);
-        for t in 0..120u64 {
-            let b = [45u64, 0, 130, 7, 330][t as usize % 5];
-            engine
-                .ingest((0..b).map(|i| t * 1000 + i).collect())
-                .unwrap();
-        }
-        engine.sample().unwrap()
-    }
-
-    #[test]
-    fn grouped_engine_matches_equivalent_cell_count_engine() {
-        // 64 declared shards grouped down to 4 cells must equal a
-        // 4-shard engine bit-for-bit: every stream-visible structure
-        // (RNG substreams, split, samplers, merge tree) is cell-indexed,
-        // and the engine spawns one worker per cell.
-        let spec = ShardSpec::rtbs(0.1, 100, 64).with_group_threshold(24);
-        assert_eq!(spec.cells(), 4);
-        let grouped = EngineConfig::new(spec, 21);
-        let plain = EngineConfig::new(ShardSpec::rtbs(0.1, 100, 4), 21);
-        assert_eq!(drive_schedule(grouped), drive_schedule(plain));
-    }
-
-    #[test]
-    fn grouped_engine_checkpoint_resumes_bit_identically() {
-        let spec = ShardSpec::rtbs(0.1, 100, 32).with_group_threshold(24);
-        assert_eq!(spec.cells(), 4);
-        let cfg = EngineConfig::new(spec, 33);
-        let batch = |t: u64| -> Vec<u64> {
-            let b = [40u64, 0, 150, 7][t as usize % 4];
-            (0..b).map(|i| t * 1000 + i).collect()
-        };
-        let mut uninterrupted = ParallelIngestEngine::<RTbs<u64>>::new(cfg);
-        for t in 0..60 {
-            uninterrupted.ingest(batch(t)).unwrap();
-        }
-        let expect = uninterrupted.sample().unwrap();
-
-        let mut first_half = ParallelIngestEngine::<RTbs<u64>>::new(cfg);
-        for t in 0..30 {
-            first_half.ingest(batch(t)).unwrap();
-        }
-        let parts = first_half.save_parts().unwrap();
-        assert_eq!(parts.shard_states.len(), 4, "checkpoint is cell-indexed");
-        assert_eq!(parts.split_deviations.len(), 4);
-        drop(first_half);
-        let mut resumed = ParallelIngestEngine::<RTbs<u64>>::from_parts(cfg, parts);
-        for t in 30..60 {
-            resumed.ingest(batch(t)).unwrap();
-        }
-        assert_eq!(resumed.sample().unwrap(), expect, "grouped resume diverged");
-    }
-
-    #[test]
-    fn deferred_downsampling_engine_is_deterministic() {
-        // Batch-granular downsampling in the shards must keep the engine
-        // a pure function of (seed, cells, batches): two runs with the
-        // same θ agree, and θ > e^{-λ} degenerates to the eager result.
-        let lazy = ShardSpec::rtbs(0.1, 400, 4).with_defer_threshold(1e-6);
-        let a = drive_schedule(EngineConfig::new(lazy, 55));
-        let b = drive_schedule(EngineConfig::new(lazy, 55));
-        assert_eq!(a, b, "lazy engine not deterministic");
-        let near_eager = ShardSpec::rtbs(0.1, 400, 4).with_defer_threshold(0.99);
-        let eager = ShardSpec::rtbs(0.1, 400, 4);
-        assert_eq!(
-            drive_schedule(EngineConfig::new(near_eager, 55)),
-            drive_schedule(EngineConfig::new(eager, 55)),
-            "θ > e^{{-λ}} must match the eager path bit-for-bit"
-        );
     }
 }

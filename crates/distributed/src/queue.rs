@@ -111,8 +111,8 @@ impl<T> BatchQueue<T> {
 
     /// Move every queued entry into `out` without blocking (appended in
     /// FIFO order). Returns the number of entries moved — `0` when the
-    /// queue is momentarily empty. The work-stealing sweep uses this:
-    /// a sweeping worker must never sleep on another shard's queue.
+    /// queue is momentarily empty. Shard workers use this so an empty
+    /// queue never keeps them from merge-tree tasks.
     pub fn try_drain_into(&self, out: &mut Vec<T>) -> usize {
         let mut state = self.state.lock();
         let n = state.buf.len();
@@ -154,7 +154,7 @@ impl<T> BatchQueue<T> {
     /// Block until the queue is non-empty, closed, or `timeout` elapses.
     /// Returns `true` when there may be something to do (entries queued
     /// or the queue closed), `false` on a pure timeout — the idle shard
-    /// worker's "wait for my own work, then rescan the steal targets"
+    /// worker's "wait for my own work, then look for merge-tree tasks"
     /// primitive.
     pub fn wait_nonempty(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;

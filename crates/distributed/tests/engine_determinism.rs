@@ -99,36 +99,6 @@ fn ttbs_engine_is_deterministic_too() {
 }
 
 #[test]
-fn grouped_and_deferred_engines_are_deterministic() {
-    // The shard-group and batch-granular-downsampling paths must stay
-    // pure functions of (seed, config, batch sequence) too.
-    let run = |spec: ShardSpec, seed: u64| -> Vec<u64> {
-        let mut engine: ParallelIngestEngine<RTbs<u64>> =
-            ParallelIngestEngine::new(EngineConfig::new(spec, seed));
-        for t in 0..60u64 {
-            let b = schedule(t);
-            engine
-                .ingest((0..b).map(|i| t * 1000 + i).collect())
-                .unwrap();
-        }
-        engine.sample().unwrap()
-    };
-    // 64 workers grouped onto fewer cells (⌈64/G⌉ ≥ 24 items per cell).
-    let grouped = ShardSpec::rtbs(0.2, 64, 64).with_group_threshold(24);
-    assert!(grouped.cells() < 64);
-    assert_eq!(run(grouped, 42), run(grouped, 42));
-    // Deep deferral across the whole run.
-    let lazy = ShardSpec::rtbs(0.2, 6400, 8).with_defer_threshold(1e-9);
-    assert_eq!(run(lazy, 42), run(lazy, 42));
-    // Grouping + deferral combined.
-    let both = ShardSpec::rtbs(0.2, 64, 32)
-        .with_group_threshold(24)
-        .with_defer_threshold(0.05);
-    assert_eq!(run(both, 42), run(both, 42));
-    assert_ne!(run(both, 42), run(both, 43));
-}
-
-#[test]
 fn backpressure_does_not_change_the_result() {
     // A depth-1 queue forces constant producer blocking — maximally
     // different interleaving from the default depth — yet the merged
@@ -162,7 +132,7 @@ enum Cut {
 }
 
 /// Drive 300 bursty batches (~67k items: several size-target cuts per
-/// cell even at K = 4) under `cut` and return the realized sample.
+/// shard even at K = 4) under `cut` and return the realized sample.
 fn drive_cut<S>(spec: ShardSpec, cut: Cut) -> Vec<u64>
 where
     S: tbs_core::merge::MergeableSample<Item = u64> + Clone + Send + 'static,

@@ -5,7 +5,7 @@
 //! engine's own trajectory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use tbs_core::merge::{MergeableSample, ShardSpec};
 use tbs_core::{RTbs, TTbs};
 use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine};
@@ -182,14 +182,20 @@ fn concurrent_readers_never_observe_torn_samples_while_saturated() {
     let mut engine = ParallelIngestEngine::<RTbs<u64>>::new(EngineConfig::new(spec, 77));
     let cell = engine.snapshot_cell();
     let stop = Arc::new(AtomicU64::new(0));
+    // The readers and the driver check in before the feed starts, so a
+    // loaded host cannot leave a reader unscheduled until after `stop`.
+    let check_in = Arc::new(Barrier::new(5));
     let readers: Vec<_> = (0..4)
         .map(|_| {
             let cell = engine.snapshot_cell();
             let stop = Arc::clone(&stop);
+            let check_in = Arc::clone(&check_in);
             std::thread::spawn(move || {
                 let mut seen = 0u64;
                 let mut polls = 0u64;
-                while stop.load(Ordering::Acquire) == 0 {
+                check_in.wait();
+                // Poll at least once after check-in, whenever `stop` lands.
+                loop {
                     if cell.published_epoch() > seen {
                         let f = cell.latest().expect("epoch > 0 implies a publication");
                         // Monotonic epochs, capacity bound, coherent
@@ -203,12 +209,16 @@ fn concurrent_readers_never_observe_torn_samples_while_saturated() {
                         seen = f.epoch();
                     }
                     polls += 1;
+                    if stop.load(Ordering::Acquire) != 0 {
+                        break;
+                    }
                 }
                 (seen, polls)
             })
         })
         .collect();
 
+    check_in.wait();
     let mut last = 0;
     for t in 0..600u64 {
         engine

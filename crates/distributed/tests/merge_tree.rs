@@ -1,17 +1,16 @@
 //! The hierarchical merge tree is a *replay*, not a re-randomization:
 //! every node of the `⌈log₂K⌉`-depth pairwise tree draws from an RNG
 //! substream derived purely from (driver RNG position, node id), so the
-//! cooperative execution on the shard threads — whatever interleaving,
-//! stealing, or node-completion order the scheduler produces — must be
+//! cooperative execution on the shard threads — whatever interleaving
+//! or node-completion order the scheduler produces — must be
 //! **bit-identical** to a single-threaded [`merge_replay`] fold over the
 //! same shard states from the same driver position.
 //!
 //! These tests pin that property end-to-end: run the engine (parallel
-//! tree, work stealing enabled by a shallow queue), capture its durable
+//! tree, backpressure forced by a shallow queue), capture its durable
 //! state, replay the merge + realization sequentially on the test
 //! thread, and require equality — for both mergeable algorithms, K up
-//! to 64 (including shard-grouped and deferred-downsampling configs),
-//! saturated and unsaturated regimes.
+//! to 64, saturated and unsaturated regimes.
 
 use tbs_core::merge::{MergeableSample, ShardSpec};
 use tbs_core::{RTbs, TTbs};
@@ -38,8 +37,8 @@ where
     out
 }
 
-/// Drive `engine` with a bursty schedule (work stealing fires on the
-/// size-0 and size-1200 extremes), then compare the engine's parallel
+/// Drive `engine` with a bursty schedule (empty and size-1200 batches
+/// in the mix), then compare the engine's parallel
 /// tree sample against the sequential replay at three checkpoints.
 fn check_tree_matches_sequential<S>(cfg: EngineConfig, label: &str)
 where
@@ -118,37 +117,6 @@ fn ttbs_tree_is_bit_identical_to_sequential_replay() {
                 recovery: RecoveryPolicy::Fail,
             },
             "T-TBS under-fed",
-        );
-    }
-}
-
-#[test]
-fn grouped_and_deferred_trees_match_sequential_replay() {
-    // Shard groups: 64 workers over ⌈500/cells⌉ ≥ 24 cells — the merge
-    // tree is built over the G cells, not the K workers.
-    let grouped = ShardSpec::rtbs(0.1, 500, 64).with_group_threshold(24);
-    assert!(grouped.cells() < 64);
-    check_tree_matches_sequential::<RTbs<u64>>(
-        EngineConfig {
-            spec: grouped,
-            queue_depth: 2,
-            seed: 71,
-            recovery: RecoveryPolicy::Fail,
-        },
-        "R-TBS grouped",
-    );
-    // Batch-granular downsampling: merge leaves must materialize the
-    // deferred state on their own substream before downsampling, in the
-    // unsaturated regime where deferral windows actually persist.
-    for k in [4usize, 32] {
-        check_tree_matches_sequential::<RTbs<u64>>(
-            EngineConfig {
-                spec: ShardSpec::rtbs(0.07, 6000, k).with_defer_threshold(1e-6),
-                queue_depth: 2,
-                seed: 83 + k as u64,
-                recovery: RecoveryPolicy::Fail,
-            },
-            "R-TBS deferred",
         );
     }
 }

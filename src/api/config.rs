@@ -286,8 +286,6 @@ pub struct SamplerConfig {
     pub(crate) window_width: Option<f64>,
     pub(crate) shards: usize,
     pub(crate) queue_depth: usize,
-    pub(crate) defer_threshold: f64,
-    pub(crate) group_threshold: usize,
     pub(crate) seed: u64,
     pub(crate) time: TimeSemantics,
     pub(crate) ingest: IngestMode,
@@ -307,8 +305,6 @@ impl SamplerConfig {
             window_width: None,
             shards: 1,
             queue_depth: 64,
-            defer_threshold: 1.0,
-            group_threshold: 0,
             seed: 0,
             time: TimeSemantics::default(),
             ingest: IngestMode::default(),
@@ -388,7 +384,9 @@ impl SamplerConfig {
     }
 
     /// Run K shard-local samplers on K threads behind the parallel ingest
-    /// engine (K > 1 requires a mergeable algorithm and λ > 0).
+    /// engine (K > 1 requires a mergeable algorithm and λ > 0). Each shard
+    /// is one thread, so K beyond `std::thread::available_parallelism()`
+    /// only time-slices the same cores.
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = k;
         self
@@ -403,36 +401,6 @@ impl SamplerConfig {
     /// size target (see `tbs_distributed::engine`).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Enable batch-granular (deferred) downsampling on R-TBS with drift
-    /// threshold `theta ∈ (0, 1]`. At the default 1.0 every unsaturated
-    /// step pays the eager `O(n)` downsample sweep of Algorithm 2; below
-    /// 1.0 the per-step decay factors accumulate as a lazy scalar and the
-    /// physical sweep is deferred until the accumulated scale drifts
-    /// below θ (or a merge/realize/snapshot forces it), making the
-    /// per-batch reservoir bookkeeping `O(1)` amortized. The realized
-    /// inclusion probabilities are exactly those of the eager path
-    /// (Theorem 4.1 downsample scaling composes multiplicatively); with
-    /// `theta > e^{-λ}` the run is bit-identical to eager. θ outside
-    /// (0, 1], or θ < 1 on a non-R-TBS algorithm, is a validation error.
-    pub fn defer_threshold(mut self, theta: f64) -> Self {
-        self.defer_threshold = theta;
-        self
-    }
-
-    /// Group shard worker threads onto shared reservoir *cells* once the
-    /// per-cell capacity share `⌈n/G⌉` would fall below `min_cell_capacity`
-    /// (0, the default, disables grouping). The cell count G starts at
-    /// `shards` and halves until the share clears the bound, so at high K
-    /// with small n the K ingest threads drive G < K reservoirs through
-    /// the work-stealing protocol instead of K tiny ones — the per-batch
-    /// reservoir fixed costs then scale with G, not K. Requires
-    /// `shards > 1`; a grouped engine with G cells produces bit-identical
-    /// samples to an ungrouped engine built with `shards(G)`.
-    pub fn group_threshold(mut self, min_cell_capacity: usize) -> Self {
-        self.group_threshold = min_cell_capacity;
         self
     }
 
@@ -508,18 +476,6 @@ impl SamplerConfig {
     /// The configured RNG seed.
     pub fn rng_seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured deferred-downsampling drift threshold θ
-    /// (1.0 = eager; see [`SamplerConfig::defer_threshold`]).
-    pub fn defer_threshold_config(&self) -> f64 {
-        self.defer_threshold
-    }
-
-    /// The configured shard-group threshold (0 = grouping disabled; see
-    /// [`SamplerConfig::group_threshold`]).
-    pub fn group_threshold_config(&self) -> usize {
-        self.group_threshold
     }
 
     /// The declared time semantics.
@@ -644,31 +600,6 @@ impl SamplerConfig {
             return Err(TbsError::UnusedParameter {
                 what: "window_width",
                 algorithm: label,
-            });
-        }
-
-        // Deferred downsampling: θ must be a usable drift bound, and the
-        // lazy-scalar machinery exists only in R-TBS (the other schemes
-        // have no latent downsample to defer).
-        let theta = self.defer_threshold;
-        if !(theta.is_finite() && theta > 0.0 && theta <= 1.0) {
-            return Err(TbsError::InvalidDeferThreshold { theta });
-        }
-        if theta < 1.0 && alg != Algorithm::RTbs {
-            return Err(TbsError::UnusedParameter {
-                what: "defer_threshold",
-                algorithm: label,
-            });
-        }
-
-        // Shard groups exist only in the sharded engine: grouping shares
-        // reservoir cells between worker threads, and a single-node
-        // sampler has no workers to group.
-        if self.group_threshold > 0 && self.shards <= 1 {
-            return Err(TbsError::InvalidShardCount {
-                shards: self.shards,
-                reason: "group_threshold shares reservoir cells between engine \
-                         worker threads; single-node samplers have none",
             });
         }
 

@@ -54,12 +54,6 @@ pub enum TbsError {
         /// The offending value.
         width: f64,
     },
-    /// The deferred-downsampling drift threshold θ lies outside (0, 1]
-    /// (see [`crate::api::SamplerConfig::defer_threshold`]).
-    InvalidDeferThreshold {
-        /// The offending value.
-        theta: f64,
-    },
     /// The shard count is unusable: zero, or λ = 0 with K > 1 (the merge
     /// algebra's skew headroom `1/(1 − e^{−λ})` diverges), or real-valued
     /// gaps were requested for a sharded stream (the engine's shards
@@ -167,9 +161,6 @@ impl std::fmt::Display for TbsError {
             ),
             TbsError::InvalidWindowWidth { width } => {
                 write!(f, "window width must be positive and finite, got {width}")
-            }
-            TbsError::InvalidDeferThreshold { theta } => {
-                write!(f, "defer threshold must lie in (0, 1], got {theta}")
             }
             TbsError::InvalidShardCount { shards, reason } => {
                 write!(f, "shard count {shards} rejected: {reason}")

@@ -134,11 +134,7 @@ fn engine_config(config: &SamplerConfig) -> EngineConfig {
         ),
         _ => unreachable!("validate rejects sharded non-mergeable algorithms"),
     }
-    .with_ingest_mode(core_ingest_mode(config))
-    // validate() pins θ to 1.0 for anything but R-TBS, so applying both
-    // knobs unconditionally is safe for T-TBS specs.
-    .with_defer_threshold(config.defer_threshold)
-    .with_group_threshold(config.group_threshold);
+    .with_ingest_mode(core_ingest_mode(config));
     EngineConfig {
         spec,
         queue_depth: config.queue_depth,
@@ -186,7 +182,6 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
                 Algorithm::RTbs => {
                     let mut s = RTbs::new(lambda, config.capacity.expect("validated"));
                     s.set_ingest_mode(core_ingest_mode(&config));
-                    s.set_defer_threshold(config.defer_threshold);
                     Inner::RTbs(s)
                 }
                 Algorithm::TTbs => {
@@ -658,16 +653,13 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
             let spec = engine_cfg.spec;
             match config.algorithm {
                 Algorithm::RTbs => {
-                    let parts = load_engine::<RTbs<T>>(&mut r, spec.cells(), |r| {
+                    let parts = load_engine::<RTbs<T>>(&mut r, spec.shards, |r| {
                         let mut s = RTbs::load_state(r)?;
                         if s.decay_rate() != lambda {
                             return Err(CheckpointError::Corrupt("shard decay rate"));
                         }
                         if s.capacity() != spec.shard_capacity() {
                             return Err(CheckpointError::Corrupt("shard capacity"));
-                        }
-                        if s.defer_threshold() != spec.defer_threshold {
-                            return Err(CheckpointError::Corrupt("shard defer threshold"));
                         }
                         s.set_ingest_mode(spec.ingest);
                         Ok(s)
@@ -681,7 +673,7 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
                     )))
                 }
                 Algorithm::TTbs => {
-                    let parts = load_engine::<TTbs<T>>(&mut r, spec.cells(), |r| {
+                    let parts = load_engine::<TTbs<T>>(&mut r, spec.shards, |r| {
                         let mut s = TTbs::load_state(r)?;
                         if s.decay_rate() != lambda
                             || s.target() != spec.capacity
@@ -705,14 +697,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
                     let mut s = RTbs::load_state(&mut r)?;
                     check(s.decay_rate() == lambda, "decay rate")?;
                     check(Some(s.capacity()) == config.capacity, "capacity")?;
-                    // θ shapes the RNG spend schedule, so a blob written
-                    // under a different threshold cannot be resumed
-                    // bit-identically — it is a config mismatch, not a
-                    // knob to silently re-apply like the ingest mode.
-                    check(
-                        s.defer_threshold() == config.defer_threshold,
-                        "defer threshold",
-                    )?;
                     s.set_ingest_mode(core_ingest_mode(config));
                     Inner::RTbs(s)
                 }
@@ -1049,16 +1033,14 @@ where
     }
 }
 
-/// Serialize a quiesced engine checkpoint: the group ledger (the cell
-/// count every following section is sized by), the balanced-split
-/// deviation ledger (one f64 per cell — the splitter's memory of how
-/// far each cell's decayed intake sits from the fair share), driver
-/// RNG, then each cell's RNG substream position and sampler payload.
+/// Serialize a quiesced engine checkpoint: the balanced-split deviation
+/// ledger (one f64 per shard — the splitter's memory of how far each
+/// shard's decayed intake sits from the fair share), driver RNG, then
+/// each shard's RNG substream position and sampler payload.
 fn save_engine<S>(w: &mut Writer, parts: EngineCheckpoint<S>)
 where
     S: SaveState,
 {
-    w.put_u32(parts.shard_states.len() as u32);
     for d in &parts.split_deviations {
         w.put_f64(*d);
     }
@@ -1071,24 +1053,16 @@ where
     }
 }
 
-/// Deserialize [`save_engine`]'s layout, validating each shard cell with
-/// `load_shard`. `expect_cells` is the config's [`ShardSpec::cells`] —
-/// the logical reservoir count, which is below the worker count when
-/// shard groups are active.
+/// Deserialize [`save_engine`]'s layout, validating each shard with
+/// `load_shard`. The blob header's shard count has already been checked
+/// against `expect_shards`.
 fn load_engine<S>(
     r: &mut Reader,
-    expect_cells: usize,
+    expect_shards: usize,
     mut load_shard: impl FnMut(&mut Reader) -> Result<S, CheckpointError>,
 ) -> Result<EngineCheckpoint<S>, CheckpointError> {
-    // Group ledger: the blob's own claim of how many cells it carries. A
-    // disagreement with the restoring config's grouping cannot resume
-    // (every RNG substream and the merge tree are sized by it).
-    let cells = r.get_u32()? as usize;
-    if cells != expect_cells {
-        return Err(CheckpointError::Corrupt("shard group ledger"));
-    }
-    let mut split_deviations = Vec::with_capacity(cells);
-    for _ in 0..cells {
+    let mut split_deviations = Vec::with_capacity(expect_shards);
+    for _ in 0..expect_shards {
         let d = r.get_f64()?;
         // The balanced splitter keeps every deviation in [-1, 1]; anything
         // outside (or non-finite) cannot have come from a real run.
@@ -1100,7 +1074,7 @@ fn load_engine<S>(
     let batches = r.get_u64()?;
     let driver_rng = r.get_rng_state()?;
     let n = r.get_u32()? as usize;
-    if n != cells {
+    if n != expect_shards {
         return Err(CheckpointError::Corrupt("engine shard count"));
     }
     let mut shard_states = Vec::with_capacity(n);

@@ -52,16 +52,6 @@ fn all_configs() -> Vec<SamplerConfig> {
     );
     configs.push(SamplerConfig::ttbs(0.1, 20, 50.0).ingest_mode(IngestMode::Jump));
     configs.push(SamplerConfig::ttbs(0.1, 300, 50.0).ingest_mode(IngestMode::Jump));
-    // Deferred-downsampling and shard-group variants: the lazy scale,
-    // its parked segments, and the cell-sized engine framing all ride
-    // the blob. n=800 stays unsaturated so cuts land mid-deferral.
-    configs.push(SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6));
-    configs.push(
-        SamplerConfig::rtbs(0.1, 800)
-            .shards(4)
-            .defer_threshold(1e-6),
-    );
-    configs.push(SamplerConfig::rtbs(0.1, 200).shards(4).group_threshold(60));
     configs
 }
 
@@ -157,19 +147,13 @@ proptest! {
 }
 
 /// One config per distinct payload layout, for the hostile-blob tests:
-/// latent sample (R-TBS), mid-deferral lazy-scale tail (R-TBS v4), plain
-/// item vecs (T-TBS), per-entry scalars (A-Res keys, B-Chao overweight
-/// weights, time-window stamps), ring buffer (SW), and the multi-shard
-/// engine framing — plain and shard-grouped.
+/// latent sample (R-TBS), plain item vecs (T-TBS), per-entry scalars
+/// (A-Res keys, B-Chao overweight weights, time-window stamps), ring
+/// buffer (SW), and the multi-shard engine framing.
 fn hostile_blob_configs() -> Vec<SamplerConfig> {
     vec![
         SamplerConfig::rtbs(0.1, 20).seed(3),
         SamplerConfig::rtbs(0.1, 40).shards(2).seed(3),
-        SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6).seed(3),
-        SamplerConfig::rtbs(0.1, 40)
-            .shards(4)
-            .group_threshold(30)
-            .seed(3),
         SamplerConfig::ttbs(0.1, 20, 50.0).seed(3),
         SamplerConfig::chao(0.1, 20).seed(3),
         SamplerConfig::sliding_count(20).seed(3),
@@ -298,7 +282,7 @@ fn invalid_jump_cursor_blobs_are_rejected() {
 fn sharded_resume_round_trips_split_deviations_and_stolen_work() {
     // Bursty batch sizes that are never multiples of K leave the balanced
     // splitter's deviation ledger non-zero at the cut, and queue_depth 2
-    // keeps the work-stealing sweep hot on both sides of the restore. The
+    // keeps backpressure on the shards on both sides of the restore. The
     // blob must carry the ledger (and each shard's adaptive-capacity
     // state) exactly, or the resumed split — and therefore the sample —
     // diverges.
@@ -327,10 +311,9 @@ fn sharded_resume_round_trips_split_deviations_and_stolen_work() {
     assert_eq!(resumed.sample().unwrap(), uninterrupted.sample().unwrap());
 }
 
-/// Byte offset of the first engine field (the group ledger, a u32 cell
-/// count; the split-deviation ledger follows) in a sharded blob: magic +
-/// version + algorithm tag + shard count + handle batch counter + handle
-/// RNG state.
+/// Byte offset of the first engine field (the split-deviation ledger)
+/// in a sharded blob: magic + version + algorithm tag + shard count +
+/// handle batch counter + handle RNG state.
 const ENGINE_PAYLOAD_OFFSET: usize = 4 + 4 + 1 + 4 + 8 + 32;
 
 #[test]
@@ -338,11 +321,10 @@ fn impossible_shard_capacity_is_rejected_as_corrupt() {
     // Restore cross-checks every shard's persisted capacity against the
     // spec's adaptive `⌈n/K⌉+1`; a blob claiming any other capacity was
     // not produced by this engine. Forge one: shard 0's capacity u64
-    // lives right after the engine framing (group ledger, K=2
-    // deviations, batches, driver RNG, shard count, shard-0 RNG) and the
-    // R-TBS λ field.
+    // lives right after the engine framing (K=2 deviations, batches,
+    // driver RNG, shard count, shard-0 RNG) and the R-TBS λ field.
     let config = SamplerConfig::rtbs(0.1, 40).shards(2).seed(3);
-    let shard0_capacity = ENGINE_PAYLOAD_OFFSET + 4 + 2 * 8 + 8 + 32 + 4 + 32 + 8;
+    let shard0_capacity = ENGINE_PAYLOAD_OFFSET + 2 * 8 + 8 + 32 + 4 + 32 + 8;
     let mut b = small_snapshot(&config).to_vec();
     b[shard0_capacity..shard0_capacity + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(
@@ -358,7 +340,7 @@ fn out_of_range_split_deviations_are_rejected_as_corrupt() {
     // is structurally impossible and must be rejected before it can
     // skew every future batch split.
     let config = SamplerConfig::rtbs(0.1, 40).shards(2).seed(3);
-    let dev0 = ENGINE_PAYLOAD_OFFSET + 4; // after the group ledger
+    let dev0 = ENGINE_PAYLOAD_OFFSET;
     for forged in [f64::NAN, f64::INFINITY, -7.5] {
         let mut b = small_snapshot(&config).to_vec();
         b[dev0..dev0 + 8].copy_from_slice(&forged.to_le_bytes());
@@ -371,91 +353,6 @@ fn out_of_range_split_deviations_are_rejected_as_corrupt() {
 }
 
 #[test]
-fn mismatched_group_ledger_is_rejected_as_corrupt() {
-    // The engine payload leads with the cell count everything after it
-    // is sized by. A forged count can never satisfy the restoring
-    // config's grouping, whatever else it claims.
-    let config = SamplerConfig::rtbs(0.1, 40).shards(2).seed(3);
-    let mut b = small_snapshot(&config).to_vec();
-    b[ENGINE_PAYLOAD_OFFSET..ENGINE_PAYLOAD_OFFSET + 4].copy_from_slice(&8u32.to_le_bytes());
-    assert_eq!(
-        Sampler::<u64>::restore(&config, Bytes::from(b)).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("shard group ledger"))
-    );
-
-    // Same rejection when the ledger is honest but the grouping differs:
-    // a grouped engine (4 workers on 2 cells) cannot restore into an
-    // ungrouped 4-shard config — the header shard counts agree, the cell
-    // counts do not.
-    let grouped = SamplerConfig::rtbs(0.1, 200)
-        .shards(4)
-        .group_threshold(60)
-        .seed(3);
-    let blob = small_snapshot(&grouped);
-    let ungrouped = SamplerConfig::rtbs(0.1, 200).shards(4).seed(3);
-    assert_eq!(
-        Sampler::<u64>::restore(&ungrouped, blob).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("shard group ledger"))
-    );
-}
-
-#[test]
-fn impossible_lazy_scale_is_rejected_as_corrupt() {
-    // Capacity 20 saturates within the first batch, so no deferral is
-    // pending at the snapshot and the R-TBS v4 tail is exactly
-    // θ (f64), P (f64), segment count (u64 = 0), pending count (u32 = 0)
-    // — 28 bytes. Forge P above 1: no decay sequence can produce it.
-    let config = SamplerConfig::rtbs(0.1, 20).defer_threshold(0.5).seed(3);
-    let mut b = small_snapshot(&config).to_vec();
-    let n = b.len();
-    b[n - 20..n - 12].copy_from_slice(&1.5f64.to_le_bytes());
-    assert_eq!(
-        Sampler::<u64>::restore(&config, Bytes::from(b)).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("R-TBS lazy scale"))
-    );
-    // And P below θ: materialization must have fired before the scale
-    // ever drifted past the threshold.
-    let mut b = small_snapshot(&config).to_vec();
-    b[n - 20..n - 12].copy_from_slice(&0.25f64.to_le_bytes());
-    assert_eq!(
-        Sampler::<u64>::restore(&config, Bytes::from(b)).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("R-TBS lazy scale"))
-    );
-}
-
-#[test]
-fn mid_deferral_resume_is_bit_identical() {
-    // λ=0.1, n=800, mean batch ~50: the stream stays unsaturated, so
-    // with θ=1e-6 every cut lands mid-deferral — the lazy scale and the
-    // parked segments ride the blob verbatim and resume without
-    // spending any randomness.
-    let lazy = SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6);
-    for cut in [1, 3, 9, 17, 30] {
-        assert_resume_bit_identical(lazy, 0xdefe_44ed, 36, cut);
-    }
-    // Sharded: each cell carries its own deferral window in the blob.
-    let sharded = lazy.shards(4);
-    for cut in [2, 11, 23] {
-        assert_resume_bit_identical(sharded, 0xdefe_44ed, 36, cut);
-    }
-}
-
-#[test]
-fn defer_threshold_mismatch_is_rejected() {
-    // θ shapes the RNG spend schedule, so restoring under a different
-    // threshold cannot continue the stream bit-identically.
-    let written = SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6).seed(7);
-    let blob = small_snapshot(&written);
-    let other = written.defer_threshold(0.5);
-    assert_eq!(
-        Sampler::<u64>::restore(&other, blob).unwrap_err(),
-        TbsError::ConfigMismatch {
-            what: "defer threshold"
-        }
-    );
-}
-
-#[test]
 fn bad_magic_is_rejected() {
     let config = SamplerConfig::rtbs(0.1, 20).seed(5);
     let err = Sampler::<u64>::restore(&config, Bytes::from_static(&[0u8; 64])).unwrap_err();
@@ -464,16 +361,20 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn future_format_version_is_rejected() {
+    // 99 is from the future; 4 is the last format that carried the
+    // deferred-downsampling tail and the shard-group ledger.
     let config = SamplerConfig::rtbs(0.1, 20).seed(5);
-    let mut b = BytesMut::new();
-    b.put_u32_le(tbs_core::checkpoint::MAGIC);
-    b.put_u32_le(99);
-    b.put_u8(1);
-    let err = Sampler::<u64>::restore(&config, b.freeze()).unwrap_err();
-    assert_eq!(
-        err,
-        TbsError::Checkpoint(CheckpointError::UnsupportedVersion(99))
-    );
+    for version in [99u32, 4] {
+        let mut b = BytesMut::new();
+        b.put_u32_le(tbs_core::checkpoint::MAGIC);
+        b.put_u32_le(version);
+        b.put_u8(1);
+        let err = Sampler::<u64>::restore(&config, b.freeze()).unwrap_err();
+        assert_eq!(
+            err,
+            TbsError::Checkpoint(CheckpointError::UnsupportedVersion(version))
+        );
+    }
 }
 
 #[test]
