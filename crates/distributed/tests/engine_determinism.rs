@@ -8,8 +8,9 @@
 //! single-node recursion.
 
 use rand::SeedableRng;
-use tbs_core::merge::ShardSpec;
-use tbs_core::{RTbs, TTbs};
+use tbs_core::checkpoint::Writer;
+use tbs_core::merge::{BalancedSplitter, MergeableSample, ShardSpec};
+use tbs_core::{IngestMode, RTbs, TTbs};
 use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
@@ -176,6 +177,102 @@ fn run_boundaries_never_move_the_sample() {
                 drive_cut::<TTbs<u64>>(ttbs, cut),
                 expect,
                 "T-TBS K={k}: {cut:?} moved the sample"
+            );
+        }
+    }
+}
+
+/// Serialized sampler state, so shard states compare byte for byte.
+trait StateBytes {
+    fn state_bytes(&self) -> Vec<u8>;
+}
+
+impl StateBytes for RTbs<u64> {
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.save_state(&mut w);
+        w.finish().to_vec()
+    }
+}
+
+impl StateBytes for TTbs<u64> {
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.save_state(&mut w);
+        w.finish().to_vec()
+    }
+}
+
+/// The engine's shard states rebuilt without the engine: split each
+/// batch with a fresh [`BalancedSplitter`] and feed shard `k` its chunk
+/// on stream `k + 1` of the seed's substreams (stream 0 is the driver's).
+fn reference_shards<S>(spec: ShardSpec, seed: u64, batches: &[Vec<u64>]) -> Vec<(Vec<u8>, [u64; 4])>
+where
+    S: MergeableSample<Item = u64> + StateBytes,
+{
+    let k = spec.shards;
+    let mut rngs = Xoshiro256PlusPlus::seed_from_u64(seed).split_streams(k + 1);
+    rngs.remove(0);
+    let mut shards = S::make_shards(&spec);
+    let mut splitter = BalancedSplitter::new(spec.lambda, k);
+    let mut out = vec![Vec::new(); k];
+    for batch in batches {
+        splitter.split(&mut batch.clone(), &mut out);
+        for ((shard, rng), chunk) in shards.iter_mut().zip(&mut rngs).zip(&mut out) {
+            shard.observe_shard(chunk, rng);
+        }
+    }
+    shards
+        .iter()
+        .zip(&rngs)
+        .map(|(shard, rng)| (shard.state_bytes(), rng.state()))
+        .collect()
+}
+
+/// The engine's shard states after the same batches, from `save_parts`.
+fn engine_shards<S>(spec: ShardSpec, seed: u64, batches: &[Vec<u64>]) -> Vec<(Vec<u8>, [u64; 4])>
+where
+    S: MergeableSample<Item = u64> + StateBytes + Clone + Send + 'static,
+{
+    let mut engine: ParallelIngestEngine<S> =
+        ParallelIngestEngine::new(EngineConfig::new(spec, seed));
+    for batch in batches {
+        engine.ingest(batch.clone()).unwrap();
+    }
+    engine
+        .save_parts()
+        .unwrap()
+        .shard_states
+        .iter()
+        .map(|(shard, rng)| (shard.state_bytes(), *rng))
+        .collect()
+}
+
+#[test]
+fn engine_shards_equal_an_independent_split_reference() {
+    // The bursty schedule with one batch larger than any run target
+    // (8192 items per shard at K ≤ 4) in the middle, so a batch that
+    // travels alone is covered too.
+    let bursty = |t: u64| [0u64, 1, 250, 7, 90, 1000][t as usize % 6];
+    let batches: Vec<Vec<u64>> = (0..240u64)
+        .map(|t| {
+            let b = if t == 120 { 40_000 } else { bursty(t) };
+            (0..b).map(|i| t * 100_000 + i).collect()
+        })
+        .collect();
+    for mode in [IngestMode::PerItem, IngestMode::Jump] {
+        for k in [1usize, 2, 3, 4] {
+            let rtbs = ShardSpec::rtbs(0.1, 500, k).with_ingest_mode(mode);
+            assert_eq!(
+                engine_shards::<RTbs<u64>>(rtbs, 17, &batches),
+                reference_shards::<RTbs<u64>>(rtbs, 17, &batches),
+                "R-TBS K={k} {mode:?}: engine shards differ from the reference split"
+            );
+            let ttbs = ShardSpec::ttbs(0.1, 500, 225.0, k).with_ingest_mode(mode);
+            assert_eq!(
+                engine_shards::<TTbs<u64>>(ttbs, 17, &batches),
+                reference_shards::<TTbs<u64>>(ttbs, 17, &batches),
+                "T-TBS K={k} {mode:?}: engine shards differ from the reference split"
             );
         }
     }
