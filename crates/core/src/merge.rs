@@ -355,28 +355,28 @@ impl BalancedSplitter {
     }
 
     /// Split `batch` into `out.len()` shard sub-batches and advance the
-    /// deviation state. Each `out[i]` is cleared and refilled.
+    /// deviation state. Each `out[i]` is cleared and refilled with the
+    /// `i`-th contiguous range of [`Self::split_sizes`].
     pub fn split<T>(&mut self, batch: &mut Vec<T>, out: &mut [Vec<T>]) {
         debug_assert_eq!(out.len(), self.deviations.len(), "shard count mismatch");
-        self.split_append(batch, |i, chunk| {
-            out[i].clear();
-            out[i].extend(chunk);
-        });
+        let sizes = self.split_sizes(batch.len());
+        // Walk shards from last to first so each chunk drains from the
+        // tail — O(chunk) per shard instead of O(b) front-shifts.
+        let mut end = batch.len();
+        for (buf, &len) in out.iter_mut().zip(sizes).rev() {
+            buf.clear();
+            buf.extend(batch.drain(end - len..));
+            end -= len;
+        }
+        debug_assert_eq!(end, 0);
     }
 
-    /// The appending variant of [`Self::split`]: the same split and
-    /// deviation update, but each shard's chunk is handed to
-    /// `append(shard, chunk)` as a draining iterator (in its original
-    /// order) instead of replacing a per-shard vector — so a caller can
-    /// pack many consecutive batches' chunks into one buffer per shard.
-    /// `append` is called exactly once per shard, empty chunks included.
-    pub fn split_append<T>(
-        &mut self,
-        batch: &mut Vec<T>,
-        mut append: impl FnMut(usize, std::vec::Drain<'_, T>),
-    ) {
+    /// The split of a batch of `b` items, without touching the items:
+    /// shard `i`'s chunk length, in shard-id order (shard `i` takes the
+    /// `i`-th contiguous range of the batch). Advances the deviation state
+    /// exactly as [`Self::split`] does; `O(K)` and allocation-free.
+    pub fn split_sizes(&mut self, b: usize) -> &[usize] {
         let k = self.deviations.len();
-        let b = batch.len();
         let base = b / k;
         let rem = b % k;
         for d in &mut self.deviations {
@@ -397,18 +397,11 @@ impl BalancedSplitter {
                 self.sizes[shard] += 1;
             }
         }
-        // Walk shards from last to first so each chunk drains from the
-        // tail — O(chunk) per shard instead of O(b) front-shifts.
-        let even = if k > 0 { b as f64 / k as f64 } else { 0.0 };
-        let mut end = b;
-        for i in (0..k).rev() {
-            let len = self.sizes[i];
-            append(i, batch.drain(end - len..));
-            end -= len;
-            self.deviations[i] += len as f64 - even;
+        let even = b as f64 / k as f64;
+        for (d, &len) in self.deviations.iter_mut().zip(&self.sizes) {
+            *d += len as f64 - even;
         }
-        debug_assert_eq!(end, 0);
-        debug_assert!(batch.is_empty());
+        &self.sizes
     }
 }
 
@@ -878,35 +871,20 @@ mod tests {
     }
 
     #[test]
-    fn split_append_packs_the_same_chunks_back_to_back() {
-        // Appending many batches' chunks into one buffer per shard must
-        // equal concatenating the per-batch `split` outputs, with the
-        // same deviation state at the end.
+    fn split_sizes_gives_the_chunk_lengths_of_split() {
+        // Sizing a batch without its items must give `split`'s chunk
+        // lengths and leave the same deviation state behind.
         let mut plain = BalancedSplitter::new(0.1, 3);
-        let mut packed = BalancedSplitter::new(0.1, 3);
+        let mut sized = BalancedSplitter::new(0.1, 3);
         let mut out = vec![Vec::new(); 3];
-        let mut expect = vec![Vec::new(); 3];
-        let mut runs: Vec<(Vec<u32>, Vec<usize>)> = vec![Default::default(); 3];
         for t in 0..30u32 {
             let b = [17u32, 0, 5, 100, 3][t as usize % 5];
-            let mut batch_a: Vec<u32> = (0..b).map(|i| t * 1000 + i).collect();
-            let mut batch_b = batch_a.clone();
-            plain.split(&mut batch_a, &mut out);
-            for (acc, part) in expect.iter_mut().zip(&out) {
-                acc.extend_from_slice(part);
-            }
-            packed.split_append(&mut batch_b, |i, chunk| {
-                runs[i].1.push(chunk.len());
-                runs[i].0.extend(chunk);
-            });
-            assert!(batch_b.is_empty());
+            let mut batch: Vec<u32> = (0..b).map(|i| t * 1000 + i).collect();
+            plain.split(&mut batch, &mut out);
+            let lens: Vec<usize> = out.iter().map(Vec::len).collect();
+            assert_eq!(sized.split_sizes(b as usize), &lens[..], "t={t}");
         }
-        for (i, (items, lens)) in runs.iter().enumerate() {
-            assert_eq!(items, &expect[i], "shard {i}: packed items differ");
-            assert_eq!(lens.len(), 30, "one length per batch, empties too");
-            assert_eq!(lens.iter().sum::<usize>(), items.len());
-        }
-        assert_eq!(plain.deviations(), packed.deviations());
+        assert_eq!(plain.deviations(), sized.deviations());
     }
 
     #[test]

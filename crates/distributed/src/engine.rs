@@ -16,39 +16,50 @@
 //! ## Pipeline anatomy
 //!
 //! ```text
-//!              ┌────────────┐  work: BatchQueue<ShardMsg>  ┌─────────────┐
-//!  ingest() ──▶│  driver:   │ ─── Run{items, lens} ──────▶ │ shard 0     │
-//!              │ balanced   │ ◀─────────────────────────── │ thread owns │
-//!              │ split into │  pool: BatchQueue<Run>       │ R-TBS + RNG │
-//!              │ open runs  │  (3 reusable buffers/shard)  └─────────────┘
-//!              └────────────┘            …× N
+//!              ┌─────────────┐  work: BatchQueue<ShardMsg>  ┌─────────────┐
+//!  ingest() ──▶│  driver:    │ ─── Run(slot) to every ────▶ │ shard 0     │
+//!              │ moves each  │     shard                    │ reads its   │
+//!              │ batch whole │                              │ range of    │
+//!              │ into its    │  runs: 2 shared run slots    │ each batch; │
+//!              │ open shared │ ◀── free: slot ids ───────── │ owns R-TBS  │
+//!              │ run         │  (the last reader returns)   │ + RNG       │
+//!              └─────────────┘                              └─────────────┘
+//!                                                                 …× N
 //! ```
 //!
 //! * Batches are split deterministically by a
 //!   [`tbs_core::merge::BalancedSplitter`]: every shard's decayed weight
 //!   stays within **one item** of `W/K`, which licenses the `⌈n/K⌉ + 1`
 //!   adaptive shard capacity (see the `tbs_core::merge` module docs) and
-//!   keeps high-K shards on the saturated fast path.
-//! * **Coalesced runs**: the driver appends each batch's chunks straight
-//!   into one open *run* per shard — many consecutive sub-batches back to
-//!   back in one buffer, plus their lengths — and hands a run to its
-//!   shard in **one** queue push once it reaches an internal size target
-//!   (8192 items), and always before any `Sync`, `Snapshot`, `Barrier` or
-//!   `CheckpointFork` and at drop. Every read path therefore sees exactly
-//!   the batches fed before it, with no timer. The shard feeds the run's
-//!   sub-batches to its sampler one at a time, in order, so where a run
-//!   is cut never moves the sample.
+//!   keeps high-K shards on the saturated fast path. Shard `k` takes the
+//!   `k`-th contiguous range of every batch.
+//! * **Shared runs, no copy on the driver**: the driver never touches an
+//!   item. It moves each caller batch whole into one open *shared run*
+//!   and records only the batch's `K + 1` split offsets
+//!   ([`tbs_core::merge::BalancedSplitter::split_sizes`]) — `O(K)` per
+//!   batch. Once the run would pass `K` × 8192 items or 1024 batches (a
+//!   larger single batch travels alone), and always before any `Sync`,
+//!   `Snapshot`, `Barrier` or `CheckpointFork` and at drop, the driver
+//!   hands it to **all** shards at once: it swaps the run into a free
+//!   slot and pushes the slot id to every work queue. Every read path
+//!   therefore sees exactly the batches fed before it, with no timer.
+//!   Each shard copies its range of each batch into its own scratch
+//!   buffer and feeds it to its sampler, one sub-batch at a time, in
+//!   order, so where a run is cut never moves the sample.
 //! * **One owner per shard**: each shard's sampler and RNG live on its
 //!   worker thread's stack, moved there at spawn. No other thread can
 //!   reach them, so they need no lock, and the shard consumes its
 //!   sub-stream strictly in FIFO order. The realized sample is a pure
 //!   function of the chunk assignment, never of thread timing.
-//! * Run buffers circulate through a fixed pool of three per shard: the
-//!   driver fills one, blocks on the pool when it needs another, and the
-//!   shard hands each consumed buffer back. In-flight ingest memory is
-//!   thus bounded in *items* (shards × 3 × the run target), and after
-//!   warm-up no buffer is ever allocated or grown, so steady-state ingest
-//!   performs **zero heap allocations** beyond the caller-provided batch
+//! * Two run slots circulate with the driver's open run: one queued, one
+//!   being read, one filling. The shard that finishes a slot last (an
+//!   atomic countdown) returns its id to the free queue; the driver
+//!   blocks there when it needs a slot, swaps its full run in, and gets
+//!   the consumed run's buffers back, dropping the spent caller batches
+//!   on its own thread. In-flight ingest memory is thus bounded in
+//!   *items* (3 × K × the per-shard run target), and after warm-up no
+//!   buffer is ever allocated or grown, so steady-state ingest performs
+//!   **zero heap allocations** beyond the caller-provided batch
 //!   (verified by the engine's counting-allocator test).
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
@@ -105,7 +116,7 @@
 use crate::fault::{FaultPlan, PushAction};
 use crate::queue::BatchQueue;
 use crate::snapshot::{EpochCell, EpochWait};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -128,14 +139,15 @@ pub enum RecoveryPolicy {
     Fail,
     /// Supervised recovery: each shard's state is recorded at every
     /// barrier/checkpoint fork, the driver keeps a replay log of the
-    /// runs it handed off since then, and on a fault the engine rebuilds the
-    /// whole pipeline from the fork records and replays the log —
-    /// restoring **bit-identical** `(seed, K)` state, because splits and
-    /// per-shard RNG substreams are deterministic. Costs one state clone
-    /// per shard per barrier plus one clone per run handed to a shard
-    /// (runs coalesce many batches; see the module docs); the replay log
-    /// is trimmed at each barrier/checkpoint, so publish or checkpoint
-    /// periodically to bound its memory.
+    /// shared runs it handed off since then, and on a fault the engine
+    /// rebuilds the whole pipeline from the fork records and replays the
+    /// log — restoring **bit-identical** `(seed, K)` state, because splits
+    /// and per-shard RNG substreams are deterministic. Costs one state
+    /// clone per shard per barrier plus one clone per shared run handed
+    /// off (a run holds many batches for all K shards; see the module
+    /// docs); the replay log is trimmed at each barrier/checkpoint to the
+    /// oldest shard's fork record, so publish or checkpoint periodically
+    /// to bound its memory.
     RespawnFromBarrier,
 }
 
@@ -215,11 +227,11 @@ pub struct EngineConfig {
     /// The single-node sampler the merged output must be equivalent to,
     /// plus the shard count.
     pub spec: ShardSpec,
-    /// Bounded depth of each shard's work queue, in messages: coalesced
+    /// Bounded depth of each shard's work queue, in messages: shared
     /// runs of batches plus control messages (sync, snapshot, barrier,
     /// checkpoint). It bounds how many requests can queue up ahead of a
-    /// shard; in-flight *items* are bounded separately, by each shard's
-    /// fixed pool of run buffers times the run size target (see the
+    /// shard; in-flight *items* are bounded separately, by the engine's
+    /// fixed set of shared run slots times the run size target (see the
     /// module docs), whatever the depth.
     pub queue_depth: usize,
     /// Master seed; the driver and every shard derive non-overlapping
@@ -271,67 +283,115 @@ struct ShardCounters {
     busy_ns: AtomicU64,
 }
 
-/// Items per run at which the driver hands an open run to its shard.
-/// Large enough that one queue push and one worker wake-up amortize
-/// over thousands of items; small enough that the pool stays a few
-/// hundred KB per shard and the run left open at a publication drains
-/// in microseconds.
+/// Items per shard at which the driver hands its open run off: a run
+/// carries up to `K × RUN_ITEMS` items. Large enough that one queue push
+/// and one worker wake-up amortize over thousands of items; small enough
+/// that a run stays a few hundred KB per shard and the run left open at a
+/// publication drains in microseconds.
 const RUN_ITEMS: usize = 8192;
-/// Sub-batches per run at which the driver hands it off regardless of
-/// its item count (a long streak of empty or tiny batches).
+/// Batches per run at which the driver hands it off regardless of its
+/// item count (a long streak of empty or tiny batches).
 const RUN_BATCHES: usize = 1024;
-/// Run buffers per shard: one filling in the driver, one queued, one
-/// being ingested by a shard.
-const RUN_POOL: usize = 3;
+/// Shared run slots: one queued, one being read by the shards; the
+/// driver fills a third run, its open one.
+const RUN_SLOTS: usize = 2;
 
-/// A coalesced run of consecutive sub-batches for one shard: their items
-/// back to back in `items`, their lengths (empty ones included — every
-/// batch advances every shard's decay clock) in `lens`.
+/// A run of consecutive caller batches shared by all K shards: each
+/// batch moved in whole, plus the `K + 1` offsets of its balanced split
+/// (shard `k` reads `bounds[j(K+1) + k .. j(K+1) + k + 1]` of batch `j`).
 #[derive(Clone)]
-struct Run<T> {
-    items: Vec<T>,
-    lens: Vec<usize>,
+struct SharedRun<T> {
+    batches: Vec<Vec<T>>,
+    bounds: Vec<usize>,
+    /// Items across all batches.
+    items: usize,
+    shards: usize,
 }
 
-impl<T> Run<T> {
-    /// A pool buffer, pre-sized so that filling it never allocates.
-    fn pooled() -> Self {
+impl<T> SharedRun<T> {
+    /// A run buffer for `shards` shards, pre-sized so that filling it
+    /// never allocates.
+    fn pooled(shards: usize) -> Self {
         Self {
-            items: Vec::with_capacity(RUN_ITEMS),
-            lens: Vec::with_capacity(RUN_BATCHES),
+            batches: Vec::with_capacity(RUN_BATCHES),
+            bounds: Vec::with_capacity(RUN_BATCHES * (shards + 1)),
+            items: 0,
+            shards,
         }
     }
 
-    /// Append one sub-batch.
-    fn push(&mut self, chunk: std::vec::Drain<'_, T>) {
-        self.lens.push(chunk.len());
-        self.items.extend(chunk);
+    fn len(&self) -> usize {
+        self.batches.len()
     }
 
-    /// Whether the run must be handed off before a sub-batch of up to
-    /// `chunk` more items is appended. An empty run always takes it, so
-    /// a chunk larger than the target travels alone.
-    fn is_full_for(&self, chunk: usize) -> bool {
-        !self.lens.is_empty()
-            && (self.items.len() + chunk > RUN_ITEMS || self.lens.len() == RUN_BATCHES)
+    fn is_empty(&self) -> bool {
+        self.batches.is_empty()
     }
 
-    /// Move the sub-batches out in order, handing each to `observe` in
-    /// `scratch` (cleared after each); leaves the run empty for reuse.
-    fn drain_batches(&mut self, scratch: &mut Vec<T>, mut observe: impl FnMut(&mut Vec<T>)) {
-        let mut items = self.items.drain(..);
-        for &len in &self.lens {
-            scratch.extend(items.by_ref().take(len));
+    /// Whether the run must be handed off before a batch of `b` more
+    /// items is appended. An empty run always takes it, so a batch larger
+    /// than the target travels alone.
+    fn is_full_for(&self, b: usize) -> bool {
+        !self.is_empty() && (self.items + b > RUN_ITEMS * self.shards || self.len() == RUN_BATCHES)
+    }
+
+    /// Append one batch with its per-shard chunk lengths.
+    fn push(&mut self, batch: Vec<T>, sizes: &[usize]) {
+        let mut end = 0;
+        self.bounds.push(end);
+        for &len in sizes {
+            end += len;
+            self.bounds.push(end);
+        }
+        self.items += batch.len();
+        self.batches.push(batch);
+    }
+
+    /// Empty the run for reuse, dropping its caller batches.
+    fn clear(&mut self) {
+        self.batches.clear();
+        self.bounds.clear();
+        self.items = 0;
+    }
+
+    /// Copy `shard`'s range of each batch after the first `skip` into
+    /// `scratch`, in order, handing each to `observe` (cleared after
+    /// each). Returns the number of items fed.
+    fn feed(
+        &self,
+        shard: usize,
+        skip: usize,
+        scratch: &mut Vec<T>,
+        mut observe: impl FnMut(&mut Vec<T>),
+    ) -> usize
+    where
+        T: Clone,
+    {
+        let mut fed = 0;
+        let ranges = self.bounds.chunks_exact(self.shards + 1);
+        for (batch, b) in self.batches.iter().zip(ranges).skip(skip) {
+            scratch.extend_from_slice(&batch[b[shard]..b[shard + 1]]);
+            fed += scratch.len();
             observe(scratch);
             scratch.clear();
         }
-        drop(items);
-        self.lens.clear();
+        fed
     }
 }
 
-/// Injected push verdicts collected for one shard's open run at append
-/// time, applied when the run is handed off (fault-matrix only).
+/// One shared run slot: the run, and how many shards have yet to read it.
+struct RunSlot<T> {
+    run: RwLock<SharedRun<T>>,
+    /// Set to K (`Release`) by the driver before it pushes the slot id.
+    /// Each shard drops its read guard and then decrements (`AcqRel`), so
+    /// the shard that takes it to zero returns the slot only after every
+    /// read has ended; the driver's next write lock never waits.
+    pending: AtomicUsize,
+}
+
+/// Injected push verdicts collected for one shard at append time, applied
+/// to that shard's push when the open run is handed off (fault-matrix
+/// only).
 #[derive(Debug, Default, Clone, Copy)]
 struct RunFaults {
     /// First batch of the run whose push the plan drops.
@@ -340,9 +400,9 @@ struct RunFaults {
     stall: Duration,
 }
 
-enum ShardMsg<T> {
-    /// A run of sub-batches to ingest in order.
-    Run(Run<T>),
+enum ShardMsg {
+    /// Ingest this shard's range of every batch in run slot `usize`.
+    Run(usize),
     /// Reply with a clone of the shard sampler plus the shard RNG's
     /// current 256-bit position (quiesces: FIFO order guarantees all
     /// prior batches are absorbed first).
@@ -438,23 +498,9 @@ type TreeTask<S> = (Arc<EpochTree<S>>, usize);
 /// The driver-facing side of one shard: its queues and counters. The
 /// shard's sampler and RNG ([`ShardCore`]) live on its worker thread.
 struct ShardQueues<S: MergeableSample> {
-    work: BatchQueue<ShardMsg<S::Item>>,
+    work: BatchQueue<ShardMsg>,
     resp: BatchQueue<ShardResp<S>>,
-    /// The shard's [`RUN_POOL`] run buffers not currently held by the
-    /// driver or queued; the driver blocks here when it needs one.
-    pool: BatchQueue<Run<S::Item>>,
     counters: ShardCounters,
-}
-
-impl<S: MergeableSample> ShardQueues<S> {
-    /// Close every driver-facing queue of the shard: a driver blocked in
-    /// `pop_resp`, on a full work queue, or on an empty run pool wakes
-    /// with an error instead of waiting on a consumer that is gone.
-    fn close_queues(&self) {
-        self.work.close();
-        self.resp.close();
-        self.pool.close();
-    }
 }
 
 /// One shard's sampler and RNG, owned by its worker thread.
@@ -481,6 +527,11 @@ struct ForkRecord<S> {
 /// Everything the worker and merger threads share.
 struct EngineShared<S: MergeableSample> {
     shards: Vec<ShardQueues<S>>,
+    /// The [`RUN_SLOTS`] shared run slots.
+    runs: Vec<RunSlot<S::Item>>,
+    /// Ids of the slots every shard has finished reading; the driver
+    /// blocks here when it needs one.
+    free: BatchQueue<usize>,
     /// Merge-tree leaf tasks, executed by idle workers (or the merger).
     tasks: BatchQueue<TreeTask<S>>,
     /// The merger thread's inbox.
@@ -544,11 +595,12 @@ where
     splitter: BalancedSplitter,
     /// Driver-side substream: merge randomization + sample realization.
     driver_rng: Xoshiro256PlusPlus,
-    /// Per-shard open run, filled by the split; `None` after a hand-off
-    /// until the next ingest takes a buffer from the shard's pool. Its
-    /// batches are always the last `lens.len()` ingested.
-    runs: Vec<Option<Run<S::Item>>>,
-    /// Injected push verdicts for each open run (fault-matrix only).
+    /// The open shared run; its batches are always the last `len()`
+    /// ingested. Held by value, so appending takes no lock, and kept
+    /// across a pipeline rebuild.
+    open: SharedRun<S::Item>,
+    /// Injected push verdicts per shard for the open run (fault-matrix
+    /// only).
     run_faults: Vec<RunFaults>,
     /// Responses are popped into this scratch vector (capacity 1).
     resp_scratch: Vec<ShardResp<S>>,
@@ -560,10 +612,10 @@ where
     recoveries: u64,
     /// Generation assigned to the next checkpoint request (first is 1).
     next_ckpt_gen: u64,
-    /// Per-shard replay log of the runs handed off since the last fork
-    /// record, each with the global number of its last batch; only
+    /// Replay log of the shared runs handed off since the oldest shard
+    /// fork record, each with the global number of its last batch; only
     /// filled under `RespawnFromBarrier`.
-    replay: Vec<VecDeque<(u64, Run<S::Item>)>>,
+    replay: VecDeque<(u64, SharedRun<S::Item>)>,
 }
 
 impl<S: MergeableSample + Clone + Send + 'static> ParallelIngestEngine<S>
@@ -652,9 +704,9 @@ where
         let (shared, worker_joins, merger_join) =
             spawn_pipeline(&cfg, cores, faults, ckpts_done, &cell);
         Self {
-            runs: (0..cfg.spec.shards).map(|_| None).collect(),
+            open: SharedRun::pooled(cfg.spec.shards),
             run_faults: vec![RunFaults::default(); cfg.spec.shards],
-            replay: (0..cfg.spec.shards).map(|_| VecDeque::new()).collect(),
+            replay: VecDeque::new(),
             shared,
             worker_joins,
             merger_join,
@@ -681,44 +733,27 @@ where
         &self.shared.spec
     }
 
-    /// Feed one arriving batch. The batch is split deterministically
-    /// across the shards by the balanced splitter and appended to each
-    /// shard's open run (see the module docs); a run is handed to its
-    /// shard once it reaches the size target, blocking only when the
-    /// shard still holds every other buffer of its pool or its queue is
-    /// full — backpressure, not data loss. Empty batches are delivered
-    /// too, since every shard's decay clock must advance.
+    /// Feed one arriving batch. The batch is moved whole into the open
+    /// shared run together with its balanced split's offsets (see the
+    /// module docs) — no item is touched here. The run is handed to the
+    /// shards once it reaches the size target, blocking only when the
+    /// shards still hold every run slot or a work queue is full —
+    /// backpressure, not data loss. Empty batches are delivered too,
+    /// since every shard's decay clock must advance.
     ///
     /// If the pipeline died, returns the typed cause under
     /// [`RecoveryPolicy::Fail`]; under
     /// [`RecoveryPolicy::RespawnFromBarrier`] the engine rebuilds itself
     /// (absorbing what it had handed off via the replay log) and returns
     /// `Ok`.
-    pub fn ingest(&mut self, mut batch: Vec<S::Item>) -> Result<(), EngineError> {
+    pub fn ingest(&mut self, batch: Vec<S::Item>) -> Result<(), EngineError> {
         self.check_alive()?;
-        // No shard's chunk of this batch exceeds ⌈b/K⌉ items.
-        let chunk = batch.len().div_ceil(self.runs.len());
-        for k in 0..self.runs.len() {
-            if self.runs[k]
-                .as_ref()
-                .is_some_and(|run| run.is_full_for(chunk))
-            {
-                self.flush(k)?;
-            }
-            while self.runs[k].is_none() {
-                // A closed pool means the shard's worker is gone.
-                match self.shared.shards[k].pool.pop() {
-                    Some(run) => self.runs[k] = Some(run),
-                    None => self.incident(EngineError::ShardDead { shard: k })?,
-                }
-            }
+        if self.open.is_full_for(batch.len()) {
+            self.hand_off()?;
         }
         self.batches_ingested += 1;
-        let runs = &mut self.runs;
-        self.splitter.split_append(&mut batch, |k, chunk| {
-            // INVARIANT: the loop above left every shard holding a run.
-            runs[k].as_mut().expect("open run present").push(chunk);
-        });
+        let sizes = self.splitter.split_sizes(batch.len());
+        self.open.push(batch, sizes);
         if let Some(plan) = &self.shared.faults {
             let batch_no = self.batches_ingested;
             for (shard, faults) in self.run_faults.iter_mut().enumerate() {
@@ -734,53 +769,79 @@ where
         Ok(())
     }
 
-    /// Hand shard `k`'s open run to its worker (nothing to do when it holds
-    /// no batches). Under `RespawnFromBarrier` the run is logged before
-    /// the push, so a push that fails or is dropped is replayed by the
-    /// recovery it triggers.
-    fn try_flush(&mut self, k: usize) -> Result<(), EngineError> {
-        let Some(run) = self.runs[k].take_if(|run| !run.lens.is_empty()) else {
-            return Ok(());
+    /// Hand the open run to every shard: swap it into a free slot and
+    /// push the slot's id to each work queue. The slot's previous, fully
+    /// read run comes back as the new open run, and its spent caller
+    /// batches are dropped here. Under `RespawnFromBarrier` the run is
+    /// logged before the pushes, so a push that fails or is dropped is
+    /// replayed by the recovery it triggers; a failure before the swap
+    /// leaves the run open.
+    fn try_hand_off(&mut self) -> Result<(), EngineError> {
+        // The free queue closes only when a shard worker dies.
+        let Some(id) = self.shared.free.pop() else {
+            return Err(self.dead_shard());
         };
         if self.shared.recovery.is_some() {
-            self.replay[k].push_back((self.batches_ingested, run.clone()));
+            self.replay
+                .push_back((self.batches_ingested, self.open.clone()));
         }
-        let faults = std::mem::take(&mut self.run_faults[k]);
-        if let Some(batch) = faults.dropped {
-            // The enqueue was "lost": the shard's state no longer
-            // matches its stream. Surfaced exactly like a dead shard —
-            // fail typed, or restore from fork + replay (the log holds
-            // the lost run).
-            return Err(EngineError::ChunkDropped { shard: k, batch });
+        let slot = &self.shared.runs[id];
+        std::mem::swap(&mut *slot.run.write(), &mut self.open);
+        slot.pending
+            .store(self.shared.shards.len(), Ordering::Release);
+        self.open.clear();
+        let mut cause = None;
+        for (k, queues) in self.shared.shards.iter().enumerate() {
+            let faults = std::mem::take(&mut self.run_faults[k]);
+            if let Some(batch) = faults.dropped {
+                // The enqueue was "lost": the shard's state no longer
+                // matches its stream. Surfaced exactly like a dead shard —
+                // fail typed, or restore from fork + replay (the log holds
+                // the lost run).
+                cause.get_or_insert(EngineError::ChunkDropped { shard: k, batch });
+                continue;
+            }
+            if !faults.stall.is_zero() {
+                std::thread::sleep(faults.stall);
+            }
+            if queues.work.push(ShardMsg::Run(id)).is_err() {
+                cause.get_or_insert(EngineError::ShardDead { shard: k });
+            }
         }
-        if !faults.stall.is_zero() {
-            std::thread::sleep(faults.stall);
-        }
-        self.shared.shards[k]
-            .work
-            .push(ShardMsg::Run(run))
-            .map_err(|_| EngineError::ShardDead { shard: k })
+        cause.map_or(Ok(()), Err)
     }
 
-    /// [`Self::try_flush`] with any failure routed through the
-    /// supervisor.
-    fn flush(&mut self, k: usize) -> Result<(), EngineError> {
-        self.try_flush(k).or_else(|cause| self.incident(cause))
-    }
-
-    /// Hand every shard's open run to its worker — the step before any
-    /// message that must see everything ingested so far.
-    fn flush_all(&mut self) -> Result<(), EngineError> {
-        for k in 0..self.runs.len() {
-            self.flush(k)?;
+    /// Hand the open run off (nothing to do when it holds no batches) —
+    /// the step before any message that must see everything ingested so
+    /// far. Failures go through the supervisor; a run still open after a
+    /// recovery goes to the fresh pipeline.
+    fn hand_off(&mut self) -> Result<(), EngineError> {
+        while !self.open.is_empty() {
+            if let Err(cause) = self.try_hand_off() {
+                self.incident(cause)?;
+            }
         }
         Ok(())
+    }
+
+    /// The shard whose worker died: its panic guard closed its work queue
+    /// before the free queue.
+    fn dead_shard(&self) -> EngineError {
+        // INVARIANT: the free queue is closed only by a shard worker's
+        // exit guard, which closes that shard's work queue first.
+        let shard = self
+            .shared
+            .shards
+            .iter()
+            .position(|queues| queues.work.is_closed())
+            .expect("a closed free queue means a shard's work queue closed");
+        EngineError::ShardDead { shard }
     }
 
     /// Block until every shard has absorbed everything queued so far.
     pub fn quiesce(&mut self) -> Result<(), EngineError> {
         self.check_alive()?;
-        self.flush_all()?;
+        self.hand_off()?;
         loop {
             match self.try_sync() {
                 Ok(()) => return Ok(()),
@@ -828,7 +889,7 @@ where
 
     fn snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
         self.check_alive()?;
-        self.flush_all()?;
+        self.hand_off()?;
         loop {
             match self.try_snapshot_shards() {
                 Ok(snaps) => return Ok(snaps),
@@ -883,7 +944,7 @@ where
     /// retained; the oldest unclaimed one is evicted.
     pub fn request_checkpoint(&mut self) -> Result<u64, EngineError> {
         self.check_alive()?;
-        self.flush_all()?;
+        self.hand_off()?;
         loop {
             let gen = self.next_ckpt_gen;
             let mut cause = None;
@@ -999,7 +1060,7 @@ where
     /// request a faulted epoch from its original pre-`long_jump` position
     /// — keeping the retried merge bit-identical to a fault-free run.
     fn request_snapshot_at(&mut self, pos: [u64; 4]) -> Result<u64, EngineError> {
-        self.flush_all()?;
+        self.hand_off()?;
         loop {
             let epoch = self.next_epoch;
             let mut cause = None;
@@ -1217,7 +1278,7 @@ where
                 .recovery
                 .as_ref()
                 .expect("recovery slots exist under RespawnFromBarrier");
-            for (slot, log) in slots.iter().zip(&mut self.replay) {
+            for (k, slot) in slots.iter().enumerate() {
                 let record = slot
                     .lock()
                     .take()
@@ -1227,19 +1288,20 @@ where
                     rng: Xoshiro256PlusPlus::from_state(record.rng),
                     seen: record.batches,
                 };
-                for (last, mut run) in log.drain(..) {
-                    let mut batch_no = last - run.lens.len() as u64;
-                    run.drain_batches(&mut scratch, |batch| {
-                        batch_no += 1;
-                        if batch_no > core.seen {
-                            core.sampler.observe_shard(batch, &mut core.rng);
-                            core.seen = batch_no;
-                        }
+                // Replay this shard's range of every logged batch past its
+                // fork record.
+                for (last, run) in &self.replay {
+                    let first = last - run.len() as u64;
+                    let seen = core.seen.saturating_sub(first).min(run.len() as u64);
+                    run.feed(k, seen as usize, &mut scratch, |batch| {
+                        core.sampler.observe_shard(batch, &mut core.rng);
                     });
+                    core.seen = core.seen.max(*last);
                 }
                 cores.push(core);
             }
         }
+        self.replay.clear();
         // Same cell: reader handles cloned before the fault stay valid.
         // The dead merger's closer closed it (waking stranded waiters
         // with `PublisherGone`); re-arm it for the new incarnation.
@@ -1251,15 +1313,8 @@ where
             Arc::clone(&self.shared.ckpts_done),
             &self.cell,
         );
-        // Open runs stay in the driver across the rebuild and reach the
-        // new shards at their next hand-off. Their buffers came from the
-        // old pools, so retire one fresh buffer per held run: each pool's
-        // population stays at RUN_POOL.
-        for (run, queues) in self.runs.iter().zip(&shared.shards) {
-            if run.is_some() {
-                drop(queues.pool.try_pop());
-            }
-        }
+        // The open run stays in the driver across the rebuild and reaches
+        // the new shards at its hand-off.
         self.shared = shared;
         self.worker_joins = worker_joins;
         self.merger_join = merger_join;
@@ -1271,21 +1326,23 @@ where
         self.recoveries += 1;
     }
 
-    /// Drop replay-log entries already covered by the shards' latest fork
-    /// records. Called after each barrier/checkpoint issuance; `try_lock`
-    /// only — a stale record just means trimming less now and more later.
+    /// Drop replay-log entries already covered by every shard's latest
+    /// fork record. Called after each barrier/checkpoint issuance;
+    /// `try_lock` only — a busy or stale record just means trimming less
+    /// now and more later.
     fn trim_replay(&mut self) {
         let Some(slots) = &self.shared.recovery else {
             return;
         };
-        for (log, slot) in self.replay.iter_mut().zip(slots) {
-            if let Some(guard) = slot.try_lock() {
-                if let Some(record) = guard.as_ref() {
-                    while log.front().is_some_and(|(last, _)| *last <= record.batches) {
-                        log.pop_front();
-                    }
-                }
+        let mut oldest = u64::MAX;
+        for slot in slots {
+            match slot.try_lock().as_deref() {
+                Some(Some(record)) => oldest = oldest.min(record.batches),
+                _ => return,
             }
+        }
+        while self.replay.front().is_some_and(|(last, _)| *last <= oldest) {
+            self.replay.pop_front();
         }
     }
 }
@@ -1315,13 +1372,19 @@ where
     S::Item: Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        // Hand the open runs off, then close the work queues: each worker
+        // Hand the open run off, then close the work queues: each worker
         // drains its backlog and exits; join re-raises genuine worker
-        // panics. A failed push only means a dead shard, and nothing is
-        // left to report it to.
-        for (run, queues) in self.runs.iter_mut().zip(&self.shared.shards) {
-            if let Some(run) = run.take_if(|run| !run.lens.is_empty()) {
-                let _ = queues.work.push(ShardMsg::Run(run));
+        // panics. A closed free queue or a failed push only means a dead
+        // shard, and nothing is left to report it to.
+        if !self.open.is_empty() {
+            if let Some(id) = self.shared.free.pop() {
+                let slot = &self.shared.runs[id];
+                std::mem::swap(&mut *slot.run.write(), &mut self.open);
+                slot.pending
+                    .store(self.shared.shards.len(), Ordering::Release);
+                for queues in &self.shared.shards {
+                    let _ = queues.work.push(ShardMsg::Run(id));
+                }
             }
         }
         for queues in &self.shared.shards {
@@ -1381,7 +1444,7 @@ fn spawn_pipeline<S: MergeableSample + Clone + Send + 'static>(
     Option<JoinHandle<()>>,
 )
 where
-    S::Item: Send + Sync + 'static,
+    S::Item: Clone + Send + Sync + 'static,
 {
     let spec = cfg.spec;
     let depth = cfg.queue_depth.max(1);
@@ -1410,26 +1473,31 @@ where
     // queue (overflow executes inline on the merger).
     let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * shard_count + 4);
     let shards: Vec<ShardQueues<S>> = (0..shard_count)
-        .map(|_| {
-            // The pool starts full and is the only source of run
-            // buffers, each pre-sized to the run target: the driver
-            // blocks on it rather than allocate, so the population never
-            // creeps and steady-state ingest never calls the allocator
-            // (the counting-allocator test pins this down).
-            let pool = BatchQueue::with_capacity(RUN_POOL);
-            for _ in 0..RUN_POOL {
-                let _ = pool.try_push(Run::pooled());
-            }
-            ShardQueues {
-                work: BatchQueue::with_capacity(depth),
-                resp: BatchQueue::with_capacity(2),
-                pool,
-                counters: ShardCounters::default(),
-            }
+        .map(|_| ShardQueues {
+            work: BatchQueue::with_capacity(depth),
+            resp: BatchQueue::with_capacity(2),
+            counters: ShardCounters::default(),
         })
         .collect();
+    // Every slot starts free, pre-sized to the run target. Together with
+    // the driver's open run they are the only run buffers: the driver
+    // blocks on the free queue rather than allocate, so the population
+    // never creeps and steady-state ingest never calls the allocator (the
+    // counting-allocator test pins this down).
+    let runs = (0..RUN_SLOTS)
+        .map(|_| RunSlot {
+            run: RwLock::new(SharedRun::pooled(shard_count)),
+            pending: AtomicUsize::new(0),
+        })
+        .collect();
+    let free = BatchQueue::with_capacity(RUN_SLOTS);
+    for id in 0..RUN_SLOTS {
+        let _ = free.try_push(id);
+    }
     let shared = Arc::new(EngineShared {
         shards,
+        runs,
+        free,
         tasks,
         merger,
         spec,
@@ -1484,15 +1552,18 @@ where
 /// Process one drained group of messages for shard `shard_id` on its
 /// worker thread — the only place shard state advances.
 ///
-/// Each run's sub-batches pass through `scratch` one at a time, and each
-/// emptied run buffer goes straight back to the shard's pool.
+/// The shard's range of each batch in a shared run passes through
+/// `scratch` one at a time; the last shard to finish a run returns its
+/// slot to the free queue.
 fn process_shard_msgs<S: MergeableSample + Clone>(
     shard_id: usize,
     core: &mut ShardCore<S>,
     shared: &EngineShared<S>,
-    msgs: &mut Vec<ShardMsg<S::Item>>,
+    msgs: &mut Vec<ShardMsg>,
     scratch: &mut Vec<S::Item>,
-) {
+) where
+    S::Item: Clone,
+{
     let merger = &shared.merger;
     let queues = &shared.shards[shard_id];
     let counters = &queues.counters;
@@ -1520,24 +1591,32 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
     };
     for msg in msgs.drain(..) {
         match msg {
-            ShardMsg::Run(mut run) => {
+            ShardMsg::Run(id) => {
                 if span.is_none() {
                     span = Some(Instant::now());
                 }
-                items += run.items.len() as u64;
-                batches += run.lens.len() as u64;
-                run.drain_batches(scratch, |batch| {
-                    if let Some(plan) = &shared.faults {
-                        // Injection site: "the worker processing shard
-                        // `shard_id`'s `seen`-th batch". Keyed to the
-                        // shard's deterministic stream position, not the
-                        // (timing-dependent) run boundaries.
-                        plan.fire_kill_worker(shard_id, core.seen);
-                    }
-                    core.seen += 1;
-                    core.sampler.observe_shard(batch, &mut core.rng);
-                });
-                let _ = queues.pool.try_push(run);
+                let slot = &shared.runs[id];
+                {
+                    let run = slot.run.read();
+                    batches += run.len() as u64;
+                    let fed = run.feed(shard_id, 0, scratch, |batch| {
+                        if let Some(plan) = &shared.faults {
+                            // Injection site: "the worker processing shard
+                            // `shard_id`'s `seen`-th batch". Keyed to the
+                            // shard's deterministic stream position, not
+                            // the (timing-dependent) run boundaries.
+                            plan.fire_kill_worker(shard_id, core.seen);
+                        }
+                        core.seen += 1;
+                        core.sampler.observe_shard(batch, &mut core.rng);
+                    });
+                    items += fed as u64;
+                }
+                // The read guard is gone: the last reader frees the slot,
+                // and the driver's write lock never waits on a reader.
+                if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    let _ = shared.free.try_push(id);
+                }
             }
             ShardMsg::Snapshot => {
                 close_span(&mut span, &mut busy);
@@ -1667,31 +1746,42 @@ fn shard_worker<S: MergeableSample + Clone>(
     shared: &EngineShared<S>,
     depth: usize,
     started: &Barrier,
-) {
+) where
+    S::Item: Clone,
+{
     let my = &shared.shards[shard_id];
     // If the worker unwinds (a sampler panic), close its driver-facing
-    // queues: a driver blocked in pop_resp fails fast ("shard worker
-    // terminated"), and one blocked on a full work queue or an empty run
-    // pool in ingest() wakes with an error instead of waiting forever on
-    // a consumer that no longer exists. The core dies with this thread,
-    // so the supervisor rebuilds the shard from its fork record and the
+    // queues and then the free queue: a driver blocked in pop_resp fails
+    // fast ("shard worker terminated"), and one blocked on a full work
+    // queue or on an empty free queue (a run slot this shard will never
+    // release) wakes with an error instead of waiting forever on a
+    // consumer that no longer exists. The core dies with this thread, so
+    // the supervisor rebuilds the shard from its fork record and the
     // replay log. On normal exit the engine is being dropped and the
     // closes are harmless.
     struct PanicCloser<'a, S: MergeableSample> {
-        queues: &'a ShardQueues<S>,
+        shared: &'a EngineShared<S>,
+        shard: usize,
     }
     impl<S: MergeableSample> Drop for PanicCloser<'_, S> {
         fn drop(&mut self) {
-            self.queues.close_queues();
+            let queues = &self.shared.shards[self.shard];
+            queues.work.close();
+            queues.resp.close();
+            self.shared.free.close();
         }
     }
-    let _closer = PanicCloser { queues: my };
+    let _closer = PanicCloser {
+        shared,
+        shard: shard_id,
+    };
 
     // A drained group holds at most `depth` messages (every work queue's
-    // bound), and a sub-batch at most the run target unless one batch
-    // alone outgrew it, so sizing the local buffers up front makes the
-    // loop allocation-free from the first message on.
-    let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(depth);
+    // bound), and a shard's range of a batch at most the per-shard run
+    // target unless one batch alone outgrew the run, so sizing the local
+    // buffers up front makes the loop allocation-free from the first
+    // message on.
+    let mut msgs: Vec<ShardMsg> = Vec::with_capacity(depth);
     let mut scratch: Vec<S::Item> = Vec::with_capacity(RUN_ITEMS);
     started.wait();
     loop {

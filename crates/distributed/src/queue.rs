@@ -15,8 +15,8 @@
 //! 3. **Backpressure** — `push` blocks while the queue is at capacity,
 //!    and a consumer can block in [`BatchQueue::pop`] until an entry
 //!    comes back. The engine uses the latter to bound its in-flight
-//!    memory in items: each shard's run buffers circulate through a
-//!    small fixed pool the driver blocks on.
+//!    memory in items: its shared run slots circulate through a small
+//!    free queue the driver blocks on.
 //!
 //! Built on the vendored `parking_lot` shim (`Mutex` + `Condvar`).
 

@@ -477,6 +477,20 @@ fn faults_inside_open_and_queued_runs() {
         ("delay_push", |shards| {
             FaultPlan::new().delay_push(shards / 2, TARGET, 5)
         }),
+        // The run reaches the last shard 50 ms after the others, so they
+        // have read it and released their share of its slot before that
+        // shard dies inside it.
+        ("kill_after_release", |shards| {
+            FaultPlan::new()
+                .delay_push(shards - 1, TARGET, 50)
+                .kill_worker(shards - 1, TARGET - 1)
+        }),
+        // Shard 1's push alone is lost (shard 0 at K = 1); the others
+        // get the run. The batch sits mid-run, so the reported number
+        // must be the dropped batch's own.
+        ("drop_push_shard1", |shards| {
+            FaultPlan::new().drop_push(shards.min(2) - 1, TARGET + 1)
+        }),
     ];
     for ttbs in [false, true] {
         for shards in [1usize, 4] {
@@ -503,8 +517,21 @@ fn faults_inside_open_and_queued_runs() {
                             assert_eq!(health, EngineHealth::Failed(cause.clone()), "{ctx}");
                             match (*label, &cause) {
                                 ("kill_worker", EngineError::ShardDead { .. }) => {}
+                                ("kill_after_release", EngineError::ShardDead { shard }) => {
+                                    assert_eq!(*shard, shards - 1, "{ctx}");
+                                }
                                 ("drop_push", EngineError::ChunkDropped { shard, batch }) => {
                                     assert_eq!((*shard, *batch), (shards / 2, TARGET), "{ctx}");
+                                }
+                                (
+                                    "drop_push_shard1",
+                                    EngineError::ChunkDropped { shard, batch },
+                                ) => {
+                                    assert_eq!(
+                                        (*shard, *batch),
+                                        (shards.min(2) - 1, TARGET + 1),
+                                        "{ctx}"
+                                    );
                                 }
                                 other => panic!("{ctx}: unexpected cause {other:?}"),
                             }
@@ -534,57 +561,84 @@ fn faults_inside_open_and_queued_runs() {
     }
 }
 
-/// A shard dies while the driver holds an open run for it (and for every
-/// other cell): the death is detected by a checkpoint wait, which sends
-/// nothing to the shards, so the open runs stay in the driver across the
-/// rebuild and reach the new shards at the next hand-off.
+/// A shard dies while the driver holds its open run, for two streams:
+///
+/// * small batches: the death is detected by a checkpoint wait, which
+///   sends nothing to the shards, so the open run stays in the driver
+///   across the rebuild and reaches the new shards at the next hand-off;
+/// * one large batch, then runs of three batches that each cost a shard
+///   milliseconds: the driver normally fills both run slots and blocks
+///   on the empty run pool while shard 1 is still reading the second
+///   run, and shard 1 dies at that run's last batch, so its slot is
+///   never released. The dying shard's guard closes the pool, and the
+///   driver wakes with a typed error.
 #[test]
 fn shard_death_while_the_driver_holds_its_open_run() {
     silence_injected_panics();
-    let run = |recovery: RecoveryPolicy, plan: Option<FaultPlan>| {
-        let cfg = EngineConfig::new(ShardSpec::rtbs(0.2, 64, 4), 3).recovery(recovery);
-        let mut engine: ParallelIngestEngine<RTbs<u64>> = match plan {
-            Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
-            None => ParallelIngestEngine::new(cfg),
-        };
-        let result = (|| {
-            for t in 0..12 {
-                engine.ingest(batch_at(t))?;
-            }
-            // Hands batches 1..=12 off; shard 1 dies at its 10th, before
-            // the checkpoint fork.
-            engine.request_checkpoint()?;
-            for t in 12..20 {
-                engine.ingest(batch_at(t))?;
-            }
-            engine.wait_checkpoint(Duration::from_secs(30))?;
-            for t in 20..BATCHES {
-                engine.ingest(batch_at(t))?;
-            }
-            engine.sample()
-        })();
-        (result, engine.health())
+    // One million items, then batches of 10 000: three to a run. The
+    // first run leaves every shard an unsaturated sample of ~250 000
+    // items, so each later batch costs its shard a downsample of that
+    // sample: milliseconds the driver spends filling both slots.
+    let big = |t: u64| {
+        let b = if t == 0 { 1_000_000 } else { 10_000 };
+        (0..b).map(|i| t * 1_000_000 + i).collect()
     };
-    let (clean, health) = run(RecoveryPolicy::RespawnFromBarrier, None);
-    let clean = clean.expect("fault-free run succeeds");
-    assert_eq!(health, EngineHealth::Healthy);
+    // (label, batch at step t, capacity, shard 1's fatal batch index)
+    type Stream = (&'static str, fn(u64) -> Vec<u64>, usize, u64);
+    let streams: [Stream; 2] = [
+        ("open run", batch_at, 64, 9),
+        ("empty pool", big, 2_000_000, 3),
+    ];
+    for (label, stream, capacity, kill_at) in streams {
+        let run = |recovery: RecoveryPolicy, plan: Option<FaultPlan>| {
+            let cfg = EngineConfig::new(ShardSpec::rtbs(0.2, capacity, 4), 3).recovery(recovery);
+            let mut engine: ParallelIngestEngine<RTbs<u64>> = match plan {
+                Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
+                None => ParallelIngestEngine::new(cfg),
+            };
+            // Generated up front, so the driver outruns the shards.
+            let mut batches: Vec<Vec<u64>> = (0..BATCHES).map(stream).collect();
+            let mut next = |t: u64| std::mem::take(&mut batches[t as usize]);
+            let result = (|| {
+                for t in 0..12 {
+                    engine.ingest(next(t))?;
+                }
+                // Hands batches 1..=12 off; in the small stream shard 1
+                // dies at its 10th, before the checkpoint fork.
+                engine.request_checkpoint()?;
+                for t in 12..20 {
+                    engine.ingest(next(t))?;
+                }
+                engine.wait_checkpoint(Duration::from_secs(30))?;
+                for t in 20..BATCHES {
+                    engine.ingest(next(t))?;
+                }
+                engine.sample()
+            })();
+            (result, engine.health())
+        };
+        let (clean, health) = run(RecoveryPolicy::RespawnFromBarrier, None);
+        let clean = clean.expect("fault-free run succeeds");
+        assert_eq!(health, EngineHealth::Healthy, "{label}");
 
-    let (got, health) = run(
-        RecoveryPolicy::Fail,
-        Some(FaultPlan::new().kill_worker(1, 9)),
-    );
-    let cause = got.expect_err("the death must surface under Fail");
-    assert!(matches!(cause, EngineError::ShardDead { .. }), "{cause:?}");
-    assert_eq!(health, EngineHealth::Failed(cause));
+        let (got, health) = run(
+            RecoveryPolicy::Fail,
+            Some(FaultPlan::new().kill_worker(1, kill_at)),
+        );
+        let cause = got.expect_err("the death must surface under Fail");
+        assert!(matches!(cause, EngineError::ShardDead { .. }), "{cause:?}");
+        assert_eq!(cause, EngineError::ShardDead { shard: 1 }, "{label}");
+        assert_eq!(health, EngineHealth::Failed(cause));
 
-    let (got, health) = run(
-        RecoveryPolicy::RespawnFromBarrier,
-        Some(FaultPlan::new().kill_worker(1, 9)),
-    );
-    assert_eq!(
-        got.expect("respawn absorbs the death"),
-        clean,
-        "the open runs held across the rebuild were lost or replayed twice"
-    );
-    assert_eq!(health, EngineHealth::Degraded { recoveries: 1 });
+        let (got, health) = run(
+            RecoveryPolicy::RespawnFromBarrier,
+            Some(FaultPlan::new().kill_worker(1, kill_at)),
+        );
+        assert_eq!(
+            got.expect("respawn absorbs the death"),
+            clean,
+            "{label}: the open runs held across the rebuild were lost or replayed twice"
+        );
+        assert_eq!(health, EngineHealth::Degraded { recoveries: 1 }, "{label}");
+    }
 }

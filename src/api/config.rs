@@ -138,12 +138,16 @@ impl Algorithm {
 
 /// How a sampler spends randomness while absorbing a batch.
 ///
-/// Both concrete strategies realize the *same* distribution over samples
-/// (Theorem 4.2's inclusion probabilities; see `tbs_core::jumps` for the
-/// equivalence argument and `tests/statistical_equivalence.rs` for the
-/// empirical proof) — they differ only in cost and in how the RNG stream
-/// is consumed, so trajectories are bit-identical *within* a mode but not
-/// *across* modes.
+/// Both concrete strategies realize the same first-order inclusion law
+/// (Theorem 4.2's inclusion probabilities for R-TBS, `q·e^{−λa}` for
+/// T-TBS) and the same sample-size law; see `tbs_core::jumps` for the
+/// argument and `tests/statistical_equivalence.rs` for the empirical
+/// check. Their *pairwise* law differs: jump mode evicts and keeps
+/// contiguous windows, so neighbouring items (for instance, the items of
+/// one batch) tend to leave or survive together, where per-item mode
+/// treats every item on its own. They also differ in cost and in how the
+/// RNG stream is consumed, so trajectories are bit-identical *within* a
+/// mode but not *across* modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IngestMode {
     /// Let the library choose: jump-ahead for the algorithms that support
@@ -393,12 +397,12 @@ impl SamplerConfig {
     }
 
     /// Bounded depth of each shard's work queue, in messages (only
-    /// meaningful with `shards > 1`). A message is a coalesced run of
+    /// meaningful with `shards > 1`). A message is a shared run of
     /// batches or a control request (publish barrier, checkpoint, sync),
     /// so the depth bounds how many requests can queue up ahead of a
-    /// shard. In-flight *items* are bounded independently of the depth:
-    /// each shard has a fixed pool of run buffers times the engine's run
-    /// size target (see `tbs_distributed::engine`).
+    /// shard. In-flight *items* are bounded independently of the depth,
+    /// by the engine's fixed set of shared run slots times its run size
+    /// target (see `tbs_distributed::engine`).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
