@@ -468,6 +468,147 @@ mod tests {
         assert_eq!(r.get_items::<u64>().unwrap(), items);
     }
 
+    /// A test-local item type with a variable-length encoding: a `u16`
+    /// tag, then the body bytes.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Word {
+        tag: u16,
+        body: Vec<u8>,
+    }
+
+    impl Wire for Word {
+        fn encode(&self) -> Bytes {
+            let mut b = BytesMut::new();
+            b.put_slice(&self.tag.to_le_bytes());
+            b.put_slice(&self.body);
+            b.freeze()
+        }
+        fn try_decode(data: &[u8]) -> Option<Self> {
+            Some(Word {
+                tag: u16::from_le_bytes(data.get(..2)?.try_into().ok()?),
+                body: data[2..].to_vec(),
+            })
+        }
+    }
+
+    /// The blob `Writer::new` + `put_items` must produce, assembled by
+    /// hand: magic, version 5, a `u32` count, then each item's `u32`
+    /// length and its bytes.
+    fn hand_built(items: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&0x5442_5343u32.to_le_bytes());
+        out.extend_from_slice(&5u32.to_le_bytes());
+        out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+        for item in items {
+            out.extend_from_slice(&(item.len() as u32).to_le_bytes());
+            out.extend_from_slice(item);
+        }
+        out
+    }
+
+    fn items_blob<T: Wire>(items: &[T]) -> Bytes {
+        let mut w = Writer::new();
+        w.put_items(items.iter());
+        w.finish()
+    }
+
+    #[test]
+    fn item_bytes_are_pinned() {
+        let le = |fields: &[&[u8]]| fields.concat();
+
+        let u64s = [0u64, 0x0102_0304_0506_0708, u64::MAX];
+        let expect: Vec<Vec<u8>> = u64s.iter().map(|v| v.to_le_bytes().to_vec()).collect();
+        assert_eq!(&items_blob(&u64s)[..], &hand_built(&expect)[..]);
+
+        let pairs = [(1u32, 2u32), (0xDEAD_BEEF, 0)];
+        let expect: Vec<Vec<u8>> = pairs
+            .iter()
+            .map(|(a, b)| le(&[&a.to_le_bytes(), &b.to_le_bytes()]))
+            .collect();
+        assert_eq!(&items_blob(&pairs)[..], &hand_built(&expect)[..]);
+
+        let points = [[1.5f64, -2.25], [0.0, f64::MAX], [-0.0, 1e-300]];
+        let expect: Vec<Vec<u8>> = points
+            .iter()
+            .map(|[x, y]| le(&[&x.to_le_bytes(), &y.to_le_bytes()]))
+            .collect();
+        assert_eq!(&items_blob(&points)[..], &hand_built(&expect)[..]);
+
+        let words = [
+            Word {
+                tag: 0xBEEF,
+                body: b"abc".to_vec(),
+            },
+            Word {
+                tag: 1,
+                body: Vec::new(),
+            },
+            Word {
+                tag: 7,
+                body: (0..200u8).collect(),
+            },
+        ];
+        let expect: Vec<Vec<u8>> = words
+            .iter()
+            .map(|w| le(&[&w.tag.to_le_bytes(), &w.body]))
+            .collect();
+        let blob = items_blob(&words);
+        assert_eq!(&blob[..], &hand_built(&expect)[..]);
+        let mut r = Reader::new(blob).unwrap();
+        assert_eq!(r.get_items::<Word>().unwrap(), words);
+        assert!(r.is_exhausted());
+
+        // A lone `put_item` is the same length-prefixed record, no count.
+        let mut w = Writer::new();
+        w.put_item(&[3.0f64, 4.0]);
+        let mut expect = hand_built(&[le(&[&3.0f64.to_le_bytes(), &4.0f64.to_le_bytes()])]);
+        expect.drain(8..12);
+        assert_eq!(&w.finish()[..], &expect[..]);
+    }
+
+    /// Header, then `len` as an item length prefix, then `payload`.
+    fn item_record(len: u32, payload: &[u8]) -> Bytes {
+        let mut w = Writer::new();
+        w.put_u32(len);
+        for &b in payload {
+            w.put_u8(b);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn item_length_past_the_end_is_truncated() {
+        let mut r = Reader::new(item_record(17, &[0; 16])).unwrap();
+        assert_eq!(
+            r.get_item::<[f64; 2]>().unwrap_err(),
+            CheckpointError::Truncated
+        );
+        let mut r = Reader::new(item_record(u32::MAX, &[0; 16])).unwrap();
+        assert_eq!(r.get_item::<u64>().unwrap_err(), CheckpointError::Truncated);
+    }
+
+    #[test]
+    fn short_item_payload_is_corrupt() {
+        let mut r = Reader::new(item_record(15, &[0; 15])).unwrap();
+        assert_eq!(
+            r.get_item::<[f64; 2]>().unwrap_err(),
+            CheckpointError::Corrupt("item payload")
+        );
+    }
+
+    #[test]
+    fn long_item_payload_decodes_its_prefix_and_consumes_all() {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1.5f64.to_le_bytes());
+        payload.extend_from_slice(&(-2.0f64).to_le_bytes());
+        payload.extend_from_slice(&[9, 9, 9, 9]);
+        payload.extend_from_slice(&0xABCD_u32.to_le_bytes());
+        let mut r = Reader::new(item_record(20, &payload)).unwrap();
+        assert_eq!(r.get_item::<[f64; 2]>().unwrap(), [1.5, -2.0]);
+        assert_eq!(r.get_u32().unwrap(), 0xABCD);
+        assert!(r.is_exhausted());
+    }
+
     #[test]
     fn rejects_bad_magic() {
         let blob = Bytes::from_static(&[0u8; 16]);

@@ -136,3 +136,64 @@ proptest! {
         ));
     }
 }
+
+/// Hand-built frame: `u32` LE length prefix, then the payload, which is
+/// the checkpoint header (`TBSC` magic, version 5), the tag and `fields`.
+fn hand_built_frame(tag: u8, fields: &[&[u8]]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0x5442_5343u32.to_le_bytes());
+    payload.extend_from_slice(&5u32.to_le_bytes());
+    payload.push(tag);
+    for field in fields {
+        payload.extend_from_slice(field);
+    }
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// The item records of a sequence: a `u32` count, then each item's
+/// `u32` length (16) and its two LE `f64`s.
+fn point_records(points: &[[f64; 2]]) -> Vec<u8> {
+    let mut out = (points.len() as u32).to_le_bytes().to_vec();
+    for [x, y] in points {
+        out.extend_from_slice(&16u32.to_le_bytes());
+        out.extend_from_slice(&x.to_le_bytes());
+        out.extend_from_slice(&y.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn ingest_and_sample_frames_are_pinned() {
+    let points = [[1.0f64, -2.5], [0.125, 1e9], [-0.0, f64::MIN_POSITIVE]];
+
+    let ingest = encode_frame(&Request::Ingest(points.to_vec()).encode());
+    assert_eq!(ingest, hand_built_frame(7, &[&point_records(&points)]));
+
+    let sample = Reply::Sample {
+        epoch: 3,
+        batches: 0x0102_0304_0506,
+        items: points.to_vec(),
+    };
+    let frame = encode_frame(&sample.encode());
+    assert_eq!(
+        frame,
+        hand_built_frame(
+            65,
+            &[
+                &3u64.to_le_bytes(),
+                &0x0102_0304_0506u64.to_le_bytes(),
+                &point_records(&points),
+            ],
+        )
+    );
+
+    let mut dec = FrameDecoder::new();
+    dec.push(&ingest);
+    let back = Request::<[f64; 2]>::decode(dec.next_frame().unwrap().unwrap()).unwrap();
+    assert_eq!(back, Request::Ingest(points.to_vec()));
+    dec.push(&frame);
+    let back = Reply::<[f64; 2]>::decode(dec.next_frame().unwrap().unwrap()).unwrap();
+    assert_eq!(back, sample);
+}
