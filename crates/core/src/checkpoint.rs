@@ -19,7 +19,7 @@
 //! can serialize themselves without the core crate depending on the
 //! distributed substrate.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Magic tag identifying a TBS checkpoint blob.
 pub const MAGIC: u32 = 0x5442_5343; // "TBSC"
@@ -96,13 +96,33 @@ impl std::error::Error for CheckpointError {}
 /// implement it to become checkpointable (and shippable across the
 /// simulated network in `tbs-distributed`, whose cost model charges for
 /// the encoded size).
+///
+/// The contract:
+///
+/// * [`Wire::encode_into`] appends exactly the item's bytes to `out` —
+///   no length prefix, and nothing before or after. The checkpoint
+///   [`Writer`] calls it straight into its own buffer and frames the
+///   item itself, so encoding an item allocates nothing.
+/// * [`Wire::try_decode`] must accept exactly what `encode_into` wrote
+///   and return the same value. The [`Reader`] hands it a slice borrowed
+///   from the blob, so decoding allocates only what the item owns.
+/// * The provided [`Wire::encode`] allocates a fresh buffer per call; it
+///   is for callers that need an owned copy of one item, never for the
+///   checkpoint or wire codec.
 pub trait Wire: Clone {
-    /// Encode to a byte buffer.
-    fn encode(&self) -> Bytes;
+    /// Append the item's bytes (no length prefix) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>);
     /// Decode from a byte buffer; `None` on a malformed payload (e.g.
-    /// too short). Must round-trip `encode`. This is the method the
-    /// checkpoint reader calls, so untrusted blobs fail cleanly.
+    /// too short). Must round-trip [`Wire::encode_into`]. This is the
+    /// method the checkpoint reader calls, so untrusted blobs fail
+    /// cleanly.
     fn try_decode(data: &[u8]) -> Option<Self>;
+    /// Encode into a fresh, owned byte buffer (allocates).
+    fn encode(&self) -> Bytes {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        Bytes::from(out)
+    }
     /// Decode from a byte buffer the caller knows is well-formed.
     ///
     /// # Panics
@@ -119,8 +139,8 @@ pub trait Wire: Clone {
 }
 
 impl Wire for u64 {
-    fn encode(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.to_le_bytes())
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.put_u64_le(*self);
     }
     fn try_decode(data: &[u8]) -> Option<Self> {
         Some(u64::from_le_bytes(data.get(..8)?.try_into().ok()?))
@@ -131,11 +151,9 @@ impl Wire for u64 {
 }
 
 impl Wire for (u32, u32) {
-    fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(8);
-        b.put_u32_le(self.0);
-        b.put_u32_le(self.1);
-        b.freeze()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.put_u32_le(self.0);
+        out.put_u32_le(self.1);
     }
     fn try_decode(data: &[u8]) -> Option<Self> {
         Some((
@@ -149,11 +167,9 @@ impl Wire for (u32, u32) {
 }
 
 impl Wire for [f64; 2] {
-    fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_f64_le(self[0]);
-        b.put_f64_le(self[1]);
-        b.freeze()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.put_f64_le(self[0]);
+        out.put_f64_le(self[1]);
     }
     fn try_decode(data: &[u8]) -> Option<Self> {
         Some([
@@ -169,14 +185,14 @@ impl Wire for [f64; 2] {
 /// Little-endian writer over a growable buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Start a checkpoint blob with magic + version.
     pub fn new() -> Self {
         let mut w = Writer {
-            buf: BytesMut::with_capacity(1024),
+            buf: Vec::with_capacity(1024),
         };
         w.put_u32(MAGIC);
         w.put_u32(VERSION);
@@ -216,9 +232,15 @@ impl Writer {
         }
     }
 
-    /// Append one [`Wire`]-encoded item (length-prefixed).
+    /// Append one [`Wire`]-encoded item (length-prefixed), encoded in
+    /// place: a `u32` placeholder, the item's bytes, then the real length
+    /// patched into the placeholder.
     pub fn put_item<T: Wire>(&mut self, item: &T) {
-        self.put_bytes(&item.encode());
+        let at = self.buf.len();
+        self.put_u32(0);
+        item.encode_into(&mut self.buf);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Append a length-prefixed sequence of [`Wire`]-encoded items.
@@ -231,7 +253,7 @@ impl Writer {
 
     /// Finish and return the blob.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 }
 
@@ -304,11 +326,15 @@ impl Reader {
         ])
     }
 
-    /// Read one [`Wire`]-encoded item (length-prefixed); a payload the
-    /// item type cannot decode is [`CheckpointError::Corrupt`].
+    /// Read one [`Wire`]-encoded item (length-prefixed), decoded from a
+    /// slice borrowed from the blob; a payload the item type cannot
+    /// decode is [`CheckpointError::Corrupt`].
     pub fn get_item<T: Wire>(&mut self) -> Result<T, CheckpointError> {
-        let bytes = self.get_bytes()?;
-        T::try_decode(&bytes).ok_or(CheckpointError::Corrupt("item payload"))
+        let len = self.get_u32()? as usize;
+        self.need(len)?;
+        let item = T::try_decode(&self.buf.chunk()[..len]);
+        self.buf.advance(len);
+        item.ok_or(CheckpointError::Corrupt("item payload"))
     }
 
     /// Read a length-prefixed sequence of [`Wire`]-encoded items.
@@ -437,6 +463,7 @@ pub fn check_non_negative(v: f64, what: &'static str) -> Result<f64, CheckpointE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn roundtrip_scalars_and_bytes() {
@@ -477,11 +504,9 @@ mod tests {
     }
 
     impl Wire for Word {
-        fn encode(&self) -> Bytes {
-            let mut b = BytesMut::new();
-            b.put_slice(&self.tag.to_le_bytes());
-            b.put_slice(&self.body);
-            b.freeze()
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.put_slice(&self.tag.to_le_bytes());
+            out.put_slice(&self.body);
         }
         fn try_decode(data: &[u8]) -> Option<Self> {
             Some(Word {

@@ -1,5 +1,6 @@
 //! Proof that steady-state `observe` performs **zero heap allocations**
-//! beyond the caller-provided batch.
+//! beyond the caller-provided batch, and that the checkpoint item codec
+//! allocates per blob, never per item.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`/
 //! `alloc_zeroed`. Each sampler is warmed past its steady state (so every
@@ -16,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::SeedableRng;
+use tbs_core::checkpoint::{Reader, Writer};
 use tbs_core::{BChao, BTbs, BatchedReservoir, CountWindow, RTbs, TTbs};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
@@ -164,5 +166,45 @@ fn steady_state_observe_allocates_nothing() {
         after - before,
         0,
         "sample_into allocated despite warm buffer"
+    );
+
+    // ——— The checkpoint item codec. ———
+    // Items are encoded into the writer's buffer and decoded from slices
+    // borrowed from the blob, so a round trip allocates per blob (buffer
+    // growth, the frozen blob, the decoded Vec) and never per item.
+    const CODEC_ALLOC_BOUND: u64 = 64;
+    let points: Vec<[f64; 2]> = (0..10_000).map(|i| [i as f64, -0.5 * i as f64]).collect();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut w = Writer::new();
+    w.put_items(points.iter());
+    let mut r = Reader::new(w.finish()).unwrap();
+    let back = r.get_items::<[f64; 2]>().unwrap();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(back, points);
+    assert!(
+        after - before < CODEC_ALLOC_BOUND,
+        "put_items + get_items of 10 000 items made {} heap allocations",
+        after - before
+    );
+
+    // R-TBS save_state + load_state at n = 10 000 (saturated, so the
+    // latent sample holds ~10 000 full items).
+    let mut s: RTbs<u64> = RTbs::new(0.1, 10_000);
+    for batch in gen(|_| 2_000, 0, 100) {
+        s.observe(batch, &mut rng);
+    }
+    assert!(s.sample(&mut rng).len() > 9_000);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut w = Writer::new();
+    s.save_state(&mut w);
+    let mut r = Reader::new(w.finish()).unwrap();
+    let restored = RTbs::<u64>::load_state(&mut r).unwrap();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert!(r.is_exhausted());
+    assert_eq!(restored.sample_weight(), s.sample_weight());
+    assert!(
+        after - before < CODEC_ALLOC_BOUND,
+        "R-TBS save_state + load_state at n = 10 000 made {} heap allocations",
+        after - before
     );
 }

@@ -601,7 +601,7 @@ impl<T: Wire + Send + 'static> DRTbs<T> {
         match &self.partial {
             Some(p) => {
                 w.put_u8(1);
-                w.put_bytes(&p.encode());
+                w.put_item(p);
             }
             None => w.put_u8(0),
         }
@@ -623,7 +623,7 @@ impl<T: Wire + Send + 'static> DRTbs<T> {
                     let part = cp.partition(j);
                     w.put_u32(part.len() as u32);
                     for item in part {
-                        w.put_bytes(&item.encode());
+                        w.put_item(item);
                     }
                 }
             }

@@ -4,9 +4,11 @@
 //!
 //! The same counting global allocator tallies every `alloc` / `realloc` /
 //! `alloc_zeroed` across *all* threads, so a clean count proves the whole
-//! pipeline allocation-free at once: the driver's split (into pooled,
-//! pre-sized run buffers), the bounded queues (VecDeques at high-water),
-//! and every shard's sampler (`observe_drain` on warm buffers). The
+//! pipeline allocation-free at once: the driver moving each batch whole
+//! into a shared run from the slot pool, the bounded queues (VecDeques at
+//! high-water), every shard copying its own range of the run into its
+//! scratch buffer, and every shard's sampler (`observe_drain` on warm
+//! buffers). The
 //! engine is warmed up, measured batches are pre-generated, and the
 //! counter must not move while they are fed.
 //! Deallocation of the consumed caller batches is intentionally not
@@ -109,8 +111,9 @@ fn steady_state_engine_ingest_allocates_nothing() {
         ParallelIngestEngine::new(EngineConfig::new(ShardSpec::rtbs(0.1, 1000, 4), 2));
     assert_engine_alloc_free("R-TBS 4-shard bursty", &mut rtbs_bursty, bursty, 600, 600);
 
-    // Single shard: the batch is copied whole into the shard's run, the
-    // same pooled path every K takes.
+    // Single shard: the batch moves whole into a shared run and the one
+    // shard copies its full range into its scratch buffer, the same path
+    // every K takes.
     let mut rtbs_single: ParallelIngestEngine<RTbs<u64>> =
         ParallelIngestEngine::new(EngineConfig::new(ShardSpec::rtbs(0.1, 1000, 1), 3));
     assert_engine_alloc_free("R-TBS 1-shard", &mut rtbs_single, |_| 100, 500, 500);

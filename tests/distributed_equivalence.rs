@@ -180,12 +180,10 @@ fn figure9_shape_scale_up_flat_then_linear() {
 struct Record([u64; 32]);
 
 impl temporal_sampling::distributed::Wire for Record {
-    fn encode(&self) -> bytes::Bytes {
-        let mut buf = Vec::with_capacity(256);
+    fn encode_into(&self, out: &mut Vec<u8>) {
         for v in self.0 {
-            buf.extend_from_slice(&v.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
         }
-        bytes::Bytes::from(buf)
     }
     fn try_decode(data: &[u8]) -> Option<Self> {
         if data.len() < 256 {
