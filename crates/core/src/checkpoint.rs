@@ -586,9 +586,12 @@ mod tests {
         // A lone `put_item` is the same length-prefixed record, no count.
         let mut w = Writer::new();
         w.put_item(&[3.0f64, 4.0]);
-        let mut expect = hand_built(&[le(&[&3.0f64.to_le_bytes(), &4.0f64.to_le_bytes()])]);
-        expect.drain(8..12);
-        assert_eq!(&w.finish()[..], &expect[..]);
+        let record = le(&[
+            &16u32.to_le_bytes(),
+            &3.0f64.to_le_bytes(),
+            &4.0f64.to_le_bytes(),
+        ]);
+        assert_eq!(&w.finish()[8..], &record[..]);
     }
 
     /// Header, then `len` as an item length prefix, then `payload`.
