@@ -22,37 +22,22 @@
 //! instead of reserving `⌈1/(1−e^{−λ})⌉` slots per shard up front.
 
 use crate::latent::LatentSample;
-use crate::util::{retain_random, retain_random_cheap};
+use crate::util::retain_random;
 use rand::Rng;
 
 /// Downsample `latent` in place from its current weight `C` to `target = C′`.
 ///
 /// Requires `0 < C′ ≤ C`; `C′ = C` is a permitted no-op (it arises for decay
-/// rate λ = 0). All randomness is drawn from `rng`.
+/// rate λ = 0). All randomness is drawn from `rng`. The full-item
+/// retention is [`retain_random`], which sweeps whichever of the kept and
+/// deleted sets is smaller: in R-TBS's per-step decay the survivor count
+/// `k ≈ e^{−λ}·len` is nearly everything, so a step costs ~`λ·len` draws.
+/// Per-item and jump ingest share this operator.
 ///
 /// # Panics
 ///
 /// Panics if `target` is not in `(0, C]`.
 pub fn downsample<T, R: Rng + ?Sized>(latent: &mut LatentSample<T>, target: f64, rng: &mut R) {
-    downsample_with(latent, target, rng, false);
-}
-
-/// [`downsample`] with a choice of retention sweep. With `cheap = true`
-/// the full-item retention draws only `min(k, len − k)` random indices
-/// (complement-side Fisher–Yates, see
-/// [`retain_random_cheap`](crate::util)): in R-TBS's per-step decay the
-/// survivor count `k ≈ e^{−λ}·len` is nearly everything, so sweeping the
-/// few *deleted* items costs ~`λ·len` draws instead of `len`. A uniform
-/// subset's complement is itself uniform, so both sweeps keep a uniform
-/// `k`-subset — the distribution of the result is identical, only the
-/// RNG stream differs. Jump-mode ingest uses the cheap side; the default
-/// path keeps the historical stream.
-pub(crate) fn downsample_with<T, R: Rng + ?Sized>(
-    latent: &mut LatentSample<T>,
-    target: f64,
-    rng: &mut R,
-    cheap: bool,
-) {
     let c = latent.weight();
     let c_prime = target;
     assert!(
@@ -87,20 +72,15 @@ pub(crate) fn downsample_with<T, R: Rng + ?Sized>(
         }
     } else {
         // 0 < ⌊C′⌋ < ⌊C⌋: some full items are deleted.
-        let retain: fn(&mut Vec<T>, usize, &mut R) = if cheap {
-            retain_random_cheap
-        } else {
-            retain_random
-        };
         if u <= (c_prime / c) * frac_c {
             // Retain the partial item by promoting it to full: keep ⌊C′⌋
             // random full items, then swap the partial in.
-            retain(latent.full_mut(), floor_c_prime, rng);
+            retain_random(latent.full_mut(), floor_c_prime, rng);
             latent.swap1(rng);
         } else {
             // Eject the partial item: keep ⌊C′⌋ + 1 random full items and
             // demote one of them to partial (overwriting π).
-            retain(latent.full_mut(), floor_c_prime + 1, rng);
+            retain_random(latent.full_mut(), floor_c_prime + 1, rng);
             latent.move1(rng);
         }
     }

@@ -34,8 +34,12 @@
 //!   skip in the next batch is *exactly* the same process. When `q` is
 //!   large (the paper's §6 regimes sit near `q ≈ 0.9`) jumping is
 //!   counter-productive — almost every item is accepted — so the jump
-//!   path instead draws `Binomial(|B|, q)` and sweeps out the *rejected*
-//!   minority ([`JUMP_GEOMETRIC_MAX_Q`] is the crossover).
+//!   path falls back to the per-item path's `Binomial(|B|, q)` count and
+//!   retention sweep ([`JUMP_GEOMETRIC_MAX_Q`] is the crossover).
+//!
+//! Everything else — every R-TBS downsample, every T-TBS decay step — is
+//! shared by both modes: [`crate::util::retain_random`] already sweeps
+//! whichever of the kept and discarded sets is smaller.
 //!
 //! Neither rewrite changes a sampler's state shape; the only new
 //! persistent state is the T-TBS [`JumpCursor`], which rides along in
@@ -46,22 +50,25 @@
 /// The mode changes *how randomness is spent*, not what is sampled: both
 /// modes realize the same first-order inclusion probabilities (Theorem
 /// 4.2 for R-TBS, `q·e^{−λa}` for T-TBS) and the same expected sample
-/// sizes. They draw different random-number streams, so two runs of the
+/// sizes. Once a saturated R-TBS batch or a sparse T-TBS acceptance
+/// runs, they draw different random-number streams, so two runs of the
 /// same seed in different modes produce different — equally valid —
 /// samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// Reference path: per-item Fisher–Yates sweeps and per-item decay
-    /// bookkeeping. Bit-compatible with all previously recorded
-    /// trajectories; the default everywhere.
+    /// Reference path: saturated R-TBS sweeps victims item by item and
+    /// T-TBS accepts by a binomial count plus a retention sweep. The
+    /// default everywhere.
     #[default]
     PerItem,
     /// Batch-level acceptance sampling: binomial accept counts plus
-    /// windowed victim/donor selection (saturated R-TBS), geometric
-    /// acceptance jumps with a cross-batch cursor (sparse T-TBS), and
-    /// complement-side retention sweeps. Statistically equivalent to
-    /// [`IngestMode::PerItem`] (see the module docs for exactly which
-    /// distributional statements are preserved).
+    /// windowed victim/donor selection (saturated R-TBS) and geometric
+    /// acceptance jumps with a cross-batch cursor (sparse T-TBS).
+    /// Statistically equivalent to [`IngestMode::PerItem`] (see the
+    /// module docs for exactly which distributional statements are
+    /// preserved). Retention — every downsample and decay sweep — is
+    /// shared with per-item mode, so an unsaturated R-TBS stream or a
+    /// dense-`q` T-TBS stream draws the same numbers in both modes.
     Jump,
 }
 
@@ -77,8 +84,8 @@ impl IngestMode {
 
 /// Largest acceptance probability for which T-TBS's jump mode uses
 /// geometric skip sampling; above it, skips are shorter than one item on
-/// average and a `Binomial(|B|, q)` count plus a complement-side sweep
-/// of the rejected minority is strictly cheaper.
+/// average and a `Binomial(|B|, q)` count plus a retention sweep of the
+/// rejected minority is strictly cheaper.
 ///
 /// The cursor of a sampler whose `q` lies above this threshold is
 /// structurally zero — checkpoint restore rejects blobs that claim

@@ -19,7 +19,7 @@
 //! whether the reservoir is *saturated* (`W ≥ n`) before and after.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::downsample::downsample_with;
+use crate::downsample::downsample;
 use crate::jumps::IngestMode;
 use crate::latent::LatentSample;
 use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
@@ -87,9 +87,13 @@ impl<T> RTbs<T> {
     /// Switch between per-item and jump-ahead ingest. The mode is a
     /// *strategy*, not sampler identity: it may be flipped at any batch
     /// boundary (including after a checkpoint restore) and both modes
-    /// realize the same Theorem 4.2 inclusion probabilities — they just
-    /// spend the RNG stream differently. Not persisted by
-    /// [`Self::save_state`]; restore paths re-apply the caller's config.
+    /// realize the same Theorem 4.2 inclusion probabilities. Both modes
+    /// share every downsample (Alg. 2 lines 8, 12, 19); they differ only
+    /// in the saturated transition, where jump mode exchanges random
+    /// windows instead of sweeping victims item by item — so on a stream
+    /// that never saturates the two modes are draw-for-draw identical.
+    /// Not persisted by [`Self::save_state`]; restore paths re-apply the
+    /// caller's config.
     pub fn set_ingest_mode(&mut self, mode: IngestMode) {
         self.mode = mode;
     }
@@ -228,19 +232,12 @@ impl<T> RTbs<T> {
         let n = self.capacity as f64;
         let batch_size = batch.len();
 
-        // Jump mode spends randomness per batch instead of per item; the
-        // retention sweeps inside `downsample` switch to complement-side
-        // draws, and the saturated→saturated transition below replaces the
-        // per-victim Fisher–Yates loop with a binomial count plus windowed
-        // segment swaps (see `crate::jumps` for the equivalence argument).
-        let cheap = self.mode == IngestMode::Jump;
-
         if self.total_weight < n {
             // ——— Previously unsaturated: C = W. ———
             self.total_weight *= decay; // line 6: decay current items
             if self.total_weight > 0.0 && !self.latent.is_empty() {
                 // line 8: downsample to the decayed weight
-                downsample_with(&mut self.latent, self.total_weight, rng, cheap);
+                downsample(&mut self.latent, self.total_weight, rng);
             } else if self.total_weight == 0.0 {
                 self.latent.clear();
             }
@@ -249,14 +246,19 @@ impl<T> RTbs<T> {
             self.total_weight += batch_size as f64;
             if self.total_weight > n {
                 // line 12: overshoot — downsample to n; now saturated.
-                downsample_with(&mut self.latent, n, rng, cheap);
+                downsample(&mut self.latent, n, rng);
             }
         } else {
             // ——— Previously saturated: C = n, no partial item. ———
             let new_weight = self.total_weight * decay + batch_size as f64; // line 14
             if new_weight >= n {
-                if cheap && batch_size <= self.capacity && self.latent.frac() == 0.0 {
-                    // Jump path: each batch item is accepted independently
+                if self.mode == IngestMode::Jump
+                    && batch_size <= self.capacity
+                    && self.latent.frac() == 0.0
+                {
+                    // Jump path (the one place the two ingest modes differ:
+                    // the unsaturated and undershoot branches share
+                    // `downsample`): each batch item is accepted independently
                     // w.p. p = n/W, so draw the accept *count* exactly as
                     // M ~ Binomial(|B|, p) and exchange a random donor
                     // window against a random victim window — three RNG
@@ -289,7 +291,7 @@ impl<T> RTbs<T> {
                 // W' = W_new − |B_t|, then accept the batch as full items
                 // (lines 19-20); now unsaturated with C = W again.
                 let decayed_old = new_weight - batch_size as f64;
-                downsample_with(&mut self.latent, decayed_old, rng, cheap);
+                downsample(&mut self.latent, decayed_old, rng);
                 self.latent.push_full(batch.drain(..));
             }
             self.total_weight = new_weight;
@@ -459,6 +461,27 @@ mod tests {
             (c - 1479.0).abs() < 2.0,
             "equilibrium sample weight {c}, expected ≈1479"
         );
+    }
+
+    #[test]
+    fn ingest_modes_agree_bit_for_bit_while_unsaturated() {
+        // The §6.3 setting never saturates, so it runs only the shared
+        // downsample: both modes must draw the same numbers and reach
+        // the same state.
+        let run = |mode: IngestMode| {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(17);
+            let mut s = RTbs::new(0.07, 1600);
+            s.set_ingest_mode(mode);
+            feed_constant(&mut s, 500, 100, &mut rng);
+            assert!(!s.is_saturated());
+            let mut w = Writer::new();
+            s.save_state(&mut w);
+            (w.finish(), rng.state())
+        };
+        let (per_item, per_item_rng) = run(IngestMode::PerItem);
+        let (jump, jump_rng) = run(IngestMode::Jump);
+        assert_eq!(per_item, jump, "save_state bytes differ");
+        assert_eq!(per_item_rng, jump_rng, "RNG positions differ");
     }
 
     #[test]

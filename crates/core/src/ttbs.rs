@@ -13,7 +13,7 @@
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
 use crate::jumps::{IngestMode, JumpCursor, JUMP_GEOMETRIC_MAX_Q};
 use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::{retain_random, retain_random_cheap, DecayCache};
+use crate::util::{retain_random, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::{binomial, CachedBinomial};
 use tbs_stats::geometric::geometric;
@@ -38,9 +38,10 @@ pub struct TTbs<T> {
     /// zero in per-item mode and whenever `q ≥` [`JUMP_GEOMETRIC_MAX_Q`]
     /// (the binomial side of the crossover).
     cursor: JumpCursor,
-    /// Memoized BINV setup for the jump path's dense acceptance draw
-    /// (`q` is constant, so constant-size batches reuse the setup); pure
-    /// acceleration state, never persisted.
+    /// Memoized BINV setup for the binomial acceptance count (`q` is
+    /// constant, so constant-size batches reuse the setup; draw-for-draw
+    /// identical to the one-shot `binomial`); pure acceleration state,
+    /// never persisted.
     binom_accept: CachedBinomial,
 }
 
@@ -91,11 +92,13 @@ impl<T> TTbs<T> {
     /// Switch between per-item and jump-ahead ingest. Like
     /// [`crate::RTbs::set_ingest_mode`], the mode is a strategy, not
     /// sampler identity: both modes realize iid `Bernoulli(q)` batch
-    /// acceptance and independent `e^{−λ}` retention — jump mode just
-    /// spends one geometric or binomial draw where per-item mode spends
-    /// many uniforms. Switching away from jump mode mid-stream simply
-    /// abandons any pending acceptance gap (statistically immaterial:
-    /// the gap is memoryless).
+    /// acceptance and independent `e^{−λ}` retention, and both run the
+    /// same binomial-count decay and retention sweeps. They differ only
+    /// when `q <` [`JUMP_GEOMETRIC_MAX_Q`]: jump mode then accepts by
+    /// geometric skips instead of a binomial count plus a sweep.
+    /// Switching away from jump mode mid-stream simply abandons any
+    /// pending acceptance gap (statistically immaterial: the gap is
+    /// memoryless).
     pub fn set_ingest_mode(&mut self, mode: IngestMode) {
         self.mode = mode;
     }
@@ -205,30 +208,15 @@ impl<T> TTbs<T> {
     }
 
     fn step<R: Rng + ?Sized>(&mut self, batch: &mut Vec<T>, p: f64, rng: &mut R) {
-        if self.mode == IngestMode::Jump {
-            // Decay: same Binomial(|S|, p) survivor count, but sweep out
-            // the smaller complement (p ≈ e^{−λ} is near 1, so killing
-            // the ~λ·|S| casualties is far cheaper than re-drawing the
-            // survivors). Distribution-identical to the per-item sweep.
-            let keep = binomial(rng, self.items.len() as u64, p) as usize;
-            retain_random_cheap(&mut self.items, keep, rng);
-            if self.q >= JUMP_GEOMETRIC_MAX_Q {
-                // Dense acceptance: one binomial count + complement sweep.
-                let accept = self.binom_accept.draw(rng, batch.len() as u64, self.q) as usize;
-                retain_random_cheap(batch, accept, rng);
-                self.items.append(batch);
-            } else if self.q == 0.0 {
-                // λ = 0 feasibility corner: nothing is ever accepted.
-                batch.clear();
-            } else {
-                self.accept_by_jumps(batch, rng);
-            }
+        // Decay current sample: keep Binomial(|S|, p) random survivors.
+        let keep = binomial(rng, self.items.len() as u64, p) as usize;
+        retain_random(&mut self.items, keep, rng);
+        if self.mode == IngestMode::Jump && self.q > 0.0 && self.q < JUMP_GEOMETRIC_MAX_Q {
+            // Sparse acceptance: geometric jumps over the rejected runs.
+            self.accept_by_jumps(batch, rng);
         } else {
-            // Decay current sample: keep Binomial(|S|, p) random survivors.
-            let keep = binomial(rng, self.items.len() as u64, p) as usize;
-            retain_random(&mut self.items, keep, rng);
             // Down-sample the incoming batch at rate q, in place.
-            let accept = binomial(rng, batch.len() as u64, self.q) as usize;
+            let accept = self.binom_accept.draw(rng, batch.len() as u64, self.q) as usize;
             retain_random(batch, accept, rng);
             self.items.append(batch);
         }

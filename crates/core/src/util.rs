@@ -60,41 +60,30 @@ pub fn draw_without_replacement<T, R: Rng + ?Sized>(
 
 /// Keep a uniform random subset of `min(m, items.len())` elements in place,
 /// discarding the rest. This is the paper's `S ← Sample(S, m)` retention.
+///
+/// A partial Fisher–Yates sweep runs over whichever side is smaller, so a
+/// call draws `min(m, len − m)` random indices (plus the rare 32-bit
+/// rejection in the bounded index draw). When the kept subset is the minority
+/// it is swept into the prefix and the rest truncated; when it is the
+/// majority, the *discarded* complement is swept into the prefix and
+/// drained, leaving the kept suffix. A uniform subset's complement is
+/// itself uniform, so both sides keep a uniform `m`-subset. Every decay
+/// step keeps nearly everything (R-TBS's downsample keeps
+/// `k ≈ e^{−λ}·len` of `len` items), so the sweep costs ~`λ·len` draws
+/// instead of ~`len`.
 pub fn retain_random<T, R: Rng + ?Sized>(items: &mut Vec<T>, m: usize, rng: &mut R) {
     let m = m.min(items.len());
     let len = items.len();
-    // Partial Fisher–Yates: move a uniform m-subset into the prefix.
-    for i in 0..m {
+    let swept = m.min(len - m);
+    for i in 0..swept {
         let j = i + uniform_index(rng, len - i);
         items.swap(i, j);
     }
-    items.truncate(m);
-}
-
-/// [`retain_random`] drawing only `min(m, len − m)` random indices: when
-/// the kept subset is the majority, it is the *discarded* complement that
-/// is swept into the prefix and the kept subset is the suffix, which is
-/// then shifted down in one bulk move. A uniform subset's complement is
-/// itself uniform, so the retained set has exactly the same distribution
-/// as [`retain_random`]'s — only the RNG stream differs (which is why
-/// jump-mode ingest opts in explicitly rather than this replacing the
-/// historical path). R-TBS's per-step decay retention keeps
-/// `k ≈ e^{−λ}·len` of `len` items, so this turns ~`len` draws per batch
-/// into ~`λ·len`.
-pub fn retain_random_cheap<T, R: Rng + ?Sized>(items: &mut Vec<T>, m: usize, rng: &mut R) {
-    let m = m.min(items.len());
-    let len = items.len();
-    if 2 * m <= len {
-        retain_random(items, m, rng);
-        return;
+    if swept == m {
+        items.truncate(m);
+    } else {
+        items.drain(..swept);
     }
-    // Sweep the discarded minority into the prefix, keep the suffix.
-    let discard = len - m;
-    for i in 0..discard {
-        let j = i + uniform_index(rng, len - i);
-        items.swap(i, j);
-    }
-    items.drain(..discard);
 }
 
 /// Return a uniform random sample of `min(m, items.len())` *cloned* elements,
@@ -245,7 +234,7 @@ impl DecayCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use tbs_stats::gof::chi2_rejects;
     use tbs_stats::rng::Xoshiro256PlusPlus;
 
@@ -318,13 +307,20 @@ mod tests {
     }
 
     #[test]
-    fn retain_cheap_keeps_subset_on_both_paths() {
+    fn retain_keeps_subset_on_both_sides() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(30);
-        // m < len/2 delegates to retain_random; m > len/2 sweeps the
-        // complement; plus the m = 0 / m = len / m > len edges.
-        for (len, m) in [(100usize, 30usize), (100, 70), (10, 0), (10, 10), (10, 99)] {
+        // m < len/2 sweeps the kept side, m > len/2 the discarded side;
+        // plus the m = len/2 / m = 0 / m = len / m > len edges.
+        for (len, m) in [
+            (100usize, 30usize),
+            (100, 70),
+            (100, 50),
+            (10, 0),
+            (10, 10),
+            (10, 99),
+        ] {
             let mut items: Vec<u32> = (0..len as u32).collect();
-            retain_random_cheap(&mut items, m, &mut rng);
+            retain_random(&mut items, m, &mut rng);
             assert_eq!(items.len(), m.min(len));
             let set: std::collections::HashSet<_> = items.iter().collect();
             assert_eq!(set.len(), items.len(), "duplicates introduced");
@@ -333,22 +329,92 @@ mod tests {
     }
 
     #[test]
-    fn retain_cheap_majority_path_is_uniform() {
-        // The complement-sweep path (keep 7 of 10) must retain each
-        // element with the same probability as the direct sweep — a
-        // uniform subset's complement is itself uniform.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(31);
-        let trials = 60_000;
-        let mut counts = [0u64; 10];
-        for _ in 0..trials {
-            let mut items: Vec<usize> = (0..10).collect();
-            retain_random_cheap(&mut items, 7, &mut rng);
-            for &i in &items {
-                counts[i] += 1;
+    fn retain_keeps_every_pair_uniformly_on_both_sides() {
+        // A uniform m-subset of len keeps each pair with probability
+        // m(m−1)/(len(len−1)); pair counts catch a biased sweep that
+        // singleton counts miss. m = 2, 3 sweep the kept side, m = 5, 6
+        // the discarded side (len/2 = 3.5).
+        let len = 8usize;
+        let trials = 40_000u64;
+        for (seed, m) in [(40u64, 2usize), (41, 3), (42, 5), (43, 6)] {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut counts = vec![0u64; len * (len - 1) / 2];
+            for _ in 0..trials {
+                let mut items: Vec<usize> = (0..len).collect();
+                retain_random(&mut items, m, &mut rng);
+                let mut kept = [false; 8];
+                for &i in &items {
+                    kept[i] = true;
+                }
+                let mut cell = 0;
+                for i in 0..len {
+                    for j in i + 1..len {
+                        counts[cell] += u64::from(kept[i] && kept[j]);
+                        cell += 1;
+                    }
+                }
             }
+            let p = (m * (m - 1)) as f64 / (len * (len - 1)) as f64;
+            let expected = vec![trials as f64 * p; counts.len()];
+            assert!(!chi2_rejects(&counts, &expected), "m = {m}: {counts:?}");
         }
-        let expected = vec![trials as f64 * 0.7; 10];
-        assert!(!chi2_rejects(&counts, &expected));
+    }
+
+    /// Counts the 32-bit words drawn through it.
+    struct CountingRng {
+        inner: Xoshiro256PlusPlus,
+        draws: u64,
+    }
+
+    impl RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.draws += 1;
+            self.inner.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.draws += 1;
+            self.inner.fill_bytes(dest)
+        }
+    }
+
+    #[test]
+    fn retain_draws_only_the_minority_side() {
+        // One index per swept position, plus whatever `uniform_index`
+        // rejects: with len ≤ 1000 a 32-bit Lemire draw is rejected with
+        // probability < 2.4e-7, so allow a couple over the whole run.
+        let mut rng = CountingRng {
+            inner: Xoshiro256PlusPlus::seed_from_u64(44),
+            draws: 0,
+        };
+        let mut swept = 0u64;
+        for (len, m) in [
+            (100usize, 30usize),
+            (100, 70),
+            (100, 99),
+            (1000, 930),
+            (1000, 1000),
+            (10, 99),
+        ] {
+            let before = rng.draws;
+            let mut items: Vec<u32> = (0..len as u32).collect();
+            retain_random(&mut items, m, &mut rng);
+            let m = m.min(len);
+            let bound = m.min(len - m) as u64;
+            swept += bound;
+            assert!(
+                rng.draws - before >= bound,
+                "len {len}, m {m}: swept fewer positions than the minority side"
+            );
+        }
+        assert!(
+            rng.draws <= swept + 2,
+            "{} draws for {swept} minority-side positions",
+            rng.draws
+        );
     }
 
     #[test]

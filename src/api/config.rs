@@ -145,17 +145,20 @@ impl Algorithm {
 /// check. Their *pairwise* law differs: jump mode evicts and keeps
 /// contiguous windows, so neighbouring items (for instance, the items of
 /// one batch) tend to leave or survive together, where per-item mode
-/// treats every item on its own. They also differ in cost and in how the
-/// RNG stream is consumed, so trajectories are bit-identical *within* a
-/// mode but not *across* modes.
+/// treats every item on its own. Both modes share retention — every
+/// R-TBS downsample and every T-TBS decay sweep draws only the smaller of
+/// the kept and discarded sets — so they differ only in R-TBS's saturated
+/// window exchange and T-TBS's sparse (`q < 0.5`) geometric acceptance.
+/// Once either runs, the modes consume the RNG stream differently, so
+/// trajectories are bit-identical *within* a mode but not *across* modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IngestMode {
     /// Let the library choose: jump-ahead for the algorithms that support
     /// it (R-TBS and T-TBS), per-item for everything else.
     Auto,
     /// One acceptance decision per item — the paper's literal Algorithms
-    /// 1–2. The default, so existing seeded pipelines keep their exact
-    /// historical trajectories.
+    /// 1–2. The default, because it keeps each item's eviction
+    /// independent of its neighbours'.
     #[default]
     PerItem,
     /// Batch-level acceptance sampling: draw per-batch accept *counts*
@@ -965,7 +968,7 @@ mod tests {
             .ingest_mode(IngestMode::Auto)
             .build::<u64>()
             .is_ok());
-        // The default stays per-item so historical trajectories survive.
+        // The default stays per-item: jump mode's joint law differs.
         assert_eq!(
             SamplerConfig::rtbs(0.1, 10).ingest_mode_config(),
             IngestMode::PerItem

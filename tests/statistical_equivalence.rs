@@ -94,14 +94,16 @@ struct Combo {
 }
 
 /// The regimes are miniatures of the paper's §6 settings, chosen so each
-/// exercises a distinct jump-mode code path:
+/// exercises a distinct code path:
 ///
-/// * R-TBS unsaturated (`b/(1−e^{−λ}) < n`): complement-side retention in
-///   `downsample`;
+/// * R-TBS unsaturated (`b/(1−e^{−λ}) < n`): the minority-side retention
+///   sweep in `downsample`, which both modes share (they draw the same
+///   numbers here, so this combo checks the sweep against theory);
 /// * R-TBS saturated: the binomial accept count + windowed segment swap;
 /// * R-TBS bursty: all four Algorithm 2 transitions, including batches
 ///   larger than `n` (which fall back to the per-item kernel);
-/// * T-TBS high-q (≥ 0.5): binomial acceptance + cheap-side sweep;
+/// * T-TBS high-q (≥ 0.5): binomial acceptance + minority-side sweep,
+///   again shared by both modes;
 /// * T-TBS low-q (< 0.5): geometric gaps with the cross-batch cursor;
 /// * T-TBS bursty: the cursor carrying skips across varying batch sizes,
 ///   including empty batches.
