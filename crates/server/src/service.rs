@@ -162,13 +162,25 @@ impl OnlineModel<[f64; 2]> for LineFit {
         if batch.is_empty() {
             return 0.0;
         }
-        let sse: f64 = batch
+        let sq_err = |[x, y]: &[f64; 2]| {
+            let err = y - (slope * x + intercept);
+            err * err
+        };
+        // Four independent add chains instead of one serial chain, so
+        // the adds pipeline; the remainder folds in serially.
+        let mut lanes = [0.0f64; 4];
+        let quads = batch.chunks_exact(4);
+        let rest = quads.remainder();
+        for quad in quads {
+            for (lane, point) in lanes.iter_mut().zip(quad) {
+                *lane += sq_err(point);
+            }
+        }
+        let sse = rest
             .iter()
-            .map(|[x, y]| {
-                let err = y - (slope * x + intercept);
-                err * err
-            })
-            .sum();
+            .fold((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]), |acc, p| {
+                acc + sq_err(p)
+            });
         sse / batch.len() as f64
     }
 }
@@ -394,6 +406,37 @@ mod tests {
         assert!((intercept + 2.0).abs() < 1e-9, "intercept {intercept}");
         assert!((fit.predict(10.0).unwrap() - 28.0).abs() < 1e-9);
         assert!(fit.batch_error(&sample) < 1e-18);
+    }
+
+    #[test]
+    fn line_fit_batch_error_matches_a_serial_sum() {
+        let mut fit = LineFit::new();
+        let train: Vec<[f64; 2]> = (0..40)
+            .map(|i| [i as f64, 0.5 * i as f64 + (i % 7) as f64])
+            .collect();
+        fit.retrain(&train);
+        let (slope, intercept) = fit.coefficients().unwrap();
+        let batch: Vec<[f64; 2]> = (0..1000)
+            .map(|i| {
+                let x = i as f64 * 0.37 - 90.0;
+                [x, 1.3 * x - 4.0 + ((i * 13) % 11) as f64 * 0.25]
+            })
+            .collect();
+        for len in (0..=9).chain([1000]) {
+            let batch = &batch[..len];
+            let mut serial = 0.0;
+            for [x, y] in batch {
+                let err = y - (slope * x + intercept);
+                serial += err * err;
+            }
+            let serial = if len == 0 { 0.0 } else { serial / len as f64 };
+            let lanes = fit.batch_error(batch);
+            assert!(
+                (lanes - serial).abs() <= 1e-12 * serial.abs(),
+                "len {len}: lanes {lanes} vs serial {serial}"
+            );
+        }
+        assert_eq!(LineFit::new().batch_error(&batch), f64::INFINITY);
     }
 
     #[test]
