@@ -480,16 +480,48 @@ struct EpochTree<S: MergeableSample> {
     batches: u64,
     plan: MergePlan,
     scalars: MergeScalars,
-    /// Per-node RNG substream states (`node_rngs[n]` = substream `n+1` of
-    /// the recorded driver position, matching `merge_replay`).
-    node_rngs: Vec<[u64; 4]>,
-    /// The post-`long_jump` trajectory realization draws ride.
-    realize_rng: [u64; 4],
+    /// Node substreams and the realization trajectory, shared with the
+    /// merger's cache.
+    streams: Arc<TreeStreams>,
     /// One slot per tree node; leaves are pre-loaded with the shard forks.
     slots: Vec<Mutex<Option<S>>>,
     /// Arrival counters for internal nodes (index = node − K): the second
     /// child to arrive merges the pair and climbs.
     pending: Vec<AtomicUsize>,
+}
+
+/// The RNG states an epoch's merge tree draws from, all derived from the
+/// driver RNG position recorded at request time.
+struct TreeStreams {
+    /// The driver position these states were derived from.
+    origin: [u64; 4],
+    /// Per-node substream states (`node_rngs[n]` = substream `n+1` of
+    /// `origin`, matching `merge_replay`).
+    node_rngs: Vec<[u64; 4]>,
+    /// The post-`long_jump` trajectory realization draws ride.
+    realize_rng: [u64; 4],
+}
+
+impl TreeStreams {
+    /// Derive with the exact [`tbs_core::merge::merge_replay`] sequence:
+    /// substream `n+1` is `origin` jumped `n+1` times, and realization
+    /// rides `origin` after one `long_jump`.
+    fn derive(origin: [u64; 4], nodes: usize) -> Self {
+        let mut cursor = Xoshiro256PlusPlus::from_state(origin);
+        let node_rngs = (0..nodes)
+            .map(|_| {
+                cursor.jump();
+                cursor.state()
+            })
+            .collect();
+        let mut realize = Xoshiro256PlusPlus::from_state(origin);
+        realize.long_jump();
+        Self {
+            origin,
+            node_rngs,
+            realize_rng: realize.state(),
+        }
+    }
 }
 
 /// A leaf-execution task: run `tree` starting from leaf `usize`.
@@ -1700,7 +1732,7 @@ fn run_tree_task<S: MergeableSample>(
         .take()
         .expect("merge-tree leaf executed twice");
     let target = tree.scalars.leaf_targets.get(leaf).copied().unwrap_or(0.0);
-    let mut rng = Xoshiro256PlusPlus::from_state(tree.node_rngs[leaf]);
+    let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.node_rngs[leaf]);
     let mut node = leaf;
     let mut value = S::merge_leaf(shard, target, &mut rng);
     loop {
@@ -1709,7 +1741,7 @@ fn run_tree_task<S: MergeableSample>(
             // post-long_jump trajectory, exactly as the sequential
             // merge_replay + realize_into path would.
             let root = S::merge_finalize(value, &tree.scalars, spec);
-            let mut rng = Xoshiro256PlusPlus::from_state(tree.realize_rng);
+            let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.realize_rng);
             let mut items = Vec::new();
             root.realize_into(&mut rng, &mut items);
             return Some(FrozenSample::new(
@@ -1731,7 +1763,7 @@ fn run_tree_task<S: MergeableSample>(
         // time this branch runs, both slots are filled.
         let left = tree.slots[l].lock().take().expect("left child ready");
         let right = tree.slots[r].lock().take().expect("right child ready");
-        let mut rng = Xoshiro256PlusPlus::from_state(tree.node_rngs[parent]);
+        let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.node_rngs[parent]);
         value = S::merge_pair(left, right, spec, &mut rng);
         node = parent;
     }
@@ -1860,28 +1892,26 @@ impl<S> PendingCkpt<S> {
     }
 }
 
-/// Build one epoch's merge tree from its header and forks, deriving
-/// every node's RNG substream from the recorded driver position with the
-/// exact [`tbs_core::merge::merge_replay`] sequence (split into `2K`
-/// streams without advancing, node `n` ← stream `n+1`, then one
-/// `long_jump` for the realization trajectory).
+/// Build one epoch's merge tree from its header and forks. The node
+/// substreams come from `cache` when it was derived from the same driver
+/// position — `request_snapshot` never advances the driver RNG, so
+/// consecutive published epochs usually share one — and are derived (and
+/// cached) otherwise.
 fn build_tree<S: MergeableSample>(
     epoch: u64,
     batches: u64,
     rng_state: [u64; 4],
     forks: Vec<S>,
     spec: &ShardSpec,
+    cache: &mut Option<Arc<TreeStreams>>,
 ) -> EpochTree<S> {
     let k = forks.len();
     let plan = MergePlan::new(k);
     let scalars = S::merge_targets(&forks, spec);
-    let mut rng = Xoshiro256PlusPlus::from_state(rng_state);
-    let streams = rng.split_streams(2 * k);
-    rng.long_jump();
-    let node_rngs = (0..plan.node_count())
-        .map(|n| streams[n + 1].state())
-        .collect();
-    let realize_rng = rng.state();
+    let streams = match cache {
+        Some(streams) if streams.origin == rng_state => Arc::clone(streams),
+        _ => Arc::clone(cache.insert(Arc::new(TreeStreams::derive(rng_state, plan.node_count())))),
+    };
     let mut slots: Vec<Mutex<Option<S>>> = forks.into_iter().map(|s| Mutex::new(Some(s))).collect();
     slots.resize_with(plan.node_count(), || Mutex::new(None));
     let pending = (0..k.saturating_sub(1))
@@ -1892,8 +1922,7 @@ fn build_tree<S: MergeableSample>(
         batches,
         plan,
         scalars,
-        node_rngs,
-        realize_rng,
+        streams,
         slots,
         pending,
     }
@@ -1952,6 +1981,9 @@ fn merger_worker<S: MergeableSample + Clone>(
     // execute leaf tasks instead of blocking.
     let mut inflight: usize = 0;
     let mut msgs: Vec<MergerMsg<S>> = Vec::new();
+    // The last epoch's tree substreams, reused while the driver RNG
+    // position stays put.
+    let mut streams: Option<Arc<TreeStreams>> = None;
     loop {
         msgs.clear();
         if shared.merger.try_drain_into(&mut msgs) == 0 {
@@ -2072,7 +2104,14 @@ fn merger_worker<S: MergeableSample + Clone>(
                 .into_iter()
                 .map(|f| f.expect("complete epoch has every fork"))
                 .collect();
-            let tree = Arc::new(build_tree(epoch, batches, rng_state, forks, &spec));
+            let tree = Arc::new(build_tree(
+                epoch,
+                batches,
+                rng_state,
+                forks,
+                &spec,
+                &mut streams,
+            ));
             inflight += 1;
             for leaf in 0..shard_count {
                 if let Err((tree, leaf)) = shared.tasks.try_push((Arc::clone(&tree), leaf)) {
