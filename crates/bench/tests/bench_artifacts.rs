@@ -1,6 +1,5 @@
 //! Every committed `BENCH_*.json` baseline at the repo root must parse
-//! and conform to the shared row schema — including historical artifacts
-//! like `BENCH_throughput_pre_refactor.json`, which CI long ignored.
+//! and conform to the shared row schema.
 //!
 //! The emitting binaries self-validate what they *write*; this test
 //! validates what is *checked in*, so a hand-edited or truncated baseline
@@ -53,17 +52,16 @@ fn every_committed_bench_artifact_passes_the_shared_validator() {
         checked.push(name.to_string());
     }
     checked.sort();
-    // The four baselines this repo currently commits; growing the list is
-    // fine, silently checking nothing is not.
+    // The three baselines this repo currently commits; growing the list
+    // is fine, silently checking nothing is not.
     assert!(
-        checked.len() >= 4,
-        "expected at least the 4 committed BENCH artifacts, found {checked:?}"
+        checked.len() >= 3,
+        "expected at least the 3 committed BENCH artifacts, found {checked:?}"
     );
     for expected in [
         "BENCH_scaling.json",
         "BENCH_serving.json",
         "BENCH_throughput.json",
-        "BENCH_throughput_pre_refactor.json",
     ] {
         assert!(
             checked.iter().any(|c| c == expected),

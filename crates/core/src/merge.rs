@@ -71,10 +71,13 @@
 //! draws from its **own** RNG substream (`2^128`-spaced splits of the
 //! caller's generator, see `Xoshiro256PlusPlus::split_streams`). Node
 //! randomness is therefore a pure function of `(caller RNG state, node
-//! id)` — the tree can execute sequentially on one thread or scattered
-//! across shard workers and produce **bit-identical** results either
-//! way. After splitting, the caller's generator `long_jump`s once past
-//! the whole substream block; realization draws ride that trajectory.
+//! id)`, so any execution of the tree from the same caller state yields
+//! **bit-identical** results. After splitting, the caller's generator
+//! `long_jump`s once past the whole substream block; realization draws
+//! ride that trajectory. The sharded engine's merger thread runs exactly
+//! this fold for every published epoch, from the driver RNG position
+//! recorded at the request, so a published snapshot equals a driver-side
+//! `merge_shards` + realization from that position.
 //!
 //! T-TBS is simpler: its acceptance rate `q = n(1−e^{−λ})/b` is a constant
 //! independent of the sub-stream, so identically-configured shards already
@@ -499,8 +502,8 @@ impl MergePlan {
 /// `long_jump` past the whole block. Realization draws made by the caller
 /// after this function ride the post-`long_jump` trajectory, disjoint
 /// from every node substream. Node randomness is thus a pure function of
-/// `(entry RNG state, node id)`: executing the same tree on shard worker
-/// threads in any completion order yields identical bits.
+/// `(entry RNG state, node id)`: executing the same tree in any
+/// completion order, on any thread, yields identical bits.
 pub fn merge_replay<S: MergeableSample>(
     shards: Vec<S>,
     spec: &ShardSpec,

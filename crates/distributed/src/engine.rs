@@ -64,7 +64,7 @@
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
 //!
-//! ## Serving without stopping: snapshot barrier + merge tree
+//! ## Serving without stopping: snapshot barrier + merger fold
 //!
 //! `sample()` and `request_snapshot()` both route through the same
 //! epoch-snapshot protocol:
@@ -75,22 +75,21 @@
 //!        │                 batch boundary of the request)            ▼
 //!        └── Request{e, driver-RNG state} ─────────────▶ ┌───────────────┐
 //!                                                        │ merger thread │
-//!             leaf tasks: BatchQueue<(tree, leaf)> ◀──── │  builds the   │
-//!                 │ executed by idle shard workers       │  EpochTree    │
-//!                 ▼ (or the merger itself)               └───────────────┘
-//!          cooperative log-depth merge tree ──▶ Publish ──▶ EpochCell
+//!                                                        │ merge_replay  │
+//!                                                        │ + realize     │
+//!                                                        └───────┬───────┘
+//!                                                                ▼
+//!                                                            EpochCell
 //! ```
 //!
-//! The merger does **not** fold the K forks itself. It precomputes the
-//! merge's global scalars, derives every tree node's RNG substream from
-//! the recorded driver position (the [`tbs_core::merge::merge_replay`]
-//! contract: node randomness is a pure function of `(entry RNG state,
-//! node id)`), and enqueues K leaf tasks. Idle shard workers pick the
-//! tasks up between ingest drains; whoever finishes the second child of
-//! a node immediately merges that pair and climbs, so the `⌈log₂K⌉`-depth
-//! tree completes cooperatively with no barrier and no dedicated merge
-//! thread doing O(K) serial work. The root finisher realizes the sample
-//! and sends it back; the merger publishes epochs strictly in order.
+//! Once an epoch's request header and all K forks have arrived, the
+//! merger folds them itself with [`tbs_core::merge::merge_replay`] — the
+//! same `⌈log₂K⌉`-depth tree [`ParallelIngestEngine::snapshot_merged`]
+//! runs — starting from the recorded driver position, realizes the
+//! sample on the post-merge trajectory, and publishes it. Barriers flow
+//! FIFO through every shard, so epochs complete, and publish, in request
+//! order. The shard workers never see the merge: between runs they sleep
+//! on their work queues.
 //!
 //! [`ParallelIngestEngine::request_snapshot`] consumes **no** driver
 //! randomness, and the published [`FrozenSample`] is **bit-identical** to
@@ -124,7 +123,7 @@ use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tbs_core::frozen::FrozenSample;
-use tbs_core::merge::{BalancedSplitter, MergePlan, MergeScalars, MergeableSample, ShardSpec};
+use tbs_core::merge::{BalancedSplitter, MergeableSample, ShardSpec};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
 /// What the engine should do when part of its pipeline dies (a shard
@@ -443,11 +442,6 @@ enum MergerMsg<S: MergeableSample> {
         shard: usize,
         state: Box<S>,
     },
-    /// A completed epoch realized by whichever worker finished the merge
-    /// tree's root; the merger re-orders these into in-order publication.
-    Publish {
-        frozen: Box<FrozenSample<<S as MergeableSample>::Item>>,
-    },
     /// Driver-side checkpoint header: the driver state that, together
     /// with the K shard forks, forms a complete [`EngineCheckpoint`].
     /// Enqueued before the matching `CheckpointFork` barriers, so FIFO
@@ -465,67 +459,6 @@ enum MergerMsg<S: MergeableSample> {
         state: Box<(S, [u64; 4])>,
     },
 }
-
-/// One epoch's merge tree, shared (via `Arc`) between the merger and the
-/// shard workers that cooperatively execute it.
-///
-/// Every node's RNG substream state is precomputed from the driver RNG
-/// position recorded at request time, following the exact
-/// [`tbs_core::merge::merge_replay`] substream contract — so the
-/// cooperative execution is bit-identical to the sequential reference no
-/// matter which threads run which nodes in which order.
-struct EpochTree<S: MergeableSample> {
-    epoch: u64,
-    /// Batches-ingested staleness stamp for the published metadata.
-    batches: u64,
-    plan: MergePlan,
-    scalars: MergeScalars,
-    /// Node substreams and the realization trajectory, shared with the
-    /// merger's cache.
-    streams: Arc<TreeStreams>,
-    /// One slot per tree node; leaves are pre-loaded with the shard forks.
-    slots: Vec<Mutex<Option<S>>>,
-    /// Arrival counters for internal nodes (index = node − K): the second
-    /// child to arrive merges the pair and climbs.
-    pending: Vec<AtomicUsize>,
-}
-
-/// The RNG states an epoch's merge tree draws from, all derived from the
-/// driver RNG position recorded at request time.
-struct TreeStreams {
-    /// The driver position these states were derived from.
-    origin: [u64; 4],
-    /// Per-node substream states (`node_rngs[n]` = substream `n+1` of
-    /// `origin`, matching `merge_replay`).
-    node_rngs: Vec<[u64; 4]>,
-    /// The post-`long_jump` trajectory realization draws ride.
-    realize_rng: [u64; 4],
-}
-
-impl TreeStreams {
-    /// Derive with the exact [`tbs_core::merge::merge_replay`] sequence:
-    /// substream `n+1` is `origin` jumped `n+1` times, and realization
-    /// rides `origin` after one `long_jump`.
-    fn derive(origin: [u64; 4], nodes: usize) -> Self {
-        let mut cursor = Xoshiro256PlusPlus::from_state(origin);
-        let node_rngs = (0..nodes)
-            .map(|_| {
-                cursor.jump();
-                cursor.state()
-            })
-            .collect();
-        let mut realize = Xoshiro256PlusPlus::from_state(origin);
-        realize.long_jump();
-        Self {
-            origin,
-            node_rngs,
-            realize_rng: realize.state(),
-        }
-    }
-}
-
-/// A leaf-execution task: run `tree` starting from leaf `usize`.
-type TreeTask<S> = (Arc<EpochTree<S>>, usize);
 
 /// The driver-facing side of one shard: its queues and counters. The
 /// shard's sampler and RNG ([`ShardCore`]) live on its worker thread.
@@ -564,8 +497,6 @@ struct EngineShared<S: MergeableSample> {
     /// Ids of the slots every shard has finished reading; the driver
     /// blocks here when it needs one.
     free: BatchQueue<usize>,
-    /// Merge-tree leaf tasks, executed by idle workers (or the merger).
-    tasks: BatchQueue<TreeTask<S>>,
     /// The merger thread's inbox.
     merger: BatchQueue<MergerMsg<S>>,
     spec: ShardSpec,
@@ -607,8 +538,7 @@ pub struct EngineCheckpoint<S> {
 ///
 /// See the [module docs](self) for the pipeline anatomy. The engine is
 /// deterministic: the realized sample is a pure function of
-/// `(seed, shard count, batch sequence)` — merge-tree scheduling changes
-/// which threads do the work, never the result.
+/// `(seed, shard count, batch sequence)`, never of thread timing.
 pub struct ParallelIngestEngine<S: MergeableSample + Clone + Send + 'static>
 where
     S::Item: Send + Sync + 'static,
@@ -1057,12 +987,12 @@ where
     /// A barrier marker is enqueued after everything ingested so far, so
     /// the snapshot reflects exactly the batches fed before this call.
     /// Each shard forks its state at the barrier (an `O(n_k)` copy) and
-    /// keeps ingesting; the merger derives the epoch's merge tree from
-    /// the recorded driver RNG position and idle shard workers execute it
-    /// cooperatively (see the module docs), publishing an
+    /// keeps ingesting; the merger thread folds the forks through
+    /// [`tbs_core::merge::merge_replay`] from the recorded driver RNG
+    /// position (see the module docs) and publishes an
     /// `Arc<FrozenSample>` into the engine's [`EpochCell`].
     ///
-    /// Consumes **no** driver randomness: the tree replays the merge +
+    /// Consumes **no** driver randomness: the merger replays the merge +
     /// realization from the driver RNG's current *position*, so the
     /// published sample is bit-identical to what a driver-side
     /// [`ParallelIngestEngine::snapshot_merged`] + realization would have
@@ -1154,14 +1084,14 @@ where
         self.batches_ingested
     }
 
-    /// Merge and realize the unified sample **on the shard threads**:
+    /// Merge and realize the unified sample **on the merger thread**:
     /// request an epoch snapshot, advance the driver past the merge's
     /// RNG-substream block (one `long_jump`, the `merge_replay`
-    /// contract), and wait for the cooperative merge tree to publish.
+    /// contract), and wait for the merger to publish the epoch.
     ///
     /// The driver thread does O(1) work here — the `⌈log₂K⌉`-depth merge
-    /// and the realization run on the shard workers, overlapping any
-    /// still-queued ingest.
+    /// and the realization run on the merger, overlapping any
+    /// still-queued ingest on the shard workers.
     ///
     /// The wait is supervised: it polls in short slices and checks the
     /// pipeline's pulse on each timeout, so a death anywhere surfaces as
@@ -1286,7 +1216,6 @@ where
             }
         }
         self.shared.merger.close();
-        self.shared.tasks.close();
         if let Some(join) = self.merger_join.take() {
             let _ = join.join();
         }
@@ -1431,11 +1360,10 @@ where
             }
         }
         // Shards first, merger second: a draining shard backlog may still
-        // push barrier forks or tree completions, which the merger must
-        // be alive to absorb. After the close the merger self-executes
-        // any leaf tasks the (now joined) workers left behind, publishes
-        // whatever epochs completed, closes the cell (waking any
-        // wait_for_epoch blockers), and exits.
+        // push barrier forks, which the merger must be alive to absorb.
+        // After the close the merger folds and publishes whatever epochs
+        // completed, closes the cell (waking any wait_for_epoch
+        // blockers), and exits.
         self.shared.merger.close();
         if let Some(join) = self.merger_join.take() {
             if let Err(payload) = join.join() {
@@ -1497,13 +1425,10 @@ where
     };
     let shard_count = cores.len();
     debug_assert_eq!(shard_count, spec.shards, "sampler count must match shards");
-    // Room for a few epochs in flight (each is 1 request + K forks +
-    // 1 publish); beyond that the snapshot path exerts backpressure on
-    // whoever requests faster than the pipeline can merge.
+    // Room for a few epochs in flight (each is 1 request + K forks);
+    // beyond that the snapshot path exerts backpressure on whoever
+    // requests faster than the merger can fold.
     let merger: BatchQueue<MergerMsg<S>> = BatchQueue::with_capacity(4 * (shard_count + 2));
-    // Leaf tasks for a few epochs; dispatch never blocks on this
-    // queue (overflow executes inline on the merger).
-    let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * shard_count + 4);
     let shards: Vec<ShardQueues<S>> = (0..shard_count)
         .map(|_| ShardQueues {
             work: BatchQueue::with_capacity(depth),
@@ -1530,7 +1455,6 @@ where
         shards,
         runs,
         free,
-        tasks,
         merger,
         spec,
         recovery,
@@ -1710,68 +1634,8 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
     flush(&mut items, &mut batches, &mut busy);
 }
 
-/// Execute one leaf of an epoch's merge tree and climb as far as
-/// completed pairs allow. Returns the realized [`FrozenSample`] iff this
-/// call finished the **root** (exactly one call per tree does).
-///
-/// Every node draws from its own precomputed RNG substream, so the
-/// result is a pure function of the tree — not of which thread runs
-/// this, or in what order siblings complete.
-fn run_tree_task<S: MergeableSample>(
-    tree: &EpochTree<S>,
-    leaf: usize,
-    spec: &ShardSpec,
-) -> Option<FrozenSample<S::Item>> {
-    let k = tree.plan.leaves();
-    // INVARIANT: every leaf slot is filled at tree construction and each
-    // leaf task is dispatched exactly once (queued, or executed inline by
-    // the merger when the task queue is full — never both), so the first
-    // and only execution finds its shard state present.
-    let shard = tree.slots[leaf]
-        .lock()
-        .take()
-        .expect("merge-tree leaf executed twice");
-    let target = tree.scalars.leaf_targets.get(leaf).copied().unwrap_or(0.0);
-    let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.node_rngs[leaf]);
-    let mut node = leaf;
-    let mut value = S::merge_leaf(shard, target, &mut rng);
-    loop {
-        let Some(parent) = tree.plan.parent(node) else {
-            // Root complete: stamp the global scalars and realize on the
-            // post-long_jump trajectory, exactly as the sequential
-            // merge_replay + realize_into path would.
-            let root = S::merge_finalize(value, &tree.scalars, spec);
-            let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.realize_rng);
-            let mut items = Vec::new();
-            root.realize_into(&mut rng, &mut items);
-            return Some(FrozenSample::new(
-                tree.epoch,
-                tree.batches,
-                root.total_stream_weight(),
-                root.expected_size(),
-                items,
-            ));
-        };
-        *tree.slots[node].lock() = Some(value);
-        if tree.pending[parent - k].fetch_add(1, Ordering::AcqRel) == 0 {
-            // First child to arrive: the sibling's finisher will merge.
-            return None;
-        }
-        let (l, r) = tree.plan.pairs()[parent - k];
-        // INVARIANT: the second child to bump `pending` merges the pair,
-        // and each child stored its value *before* bumping — so by the
-        // time this branch runs, both slots are filled.
-        let left = tree.slots[l].lock().take().expect("left child ready");
-        let right = tree.slots[r].lock().take().expect("right child ready");
-        let mut rng = Xoshiro256PlusPlus::from_state(tree.streams.node_rngs[parent]);
-        value = S::merge_pair(left, right, spec, &mut rng);
-        node = parent;
-    }
-}
-
 /// The long-lived shard worker: it owns shard `shard_id`'s `core`,
-/// serves the shard's queue, helps execute merge-tree leaf tasks, and
-/// otherwise briefly waits for work.
+/// serves the shard's queue, and sleeps on it while it is empty.
 fn shard_worker<S: MergeableSample + Clone>(
     shard_id: usize,
     mut core: ShardCore<S>,
@@ -1816,33 +1680,11 @@ fn shard_worker<S: MergeableSample + Clone>(
     let mut msgs: Vec<ShardMsg> = Vec::with_capacity(depth);
     let mut scratch: Vec<S::Item> = Vec::with_capacity(RUN_ITEMS);
     started.wait();
-    loop {
-        // 1. Serve the shard's queue. `closed` is read before the drain:
-        //    a queue seen closed and then drained empty can never refill,
-        //    so the shard's stream has ended. A closed queue with a
-        //    backlog (engine drop) still drains in full first.
-        let closed = my.work.is_closed();
-        let mut progressed = false;
-        if my.work.try_drain_into(&mut msgs) > 0 {
-            process_shard_msgs(shard_id, &mut core, shared, &mut msgs, &mut scratch);
-            progressed = true;
-        } else if closed {
-            return;
-        }
-        // 2. Help execute a merge-tree leaf task.
-        if let Some((tree, leaf)) = shared.tasks.try_pop() {
-            if let Some(frozen) = run_tree_task(&tree, leaf, &shared.spec) {
-                let _ = shared.merger.push(MergerMsg::Publish {
-                    frozen: Box::new(frozen),
-                });
-            }
-            progressed = true;
-        }
-        // 3. Idle: briefly wait for work (woken early by push or close),
-        //    then look at the task queue again.
-        if !progressed {
-            my.work.wait_nonempty(Duration::from_millis(1));
-        }
+    // A 0 return means the queue is closed and fully drained: the
+    // shard's stream has ended. A closed queue with a backlog (engine
+    // drop) still drains in full first.
+    while my.work.drain_into(&mut msgs) > 0 {
+        process_shard_msgs(shard_id, &mut core, shared, &mut msgs, &mut scratch);
     }
 }
 
@@ -1892,47 +1734,11 @@ impl<S> PendingCkpt<S> {
     }
 }
 
-/// Build one epoch's merge tree from its header and forks. The node
-/// substreams come from `cache` when it was derived from the same driver
-/// position — `request_snapshot` never advances the driver RNG, so
-/// consecutive published epochs usually share one — and are derived (and
-/// cached) otherwise.
-fn build_tree<S: MergeableSample>(
-    epoch: u64,
-    batches: u64,
-    rng_state: [u64; 4],
-    forks: Vec<S>,
-    spec: &ShardSpec,
-    cache: &mut Option<Arc<TreeStreams>>,
-) -> EpochTree<S> {
-    let k = forks.len();
-    let plan = MergePlan::new(k);
-    let scalars = S::merge_targets(&forks, spec);
-    let streams = match cache {
-        Some(streams) if streams.origin == rng_state => Arc::clone(streams),
-        _ => Arc::clone(cache.insert(Arc::new(TreeStreams::derive(rng_state, plan.node_count())))),
-    };
-    let mut slots: Vec<Mutex<Option<S>>> = forks.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    slots.resize_with(plan.node_count(), || Mutex::new(None));
-    let pending = (0..k.saturating_sub(1))
-        .map(|_| AtomicUsize::new(0))
-        .collect();
-    EpochTree {
-        epoch,
-        batches,
-        plan,
-        scalars,
-        streams,
-        slots,
-        pending,
-    }
-}
-
-/// The background merge coordinator: collect each epoch's `Request`
-/// header and K shard forks, build the epoch's merge tree, hand its leaf
-/// tasks to the idle shard workers (executing inline whatever does not
-/// fit — dispatch never blocks, which is what makes shutdown
-/// deadlock-free), and publish completed epochs **strictly in order**.
+/// The background merger: collect each epoch's `Request` header and K
+/// shard forks, fold them with [`tbs_core::merge::merge_replay`] from the
+/// recorded driver position, realize, and publish epochs **strictly in
+/// order**; assemble each checkpoint generation from its header and K
+/// shard parts.
 fn merger_worker<S: MergeableSample + Clone>(
     shared: &EngineShared<S>,
     cell: &EpochCell<S::Item>,
@@ -1947,9 +1753,7 @@ fn merger_worker<S: MergeableSample + Clone>(
     // * the work queue, so shard workers pushing barrier forks (and the
     //   driver pushing epoch requests) fail fast instead of blocking
     //   forever on a bounded queue no one drains — a merger panic must
-    //   not deadlock ingest, mirroring the shard workers' PanicCloser;
-    // * the task queue, so no new tree work is admitted after the
-    //   coordinator is gone.
+    //   not deadlock ingest, mirroring the shard workers' PanicCloser.
     struct PanicCloser<'a, S: MergeableSample> {
         shared: &'a EngineShared<S>,
         cell: &'a EpochCell<S::Item>,
@@ -1957,7 +1761,6 @@ fn merger_worker<S: MergeableSample + Clone>(
     impl<S: MergeableSample> Drop for PanicCloser<'_, S> {
         fn drop(&mut self) {
             self.shared.merger.close();
-            self.shared.tasks.close();
             self.cell.close();
         }
     }
@@ -1967,46 +1770,15 @@ fn merger_worker<S: MergeableSample + Clone>(
     let shard_count = shared.shards.len();
     let mut pending: BTreeMap<u64, PendingEpoch<S>> = BTreeMap::new();
     let mut pending_ckpts: BTreeMap<u64, PendingCkpt<S>> = BTreeMap::new();
-    // Completed-but-unpublished epochs, re-ordered for in-order
-    // publication (trees of different epochs may finish out of order).
-    let mut ready: BTreeMap<u64, FrozenSample<S::Item>> = BTreeMap::new();
     // Publication continues wherever the cell left off — 1 for a fresh
     // engine, published+1 for a recovery respawn.
     let mut next_pub: u64 = start_pub;
     // Messages processed by this merger incarnation (fault-site ordinal).
     let mut msg_seen: u64 = 0;
-    // Trees dispatched but not yet completed. While nonzero the merger
-    // must keep making progress itself (workers may all be busy with — or
-    // already drained of — ingest), so it polls with a timeout and helps
-    // execute leaf tasks instead of blocking.
-    let mut inflight: usize = 0;
     let mut msgs: Vec<MergerMsg<S>> = Vec::new();
-    // The last epoch's tree substreams, reused while the driver RNG
-    // position stays put.
-    let mut streams: Option<Arc<TreeStreams>> = None;
-    loop {
-        msgs.clear();
-        if shared.merger.try_drain_into(&mut msgs) == 0 {
-            if inflight == 0 {
-                // Nothing running: block until something arrives. A 0
-                // return means closed and fully drained — and with no
-                // tree in flight there is nothing left to publish.
-                if shared.merger.drain_into(&mut msgs) == 0 {
-                    return;
-                }
-            } else if let Some((tree, leaf)) = shared.tasks.try_pop() {
-                // Help execute the in-flight trees; after the workers
-                // have exited (engine drop) this is what completes them.
-                if let Some(frozen) = run_tree_task(&tree, leaf, &spec) {
-                    inflight -= 1;
-                    ready.insert(frozen.epoch(), frozen);
-                }
-            } else {
-                let _ = shared
-                    .merger
-                    .drain_into_timeout(&mut msgs, Duration::from_millis(1));
-            }
-        }
+    // Every epoch is folded and published within the drain that completes
+    // it, so a 0 return (closed and fully drained) leaves nothing behind.
+    while shared.merger.drain_into(&mut msgs) > 0 {
         for msg in msgs.drain(..) {
             if let Some(plan) = &shared.faults {
                 plan.fire_kill_merger(msg_seen);
@@ -2034,10 +1806,6 @@ fn merger_worker<S: MergeableSample + Clone>(
                     if entry.forks[shard].replace(*state).is_none() {
                         entry.received += 1;
                     }
-                }
-                MergerMsg::Publish { frozen } => {
-                    inflight -= 1;
-                    ready.insert(frozen.epoch(), *frozen);
                 }
                 MergerMsg::CkptRequest {
                     gen,
@@ -2088,14 +1856,15 @@ fn merger_worker<S: MergeableSample + Clone>(
                 let _ = shared.ckpts_done.try_push(fresh);
             }
         }
-        // Dispatch every complete epoch, oldest first (epochs complete in
-        // order — barriers flow FIFO through every shard — but the loop
-        // does not rely on it).
+        // Fold and publish every complete epoch, oldest first. Barriers
+        // flow FIFO through every shard, so epochs complete in request
+        // order and publication never skips one.
         while let Some(entry) = pending.first_entry() {
             if !entry.get().is_complete(shard_count) {
                 break;
             }
             let (epoch, state) = entry.remove_entry();
+            debug_assert_eq!(epoch, next_pub, "epochs publish in request order");
             // INVARIANT: `is_complete` just verified the header and all K
             // fork states arrived, so the unwraps below cannot fire.
             let (rng_state, batches) = state.header.expect("complete epoch has a header");
@@ -2104,34 +1873,20 @@ fn merger_worker<S: MergeableSample + Clone>(
                 .into_iter()
                 .map(|f| f.expect("complete epoch has every fork"))
                 .collect();
-            let tree = Arc::new(build_tree(
+            // The driver-side sequence exactly: `merge_shards` (that is,
+            // `merge_replay`) from the recorded position, then realize on
+            // the post-`long_jump` trajectory.
+            let mut rng = Xoshiro256PlusPlus::from_state(rng_state);
+            let root = S::merge_shards(forks, &spec, &mut rng);
+            let mut items = Vec::new();
+            root.realize_into(&mut rng, &mut items);
+            cell.publish(Arc::new(FrozenSample::new(
                 epoch,
                 batches,
-                rng_state,
-                forks,
-                &spec,
-                &mut streams,
-            ));
-            inflight += 1;
-            for leaf in 0..shard_count {
-                if let Err((tree, leaf)) = shared.tasks.try_push((Arc::clone(&tree), leaf)) {
-                    // Task queue full (or closed): execute inline rather
-                    // than ever blocking — the workers draining the queue
-                    // may be waiting on *this* thread at shutdown.
-                    if let Some(frozen) = run_tree_task(&tree, leaf, &spec) {
-                        inflight -= 1;
-                        ready.insert(frozen.epoch(), frozen);
-                    }
-                }
-            }
-        }
-        // Publish strictly in epoch order; later-finished older epochs
-        // are never overtaken.
-        while let Some(entry) = ready.first_entry() {
-            if *entry.key() != next_pub {
-                break;
-            }
-            cell.publish(Arc::new(entry.remove()));
+                root.total_stream_weight(),
+                root.expected_size(),
+                items,
+            )));
             next_pub += 1;
         }
     }
@@ -2232,7 +1987,7 @@ mod tests {
 
     #[test]
     fn drop_is_clean_with_unclaimed_snapshots() {
-        // Requests whose trees are still in flight at drop must be
+        // Requests whose merges are still in flight at drop must be
         // completed (or abandoned) without deadlock, and the cell must
         // end up closed.
         let mut engine = rtbs_engine(0.2, 64, 4, 13);

@@ -109,53 +109,11 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Move every queued entry into `out` without blocking (appended in
-    /// FIFO order). Returns the number of entries moved — `0` when the
-    /// queue is momentarily empty. Shard workers use this so an empty
-    /// queue never keeps them from merge-tree tasks.
-    pub fn try_drain_into(&self, out: &mut Vec<T>) -> usize {
-        let mut state = self.state.lock();
-        let n = state.buf.len();
-        if n > 0 {
-            out.extend(state.buf.drain(..));
-            drop(state);
-            self.not_full.notify_all();
-        }
-        n
-    }
-
-    /// Like [`BatchQueue::drain_into`] but gives up after `timeout`,
-    /// returning `0` with nothing drained. Lets a consumer with fallback
-    /// work (e.g. the merger executing tree nodes) poll without spinning.
-    pub fn drain_into_timeout(&self, out: &mut Vec<T>, timeout: std::time::Duration) -> usize {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if !state.buf.is_empty() {
-                let n = state.buf.len();
-                out.extend(state.buf.drain(..));
-                drop(state);
-                self.not_full.notify_all();
-                return n;
-            }
-            if state.closed {
-                return 0;
-            }
-            let Some(left) = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                return 0;
-            };
-            state = self.not_empty.wait_timeout(state, left).0;
-        }
-    }
-
     /// Block until the queue is non-empty, closed, or `timeout` elapses.
     /// Returns `true` when there may be something to do (entries queued
-    /// or the queue closed), `false` on a pure timeout — the idle shard
-    /// worker's "wait for my own work, then look for merge-tree tasks"
-    /// primitive.
+    /// or the queue closed), `false` on a pure timeout — the engine's
+    /// checkpoint wait uses it to sleep between pipeline pulse checks
+    /// without taking the entry it waits for.
     pub fn wait_nonempty(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state.lock();
@@ -295,36 +253,6 @@ mod tests {
         q.close();
         assert_eq!(consumer.join().unwrap(), 0);
         assert_eq!(q.push(1), Err(1));
-    }
-
-    #[test]
-    fn try_drain_never_blocks() {
-        let q = BatchQueue::<u32>::with_capacity(4);
-        let mut out = Vec::new();
-        assert_eq!(q.try_drain_into(&mut out), 0);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.try_drain_into(&mut out), 2);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(q.try_drain_into(&mut out), 0);
-    }
-
-    #[test]
-    fn drain_timeout_returns_empty_handed() {
-        let q = BatchQueue::<u32>::with_capacity(4);
-        let mut out = Vec::new();
-        let start = std::time::Instant::now();
-        assert_eq!(
-            q.drain_into_timeout(&mut out, std::time::Duration::from_millis(20)),
-            0
-        );
-        assert!(start.elapsed() >= std::time::Duration::from_millis(15));
-        q.push(9).unwrap();
-        assert_eq!(
-            q.drain_into_timeout(&mut out, std::time::Duration::from_millis(20)),
-            1
-        );
-        assert_eq!(out, vec![9]);
     }
 
     #[test]

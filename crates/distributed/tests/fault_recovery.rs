@@ -281,8 +281,8 @@ fn repeated_faults_accumulate_recoveries() {
         }
         engine.quiesce().unwrap();
         // …and two barriers feed the post-recovery merger incarnation a
-        // request + K forks each (plus tree publications), carrying its
-        // message ordinal past the kill at index 5.
+        // request + K forks each, so the second epoch's request is its
+        // message at index 5, the kill site.
         engine.request_snapshot().unwrap();
         engine.quiesce().unwrap();
         engine.request_snapshot().unwrap();

@@ -1,16 +1,16 @@
 //! The hierarchical merge tree is a *replay*, not a re-randomization:
 //! every node of the `⌈log₂K⌉`-depth pairwise tree draws from an RNG
 //! substream derived purely from (driver RNG position, node id), so the
-//! cooperative execution on the shard threads — whatever interleaving
-//! or node-completion order the scheduler produces — must be
-//! **bit-identical** to a single-threaded [`merge_replay`] fold over the
-//! same shard states from the same driver position.
+//! engine's merger thread, folding each epoch's barrier forks through
+//! [`merge_replay`] from the driver position recorded at the request,
+//! must publish exactly what a fold on the test thread over the same
+//! shard states from the same position produces.
 //!
-//! These tests pin that property end-to-end: run the engine (parallel
-//! tree, backpressure forced by a shallow queue), capture its durable
-//! state, replay the merge + realization sequentially on the test
-//! thread, and require equality — for both mergeable algorithms, K up
-//! to 64, saturated and unsaturated regimes.
+//! These tests pin that property end-to-end: run the engine (barrier
+//! forks racing ingest, backpressure forced by a shallow queue), capture
+//! its durable state, replay the merge + realization sequentially on the
+//! test thread, and require equality — for both mergeable algorithms, K
+//! up to 64, saturated and unsaturated regimes.
 
 use tbs_core::merge::{MergeableSample, ShardSpec};
 use tbs_core::{RTbs, TTbs};

@@ -79,8 +79,9 @@ fn main() {
         frozen.len()
     );
 
-    // 6. Sample on demand still works: quiesce, fold the 16 shard states
-    //    through the pairwise merge tree on the shard threads, realize.
+    // 6. Sample on demand still works: quiesce, then the merger thread
+    //    folds the 16 shard states through the pairwise merge tree
+    //    (`merge_replay`) and realizes the sample.
     let sample = sampler.sample().expect("merge succeeds");
     println!(
         "merged sample: {} items (bound 1000), expected size C = {:.1}",

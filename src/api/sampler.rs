@@ -295,9 +295,10 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
     ///
     /// Latent schemes (R-TBS) realize the fractional item with a coin from
     /// the handle RNG; sharded engines serve through the snapshot barrier —
-    /// the driver enqueues one epoch marker and the shard workers fold the
-    /// merge tree off the driver thread — then hand back the published
-    /// merged sample (so the call also advances the epoch counters).
+    /// the driver enqueues one epoch marker and the engine's merger thread
+    /// folds the shard forks through `merge_replay` off the driver thread —
+    /// then hand back the published merged sample (so the call also
+    /// advances the epoch counters).
     pub fn sample(&mut self) -> Result<Vec<T>, TbsError> {
         let out = match &mut self.inner {
             Inner::RTbs(s) => s.sample(&mut self.rng),
