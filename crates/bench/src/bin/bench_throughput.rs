@@ -21,9 +21,8 @@
 
 use std::path::PathBuf;
 use tbs_bench::experiments::throughput::{
-    check_checkpoint_overhead, check_facade_overhead, check_jump_baseline, check_jump_speedup,
-    report, rows_to_json, run_throughput_filtered, ThroughputConfig, COMMITTED_JUMP_BASELINE,
-    THROUGHPUT_ROW_KEYS,
+    check_checkpoint_overhead, check_facade_overhead, report, rows_to_json,
+    run_throughput_filtered, ThroughputConfig, THROUGHPUT_ROW_KEYS,
 };
 use tbs_bench::json::validate_bench_doc;
 use tbs_bench::output::{host_context, results_dir, workspace_root};
@@ -100,39 +99,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // Perf gate: jump-ahead ingest must be worth its complexity —
-        // ≥2× the per-item fast path on the saturated R-TBS flagship.
-        match check_jump_speedup(&rows, 2.0) {
-            Ok(speedup) => println!(
-                "jump ingest: R-TBS saturated at {speedup:.2}× the per-item fast path (≥2× gate)"
-            ),
-            Err(msg) if smoke => println!("jump ingest (not gated on --smoke runs): {msg}"),
-            Err(msg) => {
-                eprintln!("{msg}\n{}", host_context());
-                std::process::exit(1);
-            }
-        }
-        // Perf gate: the checkpoint machinery must not regress the
-        // flagship ingest path itself — this run's saturated R-TBS jump
-        // row stays within 10% of the committed absolute baseline.
-        match check_jump_baseline(&rows, COMMITTED_JUMP_BASELINE, 0.10) {
-            Ok(ratio) => println!(
-                "jump baseline: saturated R-TBS at {:.1}% of the committed {:.1}M items/s (±10% gate)",
-                ratio * 100.0,
-                COMMITTED_JUMP_BASELINE / 1e6
-            ),
-            Err(msg) if smoke => println!("jump baseline (not gated on --smoke runs): {msg}"),
-            Err(msg) => {
-                eprintln!("{msg}\n{}", host_context());
-                std::process::exit(1);
-            }
-        }
         // Durability gate: automatic checkpointing keeps at least half of
-        // jump throughput within the same run. A catastrophic-regression
+        // the facade's throughput within the same run. A catastrophic-regression
         // floor, not a precision bound — see `check_checkpoint_overhead`.
         match check_checkpoint_overhead(&rows, 0.5) {
             Ok(ratio) => println!(
-                "checkpoint ingest: R-TBS saturated at {:.1}% of the jump path (≥50% floor)",
+                "checkpoint ingest: R-TBS saturated at {:.1}% of the facade path (≥50% floor)",
                 ratio * 100.0
             ),
             Err(msg) if smoke => println!("checkpoint ingest (not gated on --smoke runs): {msg}"),

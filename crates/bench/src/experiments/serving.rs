@@ -208,12 +208,12 @@ where
 
     // Reader threads: poll the epoch counter, pull the new snapshot when
     // one appeared (the SampleReader pattern), sleep out the serving
-    // cadence. They run across all repeats; per-window polls are read
-    // from the shared counter before/after each window.
+    // cadence. They run across all repeats; each counts its own polls,
+    // read before/after each window.
     let stop = Arc::new(AtomicBool::new(false));
-    let polls = Arc::new(AtomicU64::new(0));
+    let polls: Arc<[AtomicU64]> = (0..readers).map(|_| AtomicU64::new(0)).collect();
     let reader_handles: Vec<_> = (0..readers)
-        .map(|_| {
+        .map(|r| {
             let cell = engine.snapshot_cell();
             let stop = Arc::clone(&stop);
             let polls = Arc::clone(&polls);
@@ -233,7 +233,7 @@ where
                             checksum ^= frozen.len() as u64 ^ frozen.epoch();
                         }
                     }
-                    polls.fetch_add(1, Ordering::Relaxed);
+                    polls[r].fetch_add(1, Ordering::Relaxed);
                     if !cadence.is_zero() {
                         std::thread::sleep(cadence);
                     }
@@ -250,7 +250,7 @@ where
         let (batches, items) = gen_batches(regime, cfg.measured_batches, t0);
         t0 += cfg.measured_batches;
         let before = engine.shard_stats();
-        let polls_before = polls.load(Ordering::Relaxed);
+        let polls_before: Vec<u64> = polls.iter().map(|p| p.load(Ordering::Relaxed)).collect();
         let epoch_before = engine.requested_epoch();
         let wall = Instant::now();
         let mut fed = 0usize;
@@ -270,8 +270,22 @@ where
                 .wait_for_epoch(last_epoch)
                 .expect("engine alive");
         }
+        // Nor until every reader has polled inside it: a reader spawned
+        // just before a short window may not have run yet, and the row
+        // must measure serving, not thread start-up.
+        while polls
+            .iter()
+            .zip(&polls_before)
+            .any(|(p, &before)| p.load(Ordering::Relaxed) == before)
+        {
+            std::thread::yield_now();
+        }
         let wall_ns = (wall.elapsed().as_nanos() as u64).max(1);
-        let polls_delta = polls.load(Ordering::Relaxed) - polls_before;
+        let polls_delta: u64 = polls
+            .iter()
+            .zip(&polls_before)
+            .map(|(p, &before)| p.load(Ordering::Relaxed) - before)
+            .sum();
         let deltas = stats_delta(&before, &engine.shard_stats());
         let busy_ns: u64 = deltas.iter().map(|d| d.busy_ns).sum();
         let row = ServingRow {

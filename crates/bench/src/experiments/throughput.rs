@@ -31,8 +31,7 @@ use crate::json::Json;
 use crate::output::{f, print_table, write_csv};
 use std::time::Instant;
 use tbs_core::{
-    BAres, BChao, BTbs, BatchSampler, BatchedReservoir, CountWindow, IngestMode, RTbs, TTbs,
-    TimeWindow,
+    BAres, BChao, BTbs, BatchSampler, BatchedReservoir, CountWindow, RTbs, TTbs, TimeWindow,
 };
 use tbs_stats::rng::Xoshiro256PlusPlus;
 use temporal_sampling::api::SamplerConfig;
@@ -179,30 +178,23 @@ pub enum ApiPath {
     /// owning its RNG. Must stay within ±10% of `fast` (the enum match
     /// is a jump table, not a vtable).
     Facade,
-    /// The monomorphized fast path with `IngestMode::Jump`: batch-level
-    /// acceptance sampling (binomial counts + windowed swaps, geometric
-    /// skips) instead of per-item RNG draws. Only R-TBS and T-TBS
-    /// implement it; the saturated R-TBS row is gated at ≥ 2× the
-    /// per-item `fast` row measured in the same run.
-    Jump,
-    /// The facade handle with jump ingest **plus** an automatic durable
-    /// checkpoint every [`CHECKPOINT_EVERY`] batches
-    /// (`CheckpointPolicy::EveryBatches` into a `CheckpointStore` ring on
-    /// local disk, written behind the ingest thread). Measures what
-    /// durability costs a saturated ingest loop; the saturated R-TBS row
-    /// must keep at least half of the `jump` row measured in the same run
-    /// (see [`check_checkpoint_overhead`]).
+    /// The facade handle **plus** an automatic durable checkpoint every
+    /// [`CHECKPOINT_EVERY`] batches (`CheckpointPolicy::EveryBatches`
+    /// into a `CheckpointStore` ring on local disk, written behind the
+    /// ingest thread). Measures what durability costs a saturated ingest
+    /// loop; the saturated R-TBS row must keep at least half of the
+    /// `facade` row measured in the same run (see
+    /// [`check_checkpoint_overhead`]).
     Checkpoint,
 }
 
 impl ApiPath {
     /// All paths, in report order.
-    pub fn all() -> [ApiPath; 5] {
+    pub fn all() -> [ApiPath; 4] {
         [
             ApiPath::Fast,
             ApiPath::Dyn,
             ApiPath::Facade,
-            ApiPath::Jump,
             ApiPath::Checkpoint,
         ]
     }
@@ -213,18 +205,15 @@ impl ApiPath {
             ApiPath::Fast => "fast",
             ApiPath::Dyn => "dyn",
             ApiPath::Facade => "facade",
-            ApiPath::Jump => "jump",
             ApiPath::Checkpoint => "checkpoint",
         }
     }
 
-    /// Whether `kind` implements this path (`jump` and `checkpoint`
-    /// exist only for the two mergeable TBS samplers).
+    /// Whether `kind` implements this path (`checkpoint` rows exist
+    /// only for the two mergeable TBS samplers).
     pub fn supports(self, kind: SamplerKind) -> bool {
         match self {
-            ApiPath::Jump | ApiPath::Checkpoint => {
-                matches!(kind, SamplerKind::RTbs | SamplerKind::TTbs)
-            }
+            ApiPath::Checkpoint => matches!(kind, SamplerKind::RTbs | SamplerKind::TTbs),
             _ => true,
         }
     }
@@ -232,7 +221,7 @@ impl ApiPath {
 
 /// Batch interval of the `checkpoint` path's automatic policy. At the
 /// saturated regime's 100-item batches this is one durable generation
-/// per 500k items — a few times a second at saturated jump speed, far
+/// per 500k items — hundreds of times a second at saturated ingest speed, far
 /// more aggressive than production cadences (typically seconds to
 /// minutes apart) while still firing several times inside the measured
 /// window so the row reflects steady-state cost, not a lucky miss.
@@ -416,7 +405,7 @@ pub fn measure_one(
                 s.observe(batch).expect("bench ingest never fails")
             })
         }
-        // Jump ingest through the facade, with an automatic durable
+        // The facade's default ingest with an automatic durable
         // checkpoint ring on local disk — the durability-cost row. The
         // store writes (frame + fsync + rename) land inside the timed
         // region exactly as a production ingest loop would pay them.
@@ -429,7 +418,6 @@ pub fn measure_one(
             ));
             let mut s = facade_config(kind, regime)
                 .seed(seed)
-                .ingest_mode(temporal_sampling::api::IngestMode::Jump)
                 .checkpoint_policy(temporal_sampling::api::CheckpointPolicy::EveryBatches(
                     CHECKPOINT_EVERY,
                 ))
@@ -447,22 +435,6 @@ pub fn measure_one(
             let _ = std::fs::remove_dir_all(&dir);
             out
         }
-        // The jump path is the fast path with batch-level acceptance
-        // sampling switched on — same concrete types, different ingest
-        // strategy.
-        ApiPath::Jump => match kind {
-            SamplerKind::RTbs => {
-                let mut s: RTbs<u64> = RTbs::new(lambda, n);
-                s.set_ingest_mode(IngestMode::Jump);
-                drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
-            }
-            SamplerKind::TTbs => {
-                let mut s: TTbs<u64> = TTbs::new(lambda, regime.ttbs_target(), regime.mean_batch());
-                s.set_ingest_mode(IngestMode::Jump);
-                drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
-            }
-            other => panic!("{} has no jump ingest mode", other.label()),
-        },
         // Each arm below monomorphizes `observe` over the concrete sampler
         // type and the concrete xoshiro256++ RNG — no virtual dispatch
         // anywhere inside the timed loop.
@@ -634,11 +606,6 @@ fn summary(rows: &[ThroughputRow]) -> Json {
         "gates",
         Json::obj([
             ("facade_overhead", gate(check_facade_overhead(rows, 0.10))),
-            ("jump_speedup", gate(check_jump_speedup(rows, 2.0))),
-            (
-                "jump_vs_committed_baseline",
-                gate(check_jump_baseline(rows, COMMITTED_JUMP_BASELINE, 0.10)),
-            ),
             (
                 "checkpoint_overhead",
                 gate(check_checkpoint_overhead(rows, 0.5)),
@@ -679,99 +646,33 @@ pub fn check_facade_overhead(rows: &[ThroughputRow], tolerance: f64) -> Result<f
     Ok(ratio)
 }
 
-/// Check that the `jump` path's flagship row (saturated R-TBS) is at
-/// least `min_speedup`× the per-item `fast` path measured in the same
-/// run — the tentpole claim of the jump-ingest mode. Comparing within
-/// one run keeps the gate machine-independent; the committed
-/// `BENCH_throughput.json` preserves the absolute numbers (the per-item
-/// baseline there is 254.7M per-item vs 723.2M jump). Returns the jump/fast ratio.
-pub fn check_jump_speedup(rows: &[ThroughputRow], min_speedup: f64) -> Result<f64, String> {
-    let find = |path: &str| {
-        rows.iter()
-            .find(|r| r.sampler == "R-TBS" && r.regime == "saturated" && r.path == path)
-            .ok_or_else(|| format!("no R-TBS/saturated/{path} row in this run"))
-    };
-    let fast = find("fast")?;
-    let jump = find("jump")?;
-    let ratio = jump.items_per_sec / fast.items_per_sec;
-    if ratio < min_speedup {
-        return Err(format!(
-            "jump-mode R-TBS saturated ingest is only {:.1}M items/s \
-             ({:.2}× the per-item fast path's {:.1}M — gate is {:.1}×)",
-            jump.items_per_sec / 1e6,
-            ratio,
-            fast.items_per_sec / 1e6,
-            min_speedup
-        ));
-    }
-    Ok(ratio)
-}
-
-/// Saturated R-TBS jump-ingest throughput (items/s) of the committed
-/// `BENCH_throughput.json` baseline at the time the durability row was
-/// added. Full `bench_throughput` runs gate at no more than 10% below
-/// this ([`check_jump_baseline`]) — the regression tripwire for the
-/// checkpoint machinery now sitting on the facade's observe path.
-pub const COMMITTED_JUMP_BASELINE: f64 = 723.2e6;
-
-/// Check that the saturated R-TBS `jump` row of *this* run has not
-/// regressed more than `tolerance` (fractional) below the committed
-/// absolute `baseline` (items/s — see [`COMMITTED_JUMP_BASELINE`]).
-/// Unlike the within-run ratio gates this compares across runs, so it is
-/// machine-sensitive by design: it exists to catch the facade's
-/// automatic-checkpoint hook (or any other PR) taxing the flagship
-/// ingest path itself, which a within-run ratio can never see. Returns
-/// the measured/baseline ratio.
-pub fn check_jump_baseline(
-    rows: &[ThroughputRow],
-    baseline: f64,
-    tolerance: f64,
-) -> Result<f64, String> {
-    let jump = rows
-        .iter()
-        .find(|r| r.sampler == "R-TBS" && r.regime == "saturated" && r.path == "jump")
-        .ok_or("no R-TBS/saturated/jump row in this run")?;
-    let ratio = jump.items_per_sec / baseline;
-    if ratio < 1.0 - tolerance {
-        return Err(format!(
-            "saturated R-TBS jump ingest regressed to {:.1}M items/s \
-             ({:.1}% of the committed {:.1}M baseline — floor is {:.0}%)",
-            jump.items_per_sec / 1e6,
-            ratio * 100.0,
-            baseline / 1e6,
-            (1.0 - tolerance) * 100.0
-        ));
-    }
-    Ok(ratio)
-}
-
 /// Check that the `checkpoint` path's flagship row (saturated R-TBS) is
-/// no more than `tolerance` (fractional) slower than the plain `jump`
+/// no more than `tolerance` (fractional) slower than the plain `facade`
 /// path measured in the same run. The write-behind store keeps the
 /// ingest-thread cost to serialization (~40µs per generation), but the
 /// fsync's *kernel CPU* cannot overlap ingest on a single-core runner —
-/// so the floor is calibrated as a catastrophic-regression tripwire
-/// (losing write-behind drops the ratio under 0.2; healthy runs measure
-/// ~0.6 single-core and better with real parallelism), not a precision
-/// bound. Comparing within one run keeps it machine-independent; the
+/// so the floor is a catastrophic-regression tripwire, not a precision
+/// bound: against a row ~2.7× faster than `facade`, healthy single-core
+/// runs measured ~0.6 and losing write-behind dropped the ratio under
+/// 0.2; against `facade`, a full 2-vCPU run measured 1.15. Comparing within one run keeps it machine-independent; the
 /// committed `BENCH_throughput.json` preserves the absolute numbers.
-/// Returns the checkpoint/jump ratio.
+/// Returns the checkpoint/facade ratio.
 pub fn check_checkpoint_overhead(rows: &[ThroughputRow], tolerance: f64) -> Result<f64, String> {
     let find = |path: &str| {
         rows.iter()
             .find(|r| r.sampler == "R-TBS" && r.regime == "saturated" && r.path == path)
             .ok_or_else(|| format!("no R-TBS/saturated/{path} row in this run"))
     };
-    let jump = find("jump")?;
+    let facade = find("facade")?;
     let ckpt = find("checkpoint")?;
-    let ratio = ckpt.items_per_sec / jump.items_per_sec;
+    let ratio = ckpt.items_per_sec / facade.items_per_sec;
     if ratio < 1.0 - tolerance {
         return Err(format!(
-            "automatic checkpointing dropped R-TBS saturated jump ingest to \
-             {:.1}M items/s ({:.1}% of the jump path's {:.1}M — floor is {:.0}%)",
+            "automatic checkpointing dropped R-TBS saturated facade ingest to \
+             {:.1}M items/s ({:.1}% of the facade path's {:.1}M — floor is {:.0}%)",
             ckpt.items_per_sec / 1e6,
             ratio * 100.0,
-            jump.items_per_sec / 1e6,
+            facade.items_per_sec / 1e6,
             (1.0 - tolerance) * 100.0
         ));
     }
@@ -786,10 +687,9 @@ mod tests {
     fn smoke_grid_produces_sane_rows() {
         let cfg = ThroughputConfig::smoke();
         let rows = run_throughput(&cfg);
-        // 8 samplers × 3 per-item paths × 3 regimes, plus jump and
-        // checkpoint rows for the two samplers that implement the mode.
-        assert_eq!(rows.len(), 8 * 3 * 3 + 2 * 3 + 2 * 3);
-        assert_eq!(rows.iter().filter(|r| r.path == "jump").count(), 6);
+        // 8 samplers × 3 paths × 3 regimes, plus checkpoint rows for
+        // the two mergeable samplers.
+        assert_eq!(rows.len(), 8 * 3 * 3 + 2 * 3);
         assert_eq!(rows.iter().filter(|r| r.path == "checkpoint").count(), 6);
         for r in &rows {
             assert!(
@@ -818,43 +718,27 @@ mod tests {
     }
 
     #[test]
-    fn jump_baseline_gate_passes_and_fails_on_the_right_side() {
-        let ok = [synthetic_row("jump", COMMITTED_JUMP_BASELINE * 0.95)];
-        let ratio = check_jump_baseline(&ok, COMMITTED_JUMP_BASELINE, 0.10).unwrap();
-        assert!((ratio - 0.95).abs() < 1e-9);
-        let bad = [synthetic_row("jump", COMMITTED_JUMP_BASELINE * 0.85)];
-        let msg = check_jump_baseline(&bad, COMMITTED_JUMP_BASELINE, 0.10).unwrap_err();
-        assert!(msg.contains("regressed"), "{msg}");
-        assert!(check_jump_baseline(&[], COMMITTED_JUMP_BASELINE, 0.10).is_err());
-    }
-
-    #[test]
     fn checkpoint_overhead_gate_compares_within_run() {
         let rows = [
-            synthetic_row("jump", 700e6),
+            synthetic_row("facade", 700e6),
             synthetic_row("checkpoint", 420e6),
         ];
         let ratio = check_checkpoint_overhead(&rows, 0.5).unwrap();
         assert!((ratio - 0.6).abs() < 1e-9);
         let bad = [
-            synthetic_row("jump", 700e6),
+            synthetic_row("facade", 700e6),
             synthetic_row("checkpoint", 120e6),
         ];
         assert!(check_checkpoint_overhead(&bad, 0.5).is_err());
     }
 
     #[test]
-    fn emitted_summary_carries_all_four_gate_verdicts() {
+    fn emitted_summary_carries_both_gate_verdicts() {
         let cfg = ThroughputConfig::smoke();
         let rows = run_throughput(&cfg);
         let doc = rows_to_json(&cfg, &rows);
         let gates = doc.get("summary").unwrap().get("gates").unwrap();
-        for name in [
-            "facade_overhead",
-            "jump_speedup",
-            "jump_vs_committed_baseline",
-            "checkpoint_overhead",
-        ] {
+        for name in ["facade_overhead", "checkpoint_overhead"] {
             let gate = gates.get(name).unwrap_or_else(|| panic!("missing {name}"));
             assert!(
                 matches!(gate.get("pass"), Some(Json::Bool(_))),

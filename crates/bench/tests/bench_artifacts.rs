@@ -104,12 +104,10 @@ fn committed_scaling_baseline_passes_the_cliff_gate() {
 
 #[test]
 fn committed_throughput_baseline_passes_its_gates() {
-    // The durability row (PR 8) made the throughput artifact carry gate
-    // verdicts too: the facade within 10% of the raw fast path, jump
-    // ingest ≥2× per-item, the jump row within 10% of the committed
-    // absolute baseline, and automatic checkpointing keeping ≥50% of
-    // jump throughput. Re-check the recorded ratios so a hand-edited
-    // pass flag fails.
+    // The throughput artifact carries its gate verdicts: the facade
+    // within 10% of the raw fast path, and automatic checkpointing
+    // keeping ≥50% of the facade's throughput in the same run. Re-check
+    // the recorded ratios so a hand-edited pass flag fails.
     let text = std::fs::read_to_string(workspace_root().join("BENCH_throughput.json"))
         .expect("committed BENCH_throughput.json");
     let doc = parse(&text).expect("valid JSON");
@@ -128,8 +126,6 @@ fn committed_throughput_baseline_passes_its_gates() {
         }
     };
     assert!(ratio("facade_overhead") >= 0.9);
-    assert!(ratio("jump_speedup") >= 2.0);
-    assert!(ratio("jump_vs_committed_baseline") >= 0.9);
     assert!(ratio("checkpoint_overhead") >= 0.5);
 }
 

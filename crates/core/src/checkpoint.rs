@@ -48,7 +48,11 @@ pub const MAGIC: u32 = 0x5442_5343; // "TBSC"
 ///   sharded-engine payload no longer leads with a group ledger (every
 ///   shard owns one reservoir). v4 blobs are rejected with
 ///   [`CheckpointError::UnsupportedVersion`] rather than misparsed.
-pub const VERSION: u32 = 5;
+/// * 6 — jump-ahead ingest is gone, so T-TBS payloads end after the
+///   sample items: the 9-byte acceptance cursor (primed flag plus
+///   pending skip) is dropped. v5 blobs are rejected with
+///   [`CheckpointError::UnsupportedVersion`] rather than misparsed.
+pub const VERSION: u32 = 6;
 
 /// Errors raised when decoding a checkpoint blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -517,12 +521,12 @@ mod tests {
     }
 
     /// The blob `Writer::new` + `put_items` must produce, assembled by
-    /// hand: magic, version 5, a `u32` count, then each item's `u32`
+    /// hand: magic, version 6, a `u32` count, then each item's `u32`
     /// length and its bytes.
     fn hand_built(items: &[Vec<u8>]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&0x5442_5343u32.to_le_bytes());
-        out.extend_from_slice(&5u32.to_le_bytes());
+        out.extend_from_slice(&6u32.to_le_bytes());
         out.extend_from_slice(&(items.len() as u32).to_le_bytes());
         for item in items {
             out.extend_from_slice(&(item.len() as u32).to_le_bytes());

@@ -32,7 +32,6 @@ use rand::Rng;
 /// retention is [`retain_random`], which sweeps whichever of the kept and
 /// deleted sets is smaller: in R-TBS's per-step decay the survivor count
 /// `k ≈ e^{−λ}·len` is nearly everything, so a step costs ~`λ·len` draws.
-/// Per-item and jump ingest share this operator.
 ///
 /// # Panics
 ///

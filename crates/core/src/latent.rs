@@ -179,53 +179,6 @@ impl<T> LatentSample<T> {
         }
     }
 
-    /// [`Self::replace_random_full_from`]'s jump-mode counterpart: move
-    /// the `m` donors at the contiguous (cyclic) window
-    /// `donor_start..donor_start + m` into the `m` full-item slots at the
-    /// cyclic window `victim_start..victim_start + m`, swapping the
-    /// evicted victims back into the vacated donor slots. The weight is
-    /// unchanged and **no per-item randomness is consumed** — the caller
-    /// supplies the two uniformly drawn window starts, and a window with
-    /// a uniform start is a systematic sample: every slot is covered by
-    /// exactly `m` of the possible starts, so each full item is evicted
-    /// with probability exactly `m/n` and each donor accepted with
-    /// probability exactly `m/|donors|`, matching the per-item sweep's
-    /// first-order inclusion probabilities (see [`crate::jumps`]).
-    ///
-    /// Each cyclic window wraps at most once, so the exchange is at most
-    /// three bulk [`slice::swap_with_slice`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` exceeds `donors.len()` or the number of full items,
-    /// or a window start is out of range while `m > 0`.
-    pub(crate) fn replace_window_from(
-        &mut self,
-        donors: &mut [T],
-        m: usize,
-        victim_start: usize,
-        donor_start: usize,
-    ) {
-        let n = self.full.len();
-        let d = donors.len();
-        assert!(
-            m <= d && m <= n,
-            "cannot move {m} of {d} donors into a sample of {n}"
-        );
-        if m == 0 {
-            return;
-        }
-        assert!(victim_start < n && donor_start < d, "window start oob");
-        let mut i = 0;
-        while i < m {
-            let v = (victim_start + i) % n;
-            let r = (donor_start + i) % d;
-            let run = (m - i).min(n - v).min(d - r);
-            self.full[v..v + run].swap_with_slice(&mut donors[r..r + run]);
-            i += run;
-        }
-    }
-
     /// `Swap1(A, π)`: move a uniformly chosen item from `A` to `π`, moving
     /// the current partial item (if any) back into `A`.
     ///
@@ -597,96 +550,6 @@ mod tests {
         let mut l = LatentSample::from_full(vec![1u8, 2]);
         let mut donors = vec![3u8];
         l.replace_random_full_from(&mut donors, 2, &mut rng);
-    }
-
-    #[test]
-    fn replace_window_from_conserves_and_wraps() {
-        // Every (victim_start, donor_start) pair — wrapping or not — must
-        // move exactly m donors in and m victims out, conserving items.
-        let (n, d, m) = (7usize, 5usize, 4usize);
-        for victim_start in 0..n {
-            for donor_start in 0..d {
-                let mut l = LatentSample::from_full((0..n as u32).collect::<Vec<_>>());
-                let mut donors: Vec<u32> = (100..100 + d as u32).collect();
-                l.replace_window_from(&mut donors, m, victim_start, donor_start);
-                assert_eq!(l.full_items().len(), n);
-                assert_eq!(l.weight(), n as f64);
-                assert_eq!(
-                    l.full_items().iter().filter(|&&x| x >= 100).count(),
-                    m,
-                    "wrong donor count at starts ({victim_start}, {donor_start})"
-                );
-                // Conservation: sample ∪ donor slots permute the inputs.
-                let mut all: Vec<u32> = l
-                    .full_items()
-                    .iter()
-                    .chain(donors.iter())
-                    .copied()
-                    .collect();
-                all.sort_unstable();
-                let mut expect: Vec<u32> = (0..n as u32).chain(100..100 + d as u32).collect();
-                expect.sort_unstable();
-                assert_eq!(all, expect);
-                l.check_invariants().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn replace_window_from_zero_is_noop() {
-        let mut l = LatentSample::from_full(vec![1u32, 2, 3]);
-        let mut donors = vec![9u32];
-        l.replace_window_from(&mut donors, 0, 0, 0);
-        assert_eq!(l.full_items(), &[1, 2, 3]);
-        assert_eq!(donors, vec![9]);
-    }
-
-    #[test]
-    fn replace_window_from_marginals_are_uniform() {
-        // With uniform window starts, windowed exchange is a systematic
-        // sample: eviction must be uniform at m/n and donor inclusion
-        // uniform at m/d — the first-order guarantee jump mode rests on.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(25);
-        let trials = 60_000u64;
-        let (n, d, m) = (8usize, 6usize, 2usize);
-        let mut evicted = vec![0u64; n];
-        let mut inserted = vec![0u64; d];
-        for _ in 0..trials {
-            let mut l = LatentSample::from_full((0..n as u32).collect::<Vec<_>>());
-            let mut donors: Vec<u32> = (100..100 + d as u32).collect();
-            let c = crate::util::uniform_index(&mut rng, n);
-            let r = crate::util::uniform_index(&mut rng, d);
-            l.replace_window_from(&mut donors, m, c, r);
-            let sample: std::collections::HashSet<u32> = l.full_items().iter().copied().collect();
-            for v in 0..n as u32 {
-                if !sample.contains(&v) {
-                    evicted[v as usize] += 1;
-                }
-            }
-            for v in 0..d as u32 {
-                if sample.contains(&(100 + v)) {
-                    inserted[v as usize] += 1;
-                }
-            }
-        }
-        let expect_evict = vec![trials as f64 * m as f64 / n as f64; n];
-        let expect_insert = vec![trials as f64 * m as f64 / d as f64; d];
-        assert!(
-            !tbs_stats::gof::chi2_rejects(&evicted, &expect_evict),
-            "windowed victims not uniform: {evicted:?}"
-        );
-        assert!(
-            !tbs_stats::gof::chi2_rejects(&inserted, &expect_insert),
-            "windowed donors not uniform: {inserted:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move")]
-    fn replace_window_from_rejects_overdraw() {
-        let mut l = LatentSample::from_full(vec![1u8, 2]);
-        let mut donors = vec![3u8];
-        l.replace_window_from(&mut donors, 2, 0, 0);
     }
 
     #[test]

@@ -101,7 +101,6 @@ pub mod checkpoint;
 pub mod downsample;
 pub mod forward;
 pub mod frozen;
-pub mod jumps;
 pub mod latent;
 pub mod merge;
 pub mod notify;
@@ -119,7 +118,6 @@ pub use btbs::BTbs;
 pub use chao::BChao;
 pub use forward::{DecayGauge, ExponentialGauge, ForwardDecayRTbs, PolynomialGauge};
 pub use frozen::FrozenSample;
-pub use jumps::{IngestMode, JumpCursor};
 pub use latent::LatentSample;
 pub use merge::{
     merge_replay, partition_batch, BalancedSplitter, MergePlan, MergeScalars, MergeableSample,

@@ -86,7 +86,6 @@
 //! to `n`. Its tree merge concatenates in leaf order, which reproduces the
 //! shard-order concatenation of the linear fold exactly.
 
-use crate::jumps::IngestMode;
 use crate::latent::LatentSample;
 use crate::rtbs::RTbs;
 use crate::ttbs::TTbs;
@@ -107,11 +106,6 @@ pub struct ShardSpec {
     /// Mean batch size `b` of the *whole* stream (T-TBS's assumed rate;
     /// ignored by R-TBS).
     pub mean_batch: f64,
-    /// Ingest strategy every shard-local sampler runs (see
-    /// [`crate::jumps::IngestMode`]). Jump mode composes with the merge
-    /// algebra unchanged: it alters only *how* each shard spends
-    /// randomness per batch, not the shard-state law the merge relies on.
-    pub ingest: IngestMode,
 }
 
 impl ShardSpec {
@@ -122,7 +116,6 @@ impl ShardSpec {
             capacity,
             shards,
             mean_batch: 0.0,
-            ingest: IngestMode::PerItem,
         }
     }
 
@@ -133,15 +126,7 @@ impl ShardSpec {
             capacity: target,
             shards,
             mean_batch,
-            ingest: IngestMode::PerItem,
         }
-    }
-
-    /// Run every shard in the given ingest mode (default
-    /// [`IngestMode::PerItem`]).
-    pub fn with_ingest_mode(mut self, mode: IngestMode) -> Self {
-        self.ingest = mode;
-        self
     }
 
     /// Per-shard R-TBS capacity `n_k = ⌈n/K⌉ + 1` (no headroom for
@@ -607,11 +592,7 @@ impl<T: Clone> MergeableSample for RTbs<T> {
         spec.validate();
         let n_k = spec.shard_capacity();
         (0..spec.shards)
-            .map(|_| {
-                let mut s = RTbs::new(spec.lambda, n_k);
-                s.set_ingest_mode(spec.ingest);
-                s
-            })
+            .map(|_| RTbs::new(spec.lambda, n_k))
             .collect()
     }
 
@@ -711,11 +692,7 @@ impl<T: Clone> MergeableSample for TTbs<T> {
         // samples already obey the single-node inclusion law and sum to
         // the global equilibrium size n.
         (0..spec.shards)
-            .map(|_| {
-                let mut s = TTbs::new(spec.lambda, spec.capacity, spec.mean_batch);
-                s.set_ingest_mode(spec.ingest);
-                s
-            })
+            .map(|_| TTbs::new(spec.lambda, spec.capacity, spec.mean_batch))
             .collect()
     }
 

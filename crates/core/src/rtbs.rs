@@ -20,12 +20,10 @@
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
 use crate::downsample::downsample;
-use crate::jumps::IngestMode;
 use crate::latent::LatentSample;
 use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::{uniform_index, DecayCache};
+use crate::util::DecayCache;
 use rand::Rng;
-use tbs_stats::binomial::CachedBinomial;
 use tbs_stats::rounding::stochastic_round;
 
 /// Reservoir-based time-biased sampler with decay rate λ and capacity `n`.
@@ -49,11 +47,6 @@ pub struct RTbs<T> {
     decay: DecayCache,
     capacity: usize,
     steps: u64,
-    mode: IngestMode,
-    /// Memoized BINV setup for the jump path's per-batch accept-count
-    /// draw; pure acceleration state (never persisted, draw-for-draw
-    /// identical to the one-shot sampler).
-    binom: CachedBinomial,
 }
 
 impl<T> RTbs<T> {
@@ -74,28 +67,7 @@ impl<T> RTbs<T> {
             decay: DecayCache::new(lambda),
             capacity,
             steps: 0,
-            mode: IngestMode::PerItem,
-            binom: CachedBinomial::new(),
         }
-    }
-
-    /// The active [`IngestMode`].
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.mode
-    }
-
-    /// Switch between per-item and jump-ahead ingest. The mode is a
-    /// *strategy*, not sampler identity: it may be flipped at any batch
-    /// boundary (including after a checkpoint restore) and both modes
-    /// realize the same Theorem 4.2 inclusion probabilities. Both modes
-    /// share every downsample (Alg. 2 lines 8, 12, 19); they differ only
-    /// in the saturated transition, where jump mode exchanges random
-    /// windows instead of sweeping victims item by item — so on a stream
-    /// that never saturates the two modes are draw-for-draw identical.
-    /// Not persisted by [`Self::save_state`]; restore paths re-apply the
-    /// caller's config.
-    pub fn set_ingest_mode(&mut self, mode: IngestMode) {
-        self.mode = mode;
     }
 
     /// Create a sampler pre-loaded with an initial sample `A₀`
@@ -252,40 +224,17 @@ impl<T> RTbs<T> {
             // ——— Previously saturated: C = n, no partial item. ———
             let new_weight = self.total_weight * decay + batch_size as f64; // line 14
             if new_weight >= n {
-                if self.mode == IngestMode::Jump
-                    && batch_size <= self.capacity
-                    && self.latent.frac() == 0.0
-                {
-                    // Jump path (the one place the two ingest modes differ:
-                    // the unsaturated and undershoot branches share
-                    // `downsample`): each batch item is accepted independently
-                    // w.p. p = n/W, so draw the accept *count* exactly as
-                    // M ~ Binomial(|B|, p) and exchange a random donor
-                    // window against a random victim window — three RNG
-                    // draws and a couple of `memcpy`-grade segment swaps
-                    // for the whole batch. Guarded on |B| ≤ n so M can
-                    // never exceed the victim pool (when it could, the
-                    // per-item path below handles the batch instead).
-                    let p = (n / new_weight).min(1.0);
-                    let m = self.binom.draw(rng, batch_size as u64, p) as usize;
-                    if m > 0 {
-                        let c = uniform_index(rng, self.latent.full_items().len());
-                        let r = uniform_index(rng, batch_size);
-                        self.latent.replace_window_from(batch, m, c, r);
-                    }
-                } else {
-                    // Per-item path: accept each batch item w.p. n/W via a
-                    // single stochastically rounded count (lines 16-17),
-                    // then swap the accepted items over uniformly chosen
-                    // victims in place — no intermediate vectors. The
-                    // evicted victims are swapped back into `batch`, whose
-                    // leftover contents the caller discards.
-                    let m_exact = batch_size as f64 * n / new_weight;
-                    let m = (stochastic_round(rng, m_exact) as usize)
-                        .min(batch_size)
-                        .min(self.capacity);
-                    self.latent.replace_random_full_from(batch, m, rng);
-                }
+                // Accept each batch item w.p. n/W via a single
+                // stochastically rounded count (lines 16-17), then swap
+                // the accepted items over uniformly chosen victims in
+                // place — no intermediate vectors. The evicted victims are
+                // swapped back into `batch`, whose leftover contents the
+                // caller discards.
+                let m_exact = batch_size as f64 * n / new_weight;
+                let m = (stochastic_round(rng, m_exact) as usize)
+                    .min(batch_size)
+                    .min(self.capacity);
+                self.latent.replace_random_full_from(batch, m, rng);
             } else {
                 // Undershoot: shrink the old sample to the decayed weight
                 // W' = W_new − |B_t|, then accept the batch as full items
@@ -329,8 +278,6 @@ impl<T> RTbs<T> {
             decay: DecayCache::new(lambda),
             capacity,
             steps,
-            mode: IngestMode::PerItem,
-            binom: CachedBinomial::new(),
         };
         debug_assert!(s.latent.check_invariants().is_ok());
         s
@@ -386,8 +333,6 @@ impl<T: Wire> RTbs<T> {
             decay: DecayCache::new(lambda),
             capacity,
             steps,
-            mode: IngestMode::PerItem,
-            binom: CachedBinomial::new(),
         })
     }
 }
@@ -461,27 +406,6 @@ mod tests {
             (c - 1479.0).abs() < 2.0,
             "equilibrium sample weight {c}, expected ≈1479"
         );
-    }
-
-    #[test]
-    fn ingest_modes_agree_bit_for_bit_while_unsaturated() {
-        // The §6.3 setting never saturates, so it runs only the shared
-        // downsample: both modes must draw the same numbers and reach
-        // the same state.
-        let run = |mode: IngestMode| {
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(17);
-            let mut s = RTbs::new(0.07, 1600);
-            s.set_ingest_mode(mode);
-            feed_constant(&mut s, 500, 100, &mut rng);
-            assert!(!s.is_saturated());
-            let mut w = Writer::new();
-            s.save_state(&mut w);
-            (w.finish(), rng.state())
-        };
-        let (per_item, per_item_rng) = run(IngestMode::PerItem);
-        let (jump, jump_rng) = run(IngestMode::Jump);
-        assert_eq!(per_item, jump, "save_state bytes differ");
-        assert_eq!(per_item_rng, jump_rng, "RNG positions differ");
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //! size drifts away from the assumed `b` (Figure 1).
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::jumps::{IngestMode, JumpCursor, JUMP_GEOMETRIC_MAX_Q};
 use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
 use crate::util::{retain_random, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::{binomial, CachedBinomial};
-use tbs_stats::geometric::geometric;
 
 /// Targeted-size time-biased sampler.
 ///
@@ -32,12 +30,6 @@ pub struct TTbs<T> {
     /// Batch down-sampling rate `q = n(1 − e^{−λ})/b`.
     q: f64,
     steps: u64,
-    mode: IngestMode,
-    /// Jump-mode acceptance cursor: the part of the current geometric
-    /// inter-acceptance gap not yet consumed by previous batches. Always
-    /// zero in per-item mode and whenever `q ≥` [`JUMP_GEOMETRIC_MAX_Q`]
-    /// (the binomial side of the crossover).
-    cursor: JumpCursor,
     /// Memoized BINV setup for the binomial acceptance count (`q` is
     /// constant, so constant-size batches reuse the setup; draw-for-draw
     /// identical to the one-shot `binomial`); pure acceleration state,
@@ -78,35 +70,8 @@ impl<T> TTbs<T> {
             assumed_mean_batch,
             q,
             steps: 0,
-            mode: IngestMode::PerItem,
-            cursor: JumpCursor::zero(),
             binom_accept: CachedBinomial::new(),
         }
-    }
-
-    /// The active [`IngestMode`].
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.mode
-    }
-
-    /// Switch between per-item and jump-ahead ingest. Like
-    /// [`crate::RTbs::set_ingest_mode`], the mode is a strategy, not
-    /// sampler identity: both modes realize iid `Bernoulli(q)` batch
-    /// acceptance and independent `e^{−λ}` retention, and both run the
-    /// same binomial-count decay and retention sweeps. They differ only
-    /// when `q <` [`JUMP_GEOMETRIC_MAX_Q`]: jump mode then accepts by
-    /// geometric skips instead of a binomial count plus a sweep.
-    /// Switching away from jump mode mid-stream simply abandons any
-    /// pending acceptance gap (statistically immaterial: the gap is
-    /// memoryless).
-    pub fn set_ingest_mode(&mut self, mode: IngestMode) {
-        self.mode = mode;
-    }
-
-    /// The jump-mode acceptance cursor (zero unless a geometric gap is
-    /// mid-flight across a batch boundary).
-    pub fn jump_cursor(&self) -> JumpCursor {
-        self.cursor
     }
 
     /// Pre-load an initial sample `S₀`.
@@ -211,52 +176,11 @@ impl<T> TTbs<T> {
         // Decay current sample: keep Binomial(|S|, p) random survivors.
         let keep = binomial(rng, self.items.len() as u64, p) as usize;
         retain_random(&mut self.items, keep, rng);
-        if self.mode == IngestMode::Jump && self.q > 0.0 && self.q < JUMP_GEOMETRIC_MAX_Q {
-            // Sparse acceptance: geometric jumps over the rejected runs.
-            self.accept_by_jumps(batch, rng);
-        } else {
-            // Down-sample the incoming batch at rate q, in place.
-            let accept = self.binom_accept.draw(rng, batch.len() as u64, self.q) as usize;
-            retain_random(batch, accept, rng);
-            self.items.append(batch);
-        }
-        self.steps += 1;
-    }
-
-    /// Sparse acceptance by geometric jumps (A-ExpJ style): instead of a
-    /// coin per item, draw the gap to the next accepted item and skip the
-    /// run in between. The accepted subset is *exactly* the iid
-    /// `Bernoulli(q)` outcome — geometric gaps are the inter-success
-    /// distances of the trial sequence — and the partially consumed final
-    /// gap carries to the next batch in `self.cursor` (memorylessness
-    /// makes the resumed process identical to an uninterrupted one).
-    /// Empty batches consume no randomness and leave the cursor intact.
-    fn accept_by_jumps<R: Rng + ?Sized>(&mut self, batch: &mut Vec<T>, rng: &mut R) {
-        let b = batch.len() as u64;
-        // The first gap of the process is itself geometric — the position
-        // of the first success in a Bernoulli sequence. Prime it lazily
-        // (there is no RNG at construction/mode-switch time).
-        if !self.cursor.primed {
-            self.cursor.primed = true;
-            self.cursor.pending_skip = geometric(rng, self.q);
-        }
-        let mut skip = self.cursor.pending_skip;
-        let mut i = 0u64; // trials consumed within this batch
-        let mut w = 0usize; // accepted prefix length
-        loop {
-            let remaining = b - i;
-            if skip >= remaining {
-                self.cursor.pending_skip = skip - remaining;
-                break;
-            }
-            i += skip;
-            batch.swap(w, i as usize);
-            w += 1;
-            i += 1;
-            skip = geometric(rng, self.q);
-        }
-        batch.truncate(w);
+        // Down-sample the incoming batch at rate q, in place.
+        let accept = self.binom_accept.draw(rng, batch.len() as u64, self.q) as usize;
+        retain_random(batch, accept, rng);
         self.items.append(batch);
+        self.steps += 1;
     }
 }
 
@@ -277,11 +201,6 @@ impl<T: Wire> TTbs<T> {
         w.put_f64(self.assumed_mean_batch);
         w.put_u64(self.steps);
         w.put_items(self.items.iter());
-        // The jump cursor is the one piece of jump-mode state that must
-        // survive a restart: a geometric gap mid-flight across the cut,
-        // plus whether the initial gap has been drawn at all.
-        w.put_u8(self.cursor.primed as u8);
-        w.put_u64(self.cursor.pending_skip);
     }
 
     /// Rebuild a sampler from a [`Self::save_state`] payload, validating
@@ -300,25 +219,9 @@ impl<T: Wire> TTbs<T> {
         }
         let steps = r.get_u64()?;
         let items = r.get_items()?;
-        let primed = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CheckpointError::Corrupt("T-TBS cursor primed flag")),
-        };
-        let pending_skip = r.get_u64()?;
         let mut s = Self::new(lambda, target, assumed_mean_batch);
-        // A pending gap can only arise on the geometric side of the
-        // crossover, and only after the initial gap was drawn; anything
-        // else is a state no execution can produce.
-        if pending_skip > 0 && (!primed || s.q >= JUMP_GEOMETRIC_MAX_Q) {
-            return Err(CheckpointError::Corrupt("T-TBS jump cursor"));
-        }
         s.items = items;
         s.steps = steps;
-        s.cursor = JumpCursor {
-            pending_skip,
-            primed,
-        };
         Ok(s)
     }
 }

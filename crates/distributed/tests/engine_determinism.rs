@@ -10,7 +10,7 @@
 use rand::SeedableRng;
 use tbs_core::checkpoint::Writer;
 use tbs_core::merge::{BalancedSplitter, MergeableSample, ShardSpec};
-use tbs_core::{IngestMode, RTbs, TTbs};
+use tbs_core::{RTbs, TTbs};
 use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
@@ -260,20 +260,18 @@ fn engine_shards_equal_an_independent_split_reference() {
             (0..b).map(|i| t * 100_000 + i).collect()
         })
         .collect();
-    for mode in [IngestMode::PerItem, IngestMode::Jump] {
-        for k in [1usize, 2, 3, 4] {
-            let rtbs = ShardSpec::rtbs(0.1, 500, k).with_ingest_mode(mode);
-            assert_eq!(
-                engine_shards::<RTbs<u64>>(rtbs, 17, &batches),
-                reference_shards::<RTbs<u64>>(rtbs, 17, &batches),
-                "R-TBS K={k} {mode:?}: engine shards differ from the reference split"
-            );
-            let ttbs = ShardSpec::ttbs(0.1, 500, 225.0, k).with_ingest_mode(mode);
-            assert_eq!(
-                engine_shards::<TTbs<u64>>(ttbs, 17, &batches),
-                reference_shards::<TTbs<u64>>(ttbs, 17, &batches),
-                "T-TBS K={k} {mode:?}: engine shards differ from the reference split"
-            );
-        }
+    for k in [1usize, 2, 3, 4] {
+        let rtbs = ShardSpec::rtbs(0.1, 500, k);
+        assert_eq!(
+            engine_shards::<RTbs<u64>>(rtbs, 17, &batches),
+            reference_shards::<RTbs<u64>>(rtbs, 17, &batches),
+            "R-TBS K={k}: engine shards differ from the reference split"
+        );
+        let ttbs = ShardSpec::ttbs(0.1, 500, 225.0, k);
+        assert_eq!(
+            engine_shards::<TTbs<u64>>(ttbs, 17, &batches),
+            reference_shards::<TTbs<u64>>(ttbs, 17, &batches),
+            "T-TBS K={k}: engine shards differ from the reference split"
+        );
     }
 }

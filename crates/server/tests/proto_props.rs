@@ -138,11 +138,11 @@ proptest! {
 }
 
 /// Hand-built frame: `u32` LE length prefix, then the payload, which is
-/// the checkpoint header (`TBSC` magic, version 5), the tag and `fields`.
+/// the checkpoint header (`TBSC` magic, version 6), the tag and `fields`.
 fn hand_built_frame(tag: u8, fields: &[&[u8]]) -> Vec<u8> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&0x5442_5343u32.to_le_bytes());
-    payload.extend_from_slice(&5u32.to_le_bytes());
+    payload.extend_from_slice(&6u32.to_le_bytes());
     payload.push(tag);
     for field in fields {
         payload.extend_from_slice(field);

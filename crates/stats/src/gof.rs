@@ -1,6 +1,5 @@
-//! Goodness-of-fit and equivalence testing for the statistical
-//! test-suites — one shared false-positive budget for the whole
-//! workspace.
+//! Goodness-of-fit testing for the statistical test-suites — one
+//! shared false-positive budget for the whole workspace.
 //!
 //! Every stochastic test in this repository is *seeded*, so each test is
 //! a one-time draw: it either passes forever or fails forever. The α
@@ -23,13 +22,10 @@
 //!   their *family* to consume one [`TEST_ALPHA`] in total.
 //!
 //! The chi² machinery builds on [`crate::chi2`]; this module adds the
-//! budget policy, a two-sample Kolmogorov–Smirnov test, and a TOST-style
-//! mean-equivalence check — the tools the jump-ingest equivalence
-//! harness (`tests/statistical_equivalence.rs`) uses to *prove*
-//! distributional agreement rather than merely fail to detect
-//! divergence.
+//! budget policy that the statistical harness
+//! (`tests/statistical_equivalence.rs`) splits across its checks.
 
-use crate::chi2::{chi2_critical, chi2_pooled, standard_normal_quantile};
+use crate::chi2::{chi2_critical, chi2_pooled};
 
 /// Per-test significance level shared by the workspace's seeded
 /// statistical tests (see the module docs for the budget arithmetic).
@@ -77,121 +73,9 @@ pub fn chi2_rejects(observed: &[u64], expected: &[f64]) -> bool {
     chi2_gof(observed, expected, TEST_ALPHA).is_some_and(|o| o.rejected)
 }
 
-/// Two-sample Kolmogorov–Smirnov test: are `a` and `b` draws from the
-/// same (continuous) distribution? Rejects when the asymptotic p-value
-/// of the maximum ecdf distance falls below `alpha`.
-///
-/// The p-value uses the Kolmogorov asymptotic series with the
-/// Stephens small-sample correction
-/// `λ = D·(√n_e + 0.12 + 0.11/√n_e)`, accurate enough for pass/fail
-/// testing at `n_e ≥ 8` or so. Ties are handled by stepping both ecdfs
-/// through the pooled sorted order, which yields the standard
-/// mid-distance statistic for discrete data.
-///
-/// # Panics
-///
-/// Panics if either sample is empty or contains NaN.
-pub fn ks_two_sample(a: &[f64], b: &[f64], alpha: f64) -> GofOutcome {
-    assert!(
-        !a.is_empty() && !b.is_empty(),
-        "KS requires non-empty samples"
-    );
-    let mut a: Vec<f64> = a.to_vec();
-    let mut b: Vec<f64> = b.to_vec();
-    a.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS sample"));
-    b.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS sample"));
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let mut d: f64 = 0.0;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] <= x {
-            i += 1;
-        }
-        while j < b.len() && b[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    let ne = na * nb / (na + nb);
-    let lambda = d * (ne.sqrt() + 0.12 + 0.11 / ne.sqrt());
-    let p = ks_survival(lambda);
-    GofOutcome {
-        statistic: lambda,
-        critical: ks_critical_lambda(alpha),
-        rejected: p < alpha,
-    }
-}
-
-/// Kolmogorov survival function `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2k²λ²}`.
-fn ks_survival(lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    let mut sign = 1.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64) * (k as f64) * lambda * lambda).exp();
-        sum += sign * term;
-        sign = -sign;
-        if term < 1e-12 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// The λ at which [`ks_survival`] crosses `alpha` (bisection; the
-/// function is strictly decreasing).
-fn ks_critical_lambda(alpha: f64) -> f64 {
-    let (mut lo, mut hi) = (0.0f64, 10.0f64);
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if ks_survival(mid) > alpha {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// TOST (two one-sided tests) equivalence check on means: concludes
-/// `|mean(a) − mean(b)| < margin` when **both** one-sided z-tests reject
-/// at level `alpha` — the standard way to *affirm* equivalence rather
-/// than merely fail to detect a difference. Uses the Welch standard
-/// error with normal quantiles, appropriate for the harness's sample
-/// sizes (hundreds of trials).
-///
-/// Returns `true` when the samples are demonstrably equivalent within
-/// the margin.
-///
-/// # Panics
-///
-/// Panics if either sample has fewer than two elements, or `margin` is
-/// not positive.
-pub fn tost_mean_equivalent(a: &[f64], b: &[f64], margin: f64, alpha: f64) -> bool {
-    assert!(a.len() >= 2 && b.len() >= 2, "TOST requires ≥ 2 samples");
-    assert!(margin > 0.0, "TOST margin must be positive");
-    let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
-    let var =
-        |s: &[f64], m: f64| s.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (s.len() - 1) as f64;
-    let (ma, mb) = (mean(a), mean(b));
-    let se = (var(a, ma) / a.len() as f64 + var(b, mb) / b.len() as f64).sqrt();
-    if se == 0.0 {
-        return (ma - mb).abs() < margin;
-    }
-    let z = standard_normal_quantile(1.0 - alpha);
-    let diff = ma - mb;
-    // H01: diff ≤ −margin rejected, and H02: diff ≥ +margin rejected.
-    (diff + margin) / se > z && (margin - diff) / se > z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256PlusPlus;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn bonferroni_splits_the_budget() {
@@ -215,61 +99,5 @@ mod tests {
         assert!(bad.statistic > bad.critical);
         assert!(chi2_rejects(&[1000, 0, 0, 0], &expected));
         assert!(!chi2_rejects(&[250, 250, 250, 250], &expected));
-    }
-
-    #[test]
-    fn ks_survival_reference_values() {
-        // Q(1.36) ≈ 0.049 (the textbook 5% critical value).
-        let q = ks_survival(1.36);
-        assert!((q - 0.049).abs() < 0.002, "Q(1.36) = {q}");
-        assert!(ks_survival(0.0) == 1.0);
-        assert!(ks_survival(3.0) < 1e-6);
-    }
-
-    #[test]
-    fn ks_same_distribution_accepts() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(11);
-        let a: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>()).collect();
-        let b: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>()).collect();
-        let out = ks_two_sample(&a, &b, TEST_ALPHA);
-        assert!(!out.rejected, "λ = {}", out.statistic);
-    }
-
-    #[test]
-    fn ks_shifted_distribution_rejects() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(12);
-        let a: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>()).collect();
-        let b: Vec<f64> = (0..2000).map(|_| rng.gen::<f64>() + 0.2).collect();
-        let out = ks_two_sample(&a, &b, TEST_ALPHA);
-        assert!(out.rejected, "λ = {}", out.statistic);
-    }
-
-    #[test]
-    fn ks_handles_discrete_ties() {
-        // Identical discrete distributions must not reject despite ties.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(13);
-        let a: Vec<f64> = (0..3000).map(|_| (rng.gen::<u32>() % 7) as f64).collect();
-        let b: Vec<f64> = (0..3000).map(|_| (rng.gen::<u32>() % 7) as f64).collect();
-        assert!(!ks_two_sample(&a, &b, TEST_ALPHA).rejected);
-    }
-
-    #[test]
-    fn tost_affirms_equal_means_and_refuses_distant_ones() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(14);
-        let a: Vec<f64> = (0..4000).map(|_| rng.gen::<f64>()).collect();
-        let b: Vec<f64> = (0..4000).map(|_| rng.gen::<f64>()).collect();
-        // Means differ by O(0.01); margin 0.05 should be affirmable.
-        assert!(tost_mean_equivalent(&a, &b, 0.05, TEST_ALPHA));
-        // A mean shift equal to the margin must never be affirmed.
-        let c: Vec<f64> = a.iter().map(|x| x + 0.05).collect();
-        assert!(!tost_mean_equivalent(&a, &c, 0.05, TEST_ALPHA));
-    }
-
-    #[test]
-    fn tost_needs_enough_precision() {
-        // Tiny samples cannot affirm equivalence at a tight margin.
-        let a = [0.5, 0.6, 0.4];
-        let b = [0.55, 0.45, 0.5];
-        assert!(!tost_mean_equivalent(&a, &b, 0.01, TEST_ALPHA));
     }
 }

@@ -23,16 +23,12 @@
 //!   helpers backing the exact samplers.
 //! * [`chi2`] — chi-square goodness-of-fit helpers used by the statistical
 //!   test-suites of the sampler crates.
-//! * [`mod@geometric`] — exact geometric/exponential variates via cdf
-//!   inversion, the jump lengths of the A-ExpJ-style ingest mode.
 //! * [`gof`] — the goodness-of-fit *policy* layer: the workspace's shared
-//!   false-positive budget, chi² quantile tests, a two-sample
-//!   Kolmogorov–Smirnov test, and a TOST mean-equivalence check — the
-//!   statistical backbone of `tests/statistical_equivalence.rs`.
+//!   false-positive budget and chi² quantile tests — the statistical
+//!   backbone of `tests/statistical_equivalence.rs`.
 
 pub mod binomial;
 pub mod chi2;
-pub mod geometric;
 pub mod gof;
 pub mod hypergeometric;
 pub mod multivariate;
@@ -44,7 +40,6 @@ pub mod summary;
 
 pub use binomial::{binomial, CachedBinomial};
 // (function re-exports intentionally shadow module names in docs)
-pub use geometric::{exponential, geometric};
 pub use hypergeometric::hypergeometric;
 pub use multivariate::multivariate_hypergeometric;
 pub use rng::Xoshiro256PlusPlus;

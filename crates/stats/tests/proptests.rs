@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tbs_stats::binomial::{binomial, CachedBinomial};
-use tbs_stats::geometric::{exponential, geometric};
 use tbs_stats::hypergeometric::hypergeometric;
 use tbs_stats::multivariate::multivariate_hypergeometric;
 use tbs_stats::rng::Xoshiro256PlusPlus;
@@ -156,8 +155,8 @@ proptest! {
         p in 0.0f64..=1.0,
         seed in 0u64..1_000_000,
     ) {
-        // The n ∈ {0, 1} edges the jump-mode ingest hits on empty and
-        // single-item batches: n = 0 is always 0, n = 1 is a Bernoulli.
+        // The n ∈ {0, 1} edges ingest hits on empty and single-item
+        // batches: n = 0 is always 0, n = 1 is a Bernoulli.
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         prop_assert_eq!(binomial(&mut rng, 0, p), 0);
         let b = binomial(&mut rng, 1, p);
@@ -183,23 +182,6 @@ proptest! {
             let p = (word >> 32) as f64 / u32::MAX as f64;
             prop_assert_eq!(binomial(&mut rng_a, n, p), cache.draw(&mut rng_b, n, p));
         }
-    }
-
-    #[test]
-    fn geometric_support_and_degenerate_edge(
-        p in 0.001f64..=1.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let g = geometric(&mut rng, p);
-        if p == 1.0 {
-            prop_assert_eq!(g, 0);
-        }
-        // Certain success always skips nothing, for every rng position.
-        prop_assert_eq!(geometric(&mut rng, 1.0), 0);
-        // Exponential jumps are finite and positive for every seed.
-        let e = exponential(&mut rng, p);
-        prop_assert!(e.is_finite() && e > 0.0);
     }
 
     #[test]
@@ -255,57 +237,6 @@ proptest! {
         prop_assert!(
             (m.variance() - var).abs() < 5.0 * se_var,
             "variance {} vs npq {}", m.variance(), var
-        );
-    }
-
-    #[test]
-    fn geometric_is_memoryless(
-        p_mil in 50u32..=500,
-        k in 1u64..5,
-        seed in 0u64..1_000_000,
-    ) {
-        // P[G ≥ k] = (1−p)^k, so conditioned on surviving k rejections
-        // the residual gap G − k must again be Geometric(p); compare the
-        // conditional residual mean against the unconditional mean.
-        let p = p_mil as f64 / 1000.0;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        const TRIALS: usize = 8_000;
-        let mut residual = OnlineMoments::new();
-        for _ in 0..TRIALS {
-            let g = geometric(&mut rng, p);
-            if g >= k {
-                residual.push((g - k) as f64);
-            }
-        }
-        let mean = (1.0 - p) / p;
-        let sd = (1.0 - p).sqrt() / p;
-        // Enough conditioning survivors for the CLT bound to be meaningful:
-        // survival probability is at least (1−0.5)^4 ≈ 6%.
-        prop_assert!(residual.count() > 200);
-        let tol = 5.0 * sd / (residual.count() as f64).sqrt();
-        prop_assert!(
-            (residual.mean() - mean).abs() < tol,
-            "conditional residual mean {} vs unconditional {}", residual.mean(), mean
-        );
-    }
-
-    #[test]
-    fn exponential_mean_matches_rate(
-        rate_mil in 100u32..=5_000,
-        seed in 0u64..1_000_000,
-    ) {
-        let rate = rate_mil as f64 / 1000.0;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        const TRIALS: usize = 4_000;
-        let mut m = OnlineMoments::new();
-        for _ in 0..TRIALS {
-            m.push(exponential(&mut rng, rate));
-        }
-        // Mean and sd are both 1/rate.
-        let tol = 5.0 / (rate * (TRIALS as f64).sqrt());
-        prop_assert!(
-            (m.mean() - 1.0 / rate).abs() < tol,
-            "mean {} vs 1/rate {}", m.mean(), 1.0 / rate
         );
     }
 }

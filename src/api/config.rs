@@ -96,13 +96,6 @@ impl Algorithm {
         matches!(self, Algorithm::RTbs | Algorithm::TTbs)
     }
 
-    /// Whether the scheme offers the jump-ahead ingest mode
-    /// ([`IngestMode::Jump`]): batch-level acceptance counts plus
-    /// geometric inter-acceptance gaps instead of per-item coin flips.
-    pub fn supports_jump_ingest(self) -> bool {
-        matches!(self, Algorithm::RTbs | Algorithm::TTbs)
-    }
-
     /// Whether the scheme honors real-valued inter-arrival gaps
     /// (`observe_after`).
     pub fn supports_gaps(self) -> bool {
@@ -133,59 +126,6 @@ impl Algorithm {
     /// Inverse of [`Algorithm::tag`].
     pub(crate) fn from_tag(tag: u8) -> Option<Algorithm> {
         Algorithm::all().into_iter().find(|a| a.tag() == tag)
-    }
-}
-
-/// How a sampler spends randomness while absorbing a batch.
-///
-/// Both concrete strategies realize the same first-order inclusion law
-/// (Theorem 4.2's inclusion probabilities for R-TBS, `q·e^{−λa}` for
-/// T-TBS) and the same sample-size law; see `tbs_core::jumps` for the
-/// argument and `tests/statistical_equivalence.rs` for the empirical
-/// check. Their *pairwise* law differs: jump mode evicts and keeps
-/// contiguous windows, so neighbouring items (for instance, the items of
-/// one batch) tend to leave or survive together, where per-item mode
-/// treats every item on its own. Both modes share retention — every
-/// R-TBS downsample and every T-TBS decay sweep draws only the smaller of
-/// the kept and discarded sets — so they differ only in R-TBS's saturated
-/// window exchange and T-TBS's sparse (`q < 0.5`) geometric acceptance.
-/// Once either runs, the modes consume the RNG stream differently, so
-/// trajectories are bit-identical *within* a mode but not *across* modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IngestMode {
-    /// Let the library choose: jump-ahead for the algorithms that support
-    /// it (R-TBS and T-TBS), per-item for everything else.
-    Auto,
-    /// One acceptance decision per item — the paper's literal Algorithms
-    /// 1–2. The default, because it keeps each item's eviction
-    /// independent of its neighbours'.
-    #[default]
-    PerItem,
-    /// Batch-level acceptance sampling: draw per-batch accept *counts*
-    /// (`Binomial`) and the *gaps* between acceptances (`Geometric`,
-    /// A-ExpJ style), skipping whole runs of rejected items. 2–7× faster
-    /// ingest on R-TBS workloads; only R-TBS and T-TBS support it.
-    Jump,
-}
-
-impl IngestMode {
-    /// Display label, matching the benchmark harness's path column.
-    pub fn label(self) -> &'static str {
-        match self {
-            IngestMode::Auto => "auto",
-            IngestMode::PerItem => "per-item",
-            IngestMode::Jump => "jump",
-        }
-    }
-
-    /// Resolve against an algorithm: what the shard-local samplers will
-    /// actually run.
-    pub fn resolve(self, algorithm: Algorithm) -> IngestMode {
-        match self {
-            IngestMode::Auto if algorithm.supports_jump_ingest() => IngestMode::Jump,
-            IngestMode::Auto => IngestMode::PerItem,
-            explicit => explicit,
-        }
     }
 }
 
@@ -295,7 +235,6 @@ pub struct SamplerConfig {
     pub(crate) queue_depth: usize,
     pub(crate) seed: u64,
     pub(crate) time: TimeSemantics,
-    pub(crate) ingest: IngestMode,
     pub(crate) publish: PublishPolicy,
     pub(crate) checkpoint: CheckpointPolicy,
     pub(crate) recovery: RecoveryPolicy,
@@ -314,7 +253,6 @@ impl SamplerConfig {
             queue_depth: 64,
             seed: 0,
             time: TimeSemantics::default(),
-            ingest: IngestMode::default(),
             publish: PublishPolicy::default(),
             checkpoint: CheckpointPolicy::default(),
             recovery: RecoveryPolicy::default(),
@@ -425,16 +363,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Choose how ingest spends randomness (see [`IngestMode`]). `Auto`
-    /// picks jump-ahead whenever the algorithm supports it; the default
-    /// `PerItem` preserves the exact RNG trajectories of earlier releases.
-    /// An explicit `Jump` on an algorithm without jump support is a
-    /// validation error.
-    pub fn ingest_mode(mut self, mode: IngestMode) -> Self {
-        self.ingest = mode;
-        self
-    }
-
     /// Choose when snapshots are pushed to readers (see
     /// [`PublishPolicy`]). The default `Manual` publishes only on
     /// explicit `publish()` calls. Batch thresholds of zero are a
@@ -490,11 +418,6 @@ impl SamplerConfig {
         self.time
     }
 
-    /// The configured (unresolved) ingest mode.
-    pub fn ingest_mode_config(&self) -> IngestMode {
-        self.ingest
-    }
-
     /// The configured snapshot-publication policy.
     pub fn publish_policy_config(&self) -> PublishPolicy {
         self.publish
@@ -508,12 +431,6 @@ impl SamplerConfig {
     /// The configured pipeline recovery policy.
     pub fn recovery_policy_config(&self) -> RecoveryPolicy {
         self.recovery
-    }
-
-    /// The ingest mode the samplers will actually run:
-    /// [`IngestMode::Auto`] resolved against the algorithm.
-    pub fn resolved_ingest_mode(&self) -> IngestMode {
-        self.ingest.resolve(self.algorithm)
     }
 
     /// Check every constraint without constructing anything. `build`
@@ -641,14 +558,6 @@ impl SamplerConfig {
                     reason: "queue depth must be positive",
                 });
             }
-        }
-
-        // Jump-ahead ingest exists only for R-TBS and T-TBS.
-        if self.ingest == IngestMode::Jump && !alg.supports_jump_ingest() {
-            return Err(TbsError::UnusedParameter {
-                what: "ingest_mode",
-                algorithm: label,
-            });
         }
 
         // Real gaps need a gap-capable algorithm.
@@ -911,74 +820,6 @@ mod tests {
             .time(TimeSemantics::RealGaps)
             .build::<u64>()
             .is_ok());
-    }
-
-    #[test]
-    fn jump_ingest_is_validated_per_algorithm() {
-        // Explicit jump on jump-capable algorithms is fine.
-        assert!(SamplerConfig::rtbs(0.1, 100)
-            .ingest_mode(IngestMode::Jump)
-            .build::<u64>()
-            .is_ok());
-        assert!(SamplerConfig::ttbs(0.1, 100, 50.0)
-            .ingest_mode(IngestMode::Jump)
-            .shards(2)
-            .build::<u64>()
-            .is_ok());
-        // Explicit jump elsewhere is an error naming the parameter.
-        for cfg in [
-            SamplerConfig::btbs(0.1),
-            SamplerConfig::uniform(10),
-            SamplerConfig::chao(0.1, 10),
-            SamplerConfig::ares(0.1, 10),
-        ] {
-            let err = cfg
-                .ingest_mode(IngestMode::Jump)
-                .build::<u64>()
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    TbsError::UnusedParameter {
-                        what: "ingest_mode",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_ingest_resolves_by_capability() {
-        // Auto picks jump exactly where the algorithm supports it.
-        for alg in Algorithm::all() {
-            let resolved = IngestMode::Auto.resolve(alg);
-            if alg.supports_jump_ingest() {
-                assert_eq!(resolved, IngestMode::Jump, "{}", alg.label());
-            } else {
-                assert_eq!(resolved, IngestMode::PerItem, "{}", alg.label());
-            }
-            // Explicit modes resolve to themselves.
-            assert_eq!(IngestMode::PerItem.resolve(alg), IngestMode::PerItem);
-            assert_eq!(IngestMode::Jump.resolve(alg), IngestMode::Jump);
-        }
-        // Auto never fails validation, even on non-jump algorithms.
-        assert!(SamplerConfig::uniform(10)
-            .ingest_mode(IngestMode::Auto)
-            .build::<u64>()
-            .is_ok());
-        // The default stays per-item: jump mode's joint law differs.
-        assert_eq!(
-            SamplerConfig::rtbs(0.1, 10).ingest_mode_config(),
-            IngestMode::PerItem
-        );
-        assert_eq!(
-            SamplerConfig::rtbs(0.1, 10)
-                .ingest_mode(IngestMode::Auto)
-                .resolved_ingest_mode(),
-            IngestMode::Jump
-        );
     }
 
     #[test]

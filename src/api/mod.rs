@@ -20,15 +20,7 @@
 //!    model-management loop (§6): per batch it scores out-of-sample,
 //!    updates the sample, and refits on a policy — every batch,
 //!    periodic, or drift-triggered.
-//! 4. **Batch-level ingest acceleration.** [`SamplerConfig::ingest_mode`]
-//!    selects between the per-item reference path and the exponential-
-//!    jumps path ([`IngestMode`]): binomial accept counts with windowed
-//!    segment swaps for saturated R-TBS, geometric acceptance gaps with a
-//!    checkpointed cross-batch cursor for sparse T-TBS. Statistically
-//!    equivalent by construction and *verified* by the chi-square/KS
-//!    harness in `tests/statistical_equivalence.rs`; `Auto` opts in
-//!    wherever a jump path exists.
-//! 5. **Concurrent serving.** [`Sampler::publish`] freezes the current
+//! 4. **Concurrent serving.** [`Sampler::publish`] freezes the current
 //!    sample into an epoch-stamped, `Arc`-shared [`FrozenSample`], and
 //!    clonable [`SampleReader`] handles (`Send + Sync`) poll it from any
 //!    number of threads without stopping ingest — for sharded samplers
@@ -97,9 +89,7 @@ mod reader;
 mod sampler;
 mod store;
 
-pub use config::{
-    Algorithm, CheckpointPolicy, IngestMode, PublishPolicy, SamplerConfig, TimeSemantics,
-};
+pub use config::{Algorithm, CheckpointPolicy, PublishPolicy, SamplerConfig, TimeSemantics};
 pub use error::TbsError;
 pub use manager::{IngestReport, ManagerMetrics, ModelManager};
 pub use reader::SampleReader;

@@ -32,7 +32,7 @@ use tbs_distributed::snapshot::EpochCell;
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
 use crate::api::config::{
-    Algorithm, CheckpointPolicy, IngestMode, PublishPolicy, SamplerConfig, TimeSemantics,
+    Algorithm, CheckpointPolicy, PublishPolicy, SamplerConfig, TimeSemantics,
 };
 use crate::api::error::TbsError;
 use crate::api::reader::SampleReader;
@@ -107,16 +107,6 @@ impl<T: Clone + Send + Sync + 'static> std::fmt::Debug for Sampler<T> {
     }
 }
 
-/// The core-layer ingest mode a validated config resolves to. The
-/// facade's [`IngestMode::Auto`] is resolved here — config is strategy,
-/// so restore paths re-apply it rather than reading it from blobs.
-fn core_ingest_mode(config: &SamplerConfig) -> tbs_core::IngestMode {
-    match config.resolved_ingest_mode() {
-        IngestMode::Jump => tbs_core::IngestMode::Jump,
-        _ => tbs_core::IngestMode::PerItem,
-    }
-}
-
 /// The engine configuration a *validated* sharded config describes — the
 /// single source for both `build` (fresh engine) and `restore`
 /// (checkpointed engine), so the two can never disagree on the sharding.
@@ -133,8 +123,7 @@ fn engine_config(config: &SamplerConfig) -> EngineConfig {
             config.shards,
         ),
         _ => unreachable!("validate rejects sharded non-mergeable algorithms"),
-    }
-    .with_ingest_mode(core_ingest_mode(config));
+    };
     EngineConfig {
         spec,
         queue_depth: config.queue_depth,
@@ -180,19 +169,13 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
         } else {
             match config.algorithm {
                 Algorithm::RTbs => {
-                    let mut s = RTbs::new(lambda, config.capacity.expect("validated"));
-                    s.set_ingest_mode(core_ingest_mode(&config));
-                    Inner::RTbs(s)
+                    Inner::RTbs(RTbs::new(lambda, config.capacity.expect("validated")))
                 }
-                Algorithm::TTbs => {
-                    let mut s = TTbs::new(
-                        lambda,
-                        config.capacity.expect("validated"),
-                        config.mean_batch.expect("validated"),
-                    );
-                    s.set_ingest_mode(core_ingest_mode(&config));
-                    Inner::TTbs(s)
-                }
+                Algorithm::TTbs => Inner::TTbs(TTbs::new(
+                    lambda,
+                    config.capacity.expect("validated"),
+                    config.mean_batch.expect("validated"),
+                )),
                 Algorithm::BTbs => Inner::BTbs(BTbs::new(lambda)),
                 Algorithm::Uniform => {
                     Inner::Uniform(BatchedReservoir::new(config.capacity.expect("validated")))
@@ -655,14 +638,13 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
             match config.algorithm {
                 Algorithm::RTbs => {
                     let parts = load_engine::<RTbs<T>>(&mut r, spec.shards, |r| {
-                        let mut s = RTbs::load_state(r)?;
+                        let s = RTbs::load_state(r)?;
                         if s.decay_rate() != lambda {
                             return Err(CheckpointError::Corrupt("shard decay rate"));
                         }
                         if s.capacity() != spec.shard_capacity() {
                             return Err(CheckpointError::Corrupt("shard capacity"));
                         }
-                        s.set_ingest_mode(spec.ingest);
                         Ok(s)
                     })?;
                     // The facade and engine batch counters advance in
@@ -675,14 +657,13 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
                 }
                 Algorithm::TTbs => {
                     let parts = load_engine::<TTbs<T>>(&mut r, spec.shards, |r| {
-                        let mut s = TTbs::load_state(r)?;
+                        let s = TTbs::load_state(r)?;
                         if s.decay_rate() != lambda
                             || s.target() != spec.capacity
                             || s.assumed_mean_batch() != spec.mean_batch
                         {
                             return Err(CheckpointError::Corrupt("shard configuration"));
                         }
-                        s.set_ingest_mode(spec.ingest);
                         Ok(s)
                     })?;
                     check(parts.batches == batches, "engine batch count")?;
@@ -695,21 +676,19 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
         } else {
             match config.algorithm {
                 Algorithm::RTbs => {
-                    let mut s = RTbs::load_state(&mut r)?;
+                    let s = RTbs::load_state(&mut r)?;
                     check(s.decay_rate() == lambda, "decay rate")?;
                     check(Some(s.capacity()) == config.capacity, "capacity")?;
-                    s.set_ingest_mode(core_ingest_mode(config));
                     Inner::RTbs(s)
                 }
                 Algorithm::TTbs => {
-                    let mut s = TTbs::load_state(&mut r)?;
+                    let s = TTbs::load_state(&mut r)?;
                     check(s.decay_rate() == lambda, "decay rate")?;
                     check(Some(s.target()) == config.capacity, "target size")?;
                     check(
                         Some(s.assumed_mean_batch()) == config.mean_batch,
                         "mean batch",
                     )?;
-                    s.set_ingest_mode(core_ingest_mode(config));
                     Inner::TTbs(s)
                 }
                 Algorithm::BTbs => {

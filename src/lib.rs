@@ -83,8 +83,7 @@ pub use tbs_stats as stats;
 /// Convenience prelude re-exporting the most commonly used types.
 pub mod prelude {
     pub use crate::api::{
-        Algorithm, IngestMode, ModelManager, RetrainPolicy, Sampler, SamplerConfig, TbsError,
-        TimeSemantics,
+        Algorithm, ModelManager, RetrainPolicy, Sampler, SamplerConfig, TbsError, TimeSemantics,
     };
     pub use tbs_core::brs::BatchedReservoir;
     pub use tbs_core::btbs::BTbs;

@@ -11,7 +11,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use temporal_sampling::api::{
-    Algorithm, CheckpointError, IngestMode, Sampler, SamplerConfig, TbsError, TimeSemantics,
+    Algorithm, CheckpointError, Sampler, SamplerConfig, TbsError, TimeSemantics,
 };
 
 /// Batch at step `t` of the reference stream: bursty, with empty batches
@@ -41,17 +41,6 @@ fn all_configs() -> Vec<SamplerConfig> {
     }
     configs.push(SamplerConfig::btbs(0.1));
     configs.push(SamplerConfig::sliding_time(7.5));
-    // Jump-ingest variants: same algorithms on the batch-level acceptance
-    // path, including a T-TBS whose q sits on each side of the
-    // geometric/binomial crossover (target 20 → q ≈ 0.04, 300 → q ≈ 0.57).
-    configs.push(SamplerConfig::rtbs(0.1, 200).ingest_mode(IngestMode::Jump));
-    configs.push(
-        SamplerConfig::rtbs(0.1, 200)
-            .shards(4)
-            .ingest_mode(IngestMode::Jump),
-    );
-    configs.push(SamplerConfig::ttbs(0.1, 20, 50.0).ingest_mode(IngestMode::Jump));
-    configs.push(SamplerConfig::ttbs(0.1, 300, 50.0).ingest_mode(IngestMode::Jump));
     configs
 }
 
@@ -86,7 +75,7 @@ fn assert_resume_bit_identical(config: SamplerConfig, seed: u64, total: u64, cut
 }
 
 proptest! {
-    // Each case sweeps all 21 configs; 24 cases keep the suite quick
+    // Each case sweeps all 18 configs; 24 cases keep the suite quick
     // while still exploring seeds and cut points broadly.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -205,77 +194,15 @@ fn small_snapshot(config: &SamplerConfig) -> Bytes {
 }
 
 #[test]
-fn jump_mode_resume_is_bit_identical_mid_cursor() {
-    // Deterministic companion to the proptest sweep: with q ≈ 0.04 the
-    // geometric gaps average ~25 items against batches of mean ~50, so
-    // these cuts routinely land while a skip is carried across the batch
-    // boundary — the snapshot must persist the live cursor exactly.
-    let config = SamplerConfig::ttbs(0.1, 20, 50.0).ingest_mode(IngestMode::Jump);
+fn low_q_ttbs_resume_is_bit_identical() {
+    // Deterministic companion to the proptest sweep on a sparse T-TBS
+    // (q ≈ 0.04 against batches of mean ~50): most batches accept a
+    // handful of items or none, so the cuts land on every acceptance
+    // outcome from empty to several items.
+    let config = SamplerConfig::ttbs(0.1, 20, 50.0);
     for cut in [1, 2, 5, 9, 14, 23] {
         assert_resume_bit_identical(config, 0x5eed, 24, cut);
     }
-}
-
-#[test]
-fn restore_accepts_either_ingest_mode() {
-    // The ingest mode is configuration, not sampler identity: a snapshot
-    // written under one mode restores under the other and keeps running.
-    let per_item = SamplerConfig::ttbs(0.1, 20, 50.0).seed(9);
-    let jump = per_item.ingest_mode(IngestMode::Jump);
-    for (writer, reader) in [(&per_item, &jump), (&jump, &per_item)] {
-        let mut s = writer.build::<u64>().unwrap();
-        for t in 0..12 {
-            s.observe(batch_at(t)).unwrap();
-        }
-        let mut resumed =
-            Sampler::restore(reader, s.snapshot().unwrap()).expect("cross-mode restore");
-        assert_eq!(resumed.batches_observed(), 12);
-        for t in 12..20 {
-            resumed.observe(batch_at(t)).unwrap();
-        }
-        assert_eq!(resumed.batches_observed(), 20);
-    }
-}
-
-#[test]
-fn invalid_jump_cursor_blobs_are_rejected() {
-    // The T-TBS cursor is the last 9 payload bytes: primed u8 then
-    // pending_skip u64 LE. Forge each structurally impossible state.
-    let tampered = |config: &SamplerConfig, primed: u8, skip: u64| {
-        let mut b = small_snapshot(config).to_vec();
-        let n = b.len();
-        b[n - 9] = primed;
-        b[n - 8..].copy_from_slice(&skip.to_le_bytes());
-        Sampler::<u64>::restore(config, Bytes::from(b)).unwrap_err()
-    };
-
-    // Low-q sampler (geometric side): a pending skip without a primed
-    // cursor never happens — the first gap is drawn before any skip.
-    let low_q = SamplerConfig::ttbs(0.1, 20, 50.0).seed(11);
-    assert_eq!(
-        tampered(&low_q, 0, 3),
-        TbsError::Checkpoint(CheckpointError::Corrupt("T-TBS jump cursor"))
-    );
-    // Primed flag bytes other than 0/1 are garbage.
-    assert_eq!(
-        tampered(&low_q, 7, 0),
-        TbsError::Checkpoint(CheckpointError::Corrupt("T-TBS cursor primed flag"))
-    );
-    // High-q sampler (binomial side, q ≈ 0.57 ≥ JUMP_GEOMETRIC_MAX_Q):
-    // its cursor is structurally zero, so any claimed skip is corrupt.
-    let high_q = SamplerConfig::ttbs(0.1, 300, 50.0).seed(11);
-    assert_eq!(
-        tampered(&high_q, 1, 5),
-        TbsError::Checkpoint(CheckpointError::Corrupt("T-TBS jump cursor"))
-    );
-    // A primed-but-empty cursor is legal on either side.
-    assert!(Sampler::<u64>::restore(&high_q, {
-        let mut b = small_snapshot(&high_q).to_vec();
-        let n = b.len();
-        b[n - 9] = 1;
-        Bytes::from(b)
-    })
-    .is_ok());
 }
 
 #[test]
@@ -362,9 +289,10 @@ fn bad_magic_is_rejected() {
 #[test]
 fn future_format_version_is_rejected() {
     // 99 is from the future; 4 is the last format that carried the
-    // deferred-downsampling tail and the shard-group ledger.
+    // deferred-downsampling tail and the shard-group ledger, 5 the last
+    // that carried the T-TBS jump cursor.
     let config = SamplerConfig::rtbs(0.1, 20).seed(5);
-    for version in [99u32, 4] {
+    for version in [99u32, 4, 5] {
         let mut b = BytesMut::new();
         b.put_u32_le(tbs_core::checkpoint::MAGIC);
         b.put_u32_le(version);

@@ -1,29 +1,27 @@
-//! Statistical equivalence harness: per-item vs jump-ahead ingest.
+//! Statistical harness: the ingest path against the paper's law.
 //!
-//! The jump-ahead ingest mode (`IngestMode::Jump`) replaces per-item
-//! acceptance coin-flips with batch-level `Binomial` accept counts and
-//! `Geometric` inter-acceptance gaps (see `tbs_core::jumps` for the
-//! analytical equivalence argument). This harness is the *empirical* half
-//! of the proof: over matched batch schedules it verifies that both modes
-//! realize
+//! Over fixed batch schedules it verifies that R-TBS and T-TBS realize
 //!
-//! 1. the same Theorem 4.2 inclusion frequencies — for every arrival
-//!    batch, the fraction of trials in which its items land in the final
-//!    sample matches the closed-form `(C_t/W_t)·e^{−λ·age}` (R-TBS) or
-//!    `q·e^{−λ·age}` (T-TBS), checked with a chi-square test per item-age
-//!    bucket and per mode;
-//! 2. the same realized sample-size *distribution* — a two-sample
-//!    Kolmogorov–Smirnov test between the modes;
+//! 1. the Theorem 4.2 inclusion frequencies — for every arrival batch,
+//!    the fraction of trials in which its items land in the final sample
+//!    matches the closed-form `(C_t/W_t)·e^{−λ·age}` (R-TBS) or
+//!    `q·e^{−λ·age}` (T-TBS), checked with a chi-square test per
+//!    item-age bucket;
+//! 2. Algorithm 2's saturated acceptance count (lines 16–17) — in each
+//!    single-node R-TBS combo whose final batch arrives and leaves
+//!    saturated, that batch contributes exactly `⌊m⌋` or `⌈m⌉` items, `m = |B|·n/W`, with
+//!    `Pr[⌈m⌉] = frac(m)`. First-order inclusion cannot tell a
+//!    stochastically rounded count from, say, a `Binomial(|B|, n/W)`
+//!    one (both have mean `m`); this check can;
 //! 3. the §6.3 unsaturated equilibrium — mean sample size ≈ 1479 for
-//!    `n = 1600, b = 100, λ = 0.07`, with a TOST mean-equivalence check
-//!    between the modes.
+//!    `n = 1600, b = 100, λ = 0.07`.
 //!
 //! The grid covers R-TBS and T-TBS × {unsaturated, saturated, bursty}
 //! regimes × {1, 4} shards — plus K ∈ {16, 32} under
 //! `TBS_STAT_THOROUGH=1`, exercising the adaptive `⌈n/K⌉+1` shard
 //! capacity in the regimes the 8-shard cliff fix and the K=32
 //! flattened-tail fix opened up (sharded runs drive the merge algebra
-//! directly, proving jump mode composes with `MergeableSample`).
+//! directly through `MergeableSample`).
 //!
 //! # False-positive budget
 //!
@@ -37,7 +35,7 @@
 
 use rand::SeedableRng;
 use temporal_sampling::core::merge::{BalancedSplitter, MergeableSample, ShardSpec};
-use temporal_sampling::core::{IngestMode, RTbs, TTbs};
+use temporal_sampling::core::{RTbs, TTbs};
 use temporal_sampling::stats::gof;
 use temporal_sampling::stats::rng::Xoshiro256PlusPlus;
 
@@ -49,7 +47,7 @@ fn thorough() -> bool {
     std::env::var("TBS_STAT_THOROUGH").is_ok_and(|v| v == "1")
 }
 
-/// Trials per (combo, mode) under the fast CI budget.
+/// Trials per combo under the fast CI budget.
 fn trial_budget() -> usize {
     let base = 20_000;
     if thorough() {
@@ -97,16 +95,16 @@ struct Combo {
 /// exercises a distinct code path:
 ///
 /// * R-TBS unsaturated (`b/(1−e^{−λ}) < n`): the minority-side retention
-///   sweep in `downsample`, which both modes share (they draw the same
-///   numbers here, so this combo checks the sweep against theory);
-/// * R-TBS saturated: the binomial accept count + windowed segment swap;
+///   sweep in `downsample`;
+/// * R-TBS saturated: the stochastically rounded accept count plus the
+///   uniform victim exchange (Algorithm 2 lines 16–17);
 /// * R-TBS bursty: all four Algorithm 2 transitions, including batches
-///   larger than `n` (which fall back to the per-item kernel);
-/// * T-TBS high-q (≥ 0.5): binomial acceptance + minority-side sweep,
-///   again shared by both modes;
-/// * T-TBS low-q (< 0.5): geometric gaps with the cross-batch cursor;
-/// * T-TBS bursty: the cursor carrying skips across varying batch sizes,
-///   including empty batches.
+///   larger than `n`;
+/// * T-TBS high-q (≥ 0.5): binomial acceptance whose retention sweep
+///   draws the rejected minority;
+/// * T-TBS low-q (< 0.5): the same sweep drawing the accepted minority;
+/// * T-TBS bursty: acceptance across varying batch sizes, including
+///   empty batches.
 fn combo_grid() -> Vec<Combo> {
     let mut grid = Vec::new();
     for &shards in shard_grid() {
@@ -200,17 +198,16 @@ fn theory_inclusion(combo: &Combo, bi: usize) -> f64 {
     }
 }
 
-/// Run one seeded trial of the combo's schedule in the given mode and
-/// return the realized final sample. Sharded trials split every batch
-/// round-robin across the shard-local samplers and fold them through the
-/// merge algebra — the same path the parallel engine takes.
-fn run_trial(combo: &Combo, mode: IngestMode, seed: u64) -> Vec<Tagged> {
+/// Run one seeded trial of the combo's schedule and return the realized
+/// final sample. Sharded trials split every batch round-robin across the
+/// shard-local samplers and fold them through the merge algebra — the
+/// same path the parallel engine takes.
+fn run_trial(combo: &Combo, seed: u64) -> Vec<Tagged> {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     if combo.shards == 1 {
         match combo.alg {
             Alg::RTbs => {
                 let mut s: RTbs<Tagged> = RTbs::new(combo.lambda, combo.capacity);
-                s.set_ingest_mode(mode);
                 for (bi, &b) in combo.schedule.iter().enumerate() {
                     s.observe(make_batch(bi, b), &mut rng);
                 }
@@ -218,7 +215,6 @@ fn run_trial(combo: &Combo, mode: IngestMode, seed: u64) -> Vec<Tagged> {
             }
             Alg::TTbs => {
                 let mut s: TTbs<Tagged> = TTbs::new(combo.lambda, combo.capacity, combo.mean_batch);
-                s.set_ingest_mode(mode);
                 for (bi, &b) in combo.schedule.iter().enumerate() {
                     s.observe(make_batch(bi, b), &mut rng);
                 }
@@ -229,15 +225,14 @@ fn run_trial(combo: &Combo, mode: IngestMode, seed: u64) -> Vec<Tagged> {
         let k = combo.shards;
         match combo.alg {
             Alg::RTbs => {
-                let spec = ShardSpec::rtbs(combo.lambda, combo.capacity, k).with_ingest_mode(mode);
+                let spec = ShardSpec::rtbs(combo.lambda, combo.capacity, k);
                 let mut shards = RTbs::<Tagged>::make_shards(&spec);
                 drive_shards(&mut shards, combo, &mut rng);
                 let merged = RTbs::merge_shards(shards, &spec, &mut rng);
                 merged.sample(&mut rng)
             }
             Alg::TTbs => {
-                let spec = ShardSpec::ttbs(combo.lambda, combo.capacity, combo.mean_batch, k)
-                    .with_ingest_mode(mode);
+                let spec = ShardSpec::ttbs(combo.lambda, combo.capacity, combo.mean_batch, k);
                 let mut shards = TTbs::<Tagged>::make_shards(&spec);
                 drive_shards(&mut shards, combo, &mut rng);
                 let merged = TTbs::merge_shards(shards, &spec, &mut rng);
@@ -268,80 +263,119 @@ where
     }
 }
 
+/// Algorithm 2's exact accept count `m = |B|·n/W` for the final batch,
+/// where the combo carries the accept-count check: single-node R-TBS
+/// whose final batch arrives saturated and leaves it saturated, with a
+/// fractional `m`.
+fn count_check(combo: &Combo) -> Option<f64> {
+    if combo.alg != Alg::RTbs || combo.shards != 1 {
+        return None;
+    }
+    let d = (-combo.lambda).exp();
+    let n = combo.capacity as f64;
+    let (&last, head) = combo.schedule.split_last()?;
+    let w_before = head.iter().fold(0.0f64, |w, &b| w * d + b as f64);
+    let w = w_before * d + last as f64;
+    let m = last as f64 * n / w;
+    (w_before >= n && w >= n && m.fract() > 0.0).then_some(m)
+}
+
 /// Checks planned per combo: one inclusion chi-square per non-empty
-/// batch per mode, plus one two-sample KS on the size distributions.
+/// batch, plus the accept-count chi-square where [`count_check`] applies.
 fn checks_per_combo(combo: &Combo) -> usize {
-    combo.schedule.iter().filter(|&&b| b > 0).count() * 2 + 1
+    combo.schedule.iter().filter(|&&b| b > 0).count() + usize::from(count_check(combo).is_some())
 }
 
 #[test]
-fn per_item_and_jump_modes_are_statistically_equivalent() {
+fn ingest_matches_the_paper_law() {
     let grid = combo_grid();
     let trials = trial_budget();
     let planned: usize = grid.iter().map(checks_per_combo).sum();
+    assert!(
+        grid.iter().any(|c| count_check(c).is_some()),
+        "the grid must carry an accept-count check"
+    );
     let alpha = gof::bonferroni(FAMILY_ALPHA, planned);
     let mut failures: Vec<String> = Vec::new();
     let mut executed = 0usize;
 
     for (ci, combo) in grid.iter().enumerate() {
-        // Per-mode appearance counts per batch bucket, and realized sizes.
-        let mut appear = [
-            vec![0u64; combo.schedule.len()],
-            vec![0u64; combo.schedule.len()],
-        ];
-        let mut sizes = [Vec::with_capacity(trials), Vec::with_capacity(trials)];
-        for (mi, &mode) in [IngestMode::PerItem, IngestMode::Jump].iter().enumerate() {
-            for t in 0..trials {
-                // Fixed, distinct seed per (combo, mode, trial).
-                let seed =
-                    0x5eed_0000_0000 + (ci as u64) * 1_000_000 + (mi as u64) * 500_000 + t as u64;
-                let sample = run_trial(combo, mode, seed);
-                sizes[mi].push(sample.len() as f64);
-                for (bi, _) in sample {
-                    appear[mi][bi as usize] += 1;
+        let last = combo.schedule.len() - 1;
+        let mut appear = vec![0u64; combo.schedule.len()];
+        // Histogram of the final batch's item count in the sample.
+        let mut last_counts = vec![0u64; combo.schedule[last] as usize + 1];
+        for t in 0..trials {
+            // Fixed, distinct seed per (combo, trial).
+            let seed = 0x5eed_0000_0000 + (ci as u64) * 1_000_000 + t as u64;
+            let sample = run_trial(combo, seed);
+            let mut in_last = 0usize;
+            for (bi, _) in sample {
+                appear[bi as usize] += 1;
+                in_last += usize::from(bi as usize == last);
+            }
+            last_counts[in_last] += 1;
+        }
+
+        // (1) Inclusion frequencies vs the closed form.
+        for (bi, &b) in combo.schedule.iter().enumerate() {
+            if b == 0 {
+                continue;
+            }
+            let exposures = (trials as u64) * b;
+            let p = theory_inclusion(combo, bi);
+            let hits = appear[bi];
+            let observed = [hits, exposures - hits];
+            let expected = [p * exposures as f64, (1.0 - p) * exposures as f64];
+            executed += 1;
+            if let Some(out) = gof::chi2_gof(&observed, &expected, alpha) {
+                if out.rejected {
+                    failures.push(format!(
+                        "{} K={}: batch {bi} inclusion {:.4} vs theory {:.4} \
+                         (chi2 {:.2} > crit {:.2})",
+                        combo.name,
+                        combo.shards,
+                        hits as f64 / exposures as f64,
+                        p,
+                        out.statistic,
+                        out.critical,
+                    ));
                 }
             }
         }
 
-        // (1) Inclusion frequencies vs the Thm 4.2 closed form, per mode.
-        for (mi, mode_label) in [(0, "per-item"), (1, "jump")] {
-            for (bi, &b) in combo.schedule.iter().enumerate() {
-                if b == 0 {
-                    continue;
-                }
-                let exposures = (trials as u64) * b;
-                let p = theory_inclusion(combo, bi);
-                let hits = appear[mi][bi];
-                let observed = [hits, exposures - hits];
-                let expected = [p * exposures as f64, (1.0 - p) * exposures as f64];
-                executed += 1;
-                if let Some(out) = gof::chi2_gof(&observed, &expected, alpha) {
-                    if out.rejected {
-                        failures.push(format!(
-                            "{} K={} {}: batch {bi} inclusion {:.4} vs theory {:.4} \
-                             (chi2 {:.2} > crit {:.2})",
-                            combo.name,
-                            combo.shards,
-                            mode_label,
-                            hits as f64 / exposures as f64,
-                            p,
-                            out.statistic,
-                            out.critical,
-                        ));
-                    }
+        // (2) The final batch's accept count is ⌊m⌋ or ⌈m⌉ with
+        // Pr[⌈m⌉] = frac(m): anything else is a different count law.
+        if let Some(m) = count_check(combo) {
+            executed += 1;
+            let (lo, hi) = (m.floor() as usize, m.ceil() as usize);
+            let outside: u64 = last_counts
+                .iter()
+                .enumerate()
+                .filter(|&(c, _)| c != lo && c != hi)
+                .map(|(_, &n)| n)
+                .sum();
+            let observed = [last_counts[lo], last_counts[hi]];
+            let f = m.fract();
+            let expected = [(1.0 - f) * trials as f64, f * trials as f64];
+            if outside > 0 {
+                failures.push(format!(
+                    "{} K={}: final batch accept count left {{{lo}, {hi}}} \
+                     (m = {m:.4}) in {outside} of {trials} trials: {last_counts:?}",
+                    combo.name, combo.shards,
+                ));
+            } else if let Some(out) = gof::chi2_gof(&observed, &expected, alpha) {
+                if out.rejected {
+                    failures.push(format!(
+                        "{} K={}: Pr[accept {hi}] {:.4} vs frac(m) {f:.4} \
+                         (chi2 {:.2} > crit {:.2})",
+                        combo.name,
+                        combo.shards,
+                        observed[1] as f64 / trials as f64,
+                        out.statistic,
+                        out.critical,
+                    ));
                 }
             }
-        }
-
-        // (2) Sample-size distributions match across modes (two-sample KS).
-        executed += 1;
-        let ks = gof::ks_two_sample(&sizes[0], &sizes[1], alpha);
-        if ks.rejected {
-            failures.push(format!(
-                "{} K={}: size distribution per-item vs jump diverges \
-                 (KS {:.4} > crit {:.4})",
-                combo.name, combo.shards, ks.statistic, ks.critical,
-            ));
         }
     }
 
@@ -359,38 +393,26 @@ fn per_item_and_jump_modes_are_statistically_equivalent() {
 }
 
 #[test]
-fn unsaturated_equilibrium_matches_paper_in_both_modes() {
+fn unsaturated_equilibrium_matches_paper() {
     // §6.3: n = 1600, b = 100, λ = 0.07 → the reservoir never fills and
-    // the sample weight stabilizes at b/(1−e^{−λ}) ≈ 1479. Both modes
-    // must sit on that equilibrium, and their mean realized sizes must be
-    // TOST-equivalent within a 3-item margin.
+    // the sample weight stabilizes at b/(1−e^{−λ}) ≈ 1479; the mean
+    // realized size must sit within 3 items of it.
     const EQUILIBRIUM: f64 = 1479.0;
     const RUNS: usize = 24;
     const BATCHES: u64 = 150;
-    let mut means = [0.0f64; 2];
-    let mut sizes = [Vec::new(), Vec::new()];
-    for (mi, &mode) in [IngestMode::PerItem, IngestMode::Jump].iter().enumerate() {
-        for run in 0..RUNS {
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xe9_0000 + run as u64 * 7 + mi as u64);
-            let mut s: RTbs<u64> = RTbs::new(0.07, 1600);
-            s.set_ingest_mode(mode);
-            for t in 0..BATCHES {
-                s.observe((t * 100..(t + 1) * 100).collect(), &mut rng);
-            }
-            assert!(!s.is_saturated(), "regime must stay unsaturated");
-            sizes[mi].push(s.sample(&mut rng).len() as f64);
+    let mut total = 0.0f64;
+    for run in 0..RUNS {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xe9_0000 + run as u64 * 7);
+        let mut s: RTbs<u64> = RTbs::new(0.07, 1600);
+        for t in 0..BATCHES {
+            s.observe((t * 100..(t + 1) * 100).collect(), &mut rng);
         }
-        means[mi] = sizes[mi].iter().sum::<f64>() / RUNS as f64;
-        assert!(
-            (means[mi] - EQUILIBRIUM).abs() < 3.0,
-            "mode {mi}: mean size {} vs equilibrium {EQUILIBRIUM}",
-            means[mi]
-        );
+        assert!(!s.is_saturated(), "regime must stay unsaturated");
+        total += s.sample(&mut rng).len() as f64;
     }
+    let mean = total / RUNS as f64;
     assert!(
-        gof::tost_mean_equivalent(&sizes[0], &sizes[1], 3.0, gof::TEST_ALPHA),
-        "per-item mean {} and jump mean {} not TOST-equivalent within ±3",
-        means[0],
-        means[1]
+        (mean - EQUILIBRIUM).abs() < 3.0,
+        "mean size {mean} vs equilibrium {EQUILIBRIUM}"
     );
 }
