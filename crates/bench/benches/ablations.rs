@@ -62,8 +62,8 @@ fn bench_subset_sampling(c: &mut Criterion) {
     for &(n, m) in &[
         (100_000usize, 100usize), // sparse + small: sorted-prefix Floyd
         (100_000, 1_000),         // sparse, at the sorted-Floyd cap
-        (100_000, 25_000),        // dense crossover: Fisher–Yates prefix
-        (100_000, 50_000),        // deep dense: Fisher–Yates prefix
+        (100_000, 25_000),        // dense crossover: Fisher–Yates sweep
+        (100_000, 50_000),        // deep dense: Fisher–Yates sweep
     ] {
         group.bench_with_input(
             BenchmarkId::new("indices_into_scratch", format!("{n}/{m}")),

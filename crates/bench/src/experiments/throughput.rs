@@ -313,33 +313,54 @@ fn gen_batches(regime: Regime, count: usize, t0: usize) -> (Vec<Vec<u64>>, u64) 
     (out, items)
 }
 
-/// Drive `feed` through warmup plus `repeats` timed runs of the regime's
-/// schedule; returns (items per timed run, fastest elapsed ns).
-fn drive<F>(cfg: &ThroughputConfig, regime: Regime, seed: u64, mut feed: F) -> (u64, u64)
+/// A warmed-up row: each call times one repeat of the row's measured
+/// window and returns `(items, elapsed_ns)`.
+type Repeat = Box<dyn FnMut() -> (u64, u64)>;
+
+/// Warm `feed` up on its own seeded RNG and return the row's [`Repeat`].
+/// The timed loop inside stays generic over `feed`, so the fast rows keep
+/// their monomorphized `observe`; the box is called once per repeat,
+/// outside the timed region.
+fn drive<F>(cfg: &ThroughputConfig, regime: Regime, seed: u64, mut feed: F) -> Repeat
 where
-    F: FnMut(Vec<u64>, &mut Xoshiro256PlusPlus),
+    F: FnMut(Vec<u64>, &mut Xoshiro256PlusPlus) + 'static,
 {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let (warm, _) = gen_batches(regime, cfg.warmup_batches, 0);
     for batch in warm {
         feed(batch, &mut rng);
     }
-    let mut best_ns = u64::MAX;
-    let mut items = 0u64;
-    for _rep in 0..cfg.repeats.max(1) {
+    let (measured, t0) = (cfg.measured_batches, cfg.warmup_batches);
+    Box::new(move || {
         // Every repeat replays the identical schedule window (same t0, so
         // the same phase of cyclic regimes): equal work per repeat, which
         // is what makes the minimum-time estimator and the single item
-        // count below valid together.
-        let (batches, n_items) = gen_batches(regime, cfg.measured_batches, cfg.warmup_batches);
-        items = n_items;
+        // count per row valid together.
+        let (batches, items) = gen_batches(regime, measured, t0);
         let start = Instant::now();
         for batch in batches {
             feed(batch, &mut rng);
         }
-        best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
+        (items, start.elapsed().as_nanos() as u64)
+    })
+}
+
+/// The checkpoint row's facade handle and scratch store directory: both
+/// outlive every repeat, and dropping the row flushes the store and
+/// removes the directory.
+struct CheckpointRow {
+    sampler: Option<temporal_sampling::api::Sampler<u64>>,
+    dir: std::path::PathBuf,
+}
+
+impl Drop for CheckpointRow {
+    fn drop(&mut self) {
+        // Drop the handle (and its store) before removing the directory.
+        if let Some(mut s) = self.sampler.take() {
+            s.flush_checkpoints().expect("bench checkpoints flush");
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
-    (items, best_ns.max(1))
 }
 
 fn combo_seed(cfg: &ThroughputConfig, kind: SamplerKind, path: ApiPath, regime: Regime) -> u64 {
@@ -379,16 +400,12 @@ fn boxed_sampler(kind: SamplerKind, regime: Regime) -> Box<dyn BatchSampler<u64>
     }
 }
 
-/// Measure one (sampler, path, regime) combination.
-pub fn measure_one(
-    cfg: &ThroughputConfig,
-    kind: SamplerKind,
-    path: ApiPath,
-    regime: Regime,
-) -> ThroughputRow {
+/// Build one (sampler, path, regime) combination, warm it up, and return
+/// its repeat timer.
+fn prepare_one(cfg: &ThroughputConfig, kind: SamplerKind, path: ApiPath, regime: Regime) -> Repeat {
     let seed = combo_seed(cfg, kind, path, regime);
     let (n, lambda) = (regime.capacity(), regime.lambda());
-    let (items, elapsed_ns) = match path {
+    match path {
         ApiPath::Dyn => {
             let mut s = boxed_sampler(kind, regime);
             drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
@@ -427,13 +444,17 @@ pub fn measure_one(
                 temporal_sampling::api::CheckpointStore::open(&dir, 4)
                     .expect("bench scratch dir is writable"),
             );
-            let out = drive(cfg, regime, seed, |batch, _rng| {
-                s.observe(batch).expect("bench ingest never fails")
-            });
-            s.flush_checkpoints().expect("bench checkpoints flush");
-            drop(s);
-            let _ = std::fs::remove_dir_all(&dir);
-            out
+            let mut row = CheckpointRow {
+                sampler: Some(s),
+                dir,
+            };
+            drive(cfg, regime, seed, move |batch, _rng| {
+                row.sampler
+                    .as_mut()
+                    .expect("sampler lives until the row drops")
+                    .observe(batch)
+                    .expect("bench ingest never fails")
+            })
         }
         // Each arm below monomorphizes `observe` over the concrete sampler
         // type and the concrete xoshiro256++ RNG — no virtual dispatch
@@ -472,17 +493,58 @@ pub fn measure_one(
                 drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
             }
         },
-    };
-    ThroughputRow {
-        sampler: kind.label(),
-        path: path.label(),
-        regime: regime.label(),
-        batches: cfg.measured_batches,
-        items,
-        elapsed_ns,
-        items_per_sec: items as f64 * 1e9 / elapsed_ns as f64,
-        ns_per_item: elapsed_ns as f64 / items.max(1) as f64,
     }
+}
+
+/// Measure the given combinations, interleaving their repeats: every
+/// row is built and warmed up first, then repeat `r` of every row runs
+/// before repeat `r + 1` of any row, so a slow phase of the host lands on
+/// one repeat of many rows instead of on every repeat of a few. Each row
+/// keeps its fastest repeat.
+fn measure_interleaved(
+    cfg: &ThroughputConfig,
+    combos: &[(SamplerKind, ApiPath, Regime)],
+) -> Vec<ThroughputRow> {
+    let mut runs: Vec<(Repeat, u64, u64)> = combos
+        .iter()
+        .map(|&(kind, path, regime)| (prepare_one(cfg, kind, path, regime), 0, u64::MAX))
+        .collect();
+    for _rep in 0..cfg.repeats.max(1) {
+        for (repeat, items, best_ns) in &mut runs {
+            let (n_items, ns) = repeat();
+            *items = n_items;
+            *best_ns = (*best_ns).min(ns);
+        }
+    }
+    combos
+        .iter()
+        .zip(runs)
+        .map(|(&(kind, path, regime), (_, items, best_ns))| {
+            let elapsed_ns = best_ns.max(1);
+            ThroughputRow {
+                sampler: kind.label(),
+                path: path.label(),
+                regime: regime.label(),
+                batches: cfg.measured_batches,
+                items,
+                elapsed_ns,
+                items_per_sec: items as f64 * 1e9 / elapsed_ns as f64,
+                ns_per_item: elapsed_ns as f64 / items.max(1) as f64,
+            }
+        })
+        .collect()
+}
+
+/// Measure one (sampler, path, regime) combination.
+pub fn measure_one(
+    cfg: &ThroughputConfig,
+    kind: SamplerKind,
+    path: ApiPath,
+    regime: Regime,
+) -> ThroughputRow {
+    measure_interleaved(cfg, &[(kind, path, regime)])
+        .pop()
+        .expect("one combination yields one row")
 }
 
 /// Run the full sampler × path × regime grid.
@@ -492,21 +554,23 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> Vec<ThroughputRow> {
 
 /// [`run_throughput`] restricted to the combinations `keep` accepts —
 /// used by the binary's `--filter` flag to iterate on one sampler quickly.
+/// Every selected row is warmed up first; then repeat `r` of every row
+/// runs before repeat `r + 1` of any row, and each row keeps its fastest.
 pub fn run_throughput_filtered(
     cfg: &ThroughputConfig,
     keep: impl Fn(SamplerKind, ApiPath, Regime) -> bool,
 ) -> Vec<ThroughputRow> {
-    let mut rows = Vec::new();
+    let mut combos = Vec::new();
     for kind in SamplerKind::all() {
         for path in ApiPath::all() {
             for regime in Regime::all() {
                 if path.supports(kind) && keep(kind, path, regime) {
-                    rows.push(measure_one(cfg, kind, path, regime));
+                    combos.push((kind, path, regime));
                 }
             }
         }
     }
-    rows
+    measure_interleaved(cfg, &combos)
 }
 
 /// Print the aligned console table and write `results/bench_throughput.csv`.

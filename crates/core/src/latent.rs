@@ -14,7 +14,7 @@
 //! 2. the partial item is present iff `frac(C) > 0`;
 //! 3. `C ≥ 0`.
 
-use crate::util::uniform_index;
+use crate::util::{sweep_to_tail, uniform_index};
 use rand::Rng;
 
 /// A latent fractional sample `(A, π, C)`.
@@ -91,91 +91,47 @@ impl<T> LatentSample<T> {
         self.weight += (self.full.len() - before) as f64;
     }
 
-    /// Replace `m` uniformly chosen full items with the given `m`
-    /// replacements; the weight is unchanged (Alg. 2 line 17, the
-    /// saturated→saturated transition).
+    /// Replace `m` uniformly chosen full items with a uniform `m`-subset
+    /// of `donors`; the weight is unchanged. This is the R-TBS
+    /// saturated→saturated hot path (Alg. 2 lines 16–17), where `donors`
+    /// is the arriving batch and `m` its stochastically rounded accepted
+    /// count.
     ///
-    /// Victims are overwritten **in place** via a partial Fisher–Yates
-    /// sweep — the item count never changes and no intermediate victim
-    /// vector is allocated. At iteration `i` the slots `i..len` hold
-    /// exactly the not-yet-replaced originals, so drawing `j` uniformly
-    /// from that suffix and overwriting slot `i` (after a swap) evicts a
-    /// uniform `m`-subset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replacements.len()` exceeds the number of full items.
-    pub fn replace_random_full<R: Rng + ?Sized>(&mut self, replacements: Vec<T>, rng: &mut R) {
-        let m = replacements.len();
-        assert!(
-            m <= self.full.len(),
-            "cannot replace {m} items in a sample of {}",
-            self.full.len()
-        );
-        let len = self.full.len();
-        for (i, rep) in replacements.into_iter().enumerate() {
-            let j = i + uniform_index(rng, len - i);
-            self.full.swap(i, j);
-            self.full[i] = rep;
-        }
-    }
-
-    /// [`Self::replace_random_full`] fed from a borrowed donor pool: moves
-    /// a uniform `m`-subset of `donors` into the sample, replacing `m`
-    /// uniformly chosen full items, which are swapped back into the
-    /// vacated donor slots. The weight is unchanged and **nothing is
-    /// allocated** — this is the R-TBS saturated→saturated hot path
-    /// (Alg. 2 lines 16–17), where `donors` is the arriving batch.
-    ///
-    /// Both subsets are chosen by partial Fisher–Yates prefix sweeps
-    /// (distributionally identical to drawing `m` distinct indices with
-    /// Floyd's algorithm, but with no index buffer). Donor selection draws
-    /// only `min(m, |donors| − m)` random numbers: when most of the batch
-    /// is accepted — the common case right at saturation, where
-    /// `m/|B| = n/W ≈ 1` — it is the uniform *complement* (the rejected
-    /// items) that is swept into the prefix, and the accepted subset is
-    /// the suffix.
+    /// [`sweep_to_tail`] moves a uniform `m`-subset of victims to the
+    /// tail of the full items, which are truncated and dropped, then
+    /// sweeps whichever donor side is smaller — the accepted subset or
+    /// its rejected complement — so the accepted donors are one
+    /// contiguous run, appended with a single `extend(drain(..))`. Each
+    /// draw costs one swap, two draws share one 64-bit RNG word, and
+    /// nothing is allocated: the full items' buffer keeps its capacity.
+    /// The victim subset and the donor subset are independent and each
+    /// exactly uniform, which is the joint law of Alg. 2 (a uniform
+    /// subset's complement is uniform, so sweeping either donor side
+    /// selects the same law). Afterwards `donors` holds exactly the
+    /// rejected donors.
     ///
     /// # Panics
     ///
     /// Panics if `m` exceeds `donors.len()` or the number of full items.
     pub fn replace_random_full_from<R: Rng + ?Sized>(
         &mut self,
-        donors: &mut [T],
+        donors: &mut Vec<T>,
         m: usize,
         rng: &mut R,
     ) {
+        let (d, len) = (donors.len(), self.full.len());
         assert!(
-            m <= donors.len() && m <= self.full.len(),
-            "cannot move {m} of {} donors into a sample of {}",
-            donors.len(),
-            self.full.len()
+            m <= d && m <= len,
+            "cannot move {m} of {d} donors into a sample of {len}"
         );
-        let d = donors.len();
-        // Select the accepted donor subset by sweeping the *smaller* of the
-        // subset and its complement into the prefix; a uniform subset's
-        // complement is itself uniform, so both arrangements leave a
-        // uniform m-subset at `start..start + m`.
-        let start = if 2 * m <= d {
-            for i in 0..m {
-                let j = i + uniform_index(rng, d - i);
-                donors.swap(i, j);
-            }
-            0
+        sweep_to_tail(&mut self.full, m, rng);
+        self.full.truncate(len - m);
+        if 2 * m <= d {
+            sweep_to_tail(donors, m, rng);
+            self.full.extend(donors.drain(d - m..));
         } else {
-            let excluded = d - m;
-            for i in 0..excluded {
-                let j = i + uniform_index(rng, d - i);
-                donors.swap(i, j);
-            }
-            excluded
-        };
-        let full_len = self.full.len();
-        for i in 0..m {
-            // The next victim among the untouched full items.
-            let k = i + uniform_index(rng, full_len - i);
-            self.full.swap(i, k);
-            std::mem::swap(&mut self.full[i], &mut donors[start + i]);
+            sweep_to_tail(donors, d - m, rng);
+            self.full.extend(donors.drain(..m));
         }
     }
 
@@ -415,95 +371,63 @@ mod tests {
     }
 
     #[test]
-    fn replace_random_full_keeps_weight() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(6);
-        let mut l = LatentSample::from_full((0..10).collect::<Vec<u32>>());
-        l.replace_random_full(vec![100, 101, 102], &mut rng);
-        assert_eq!(l.weight(), 10.0);
-        assert_eq!(l.full_items().len(), 10);
-        let news = l.full_items().iter().filter(|&&x| x >= 100).count();
-        assert_eq!(news, 3);
-        l.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot replace")]
-    fn replace_rejects_overdraw() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(7);
-        let mut l = LatentSample::from_full(vec![1]);
-        l.replace_random_full(vec![2, 3], &mut rng);
-    }
-
-    #[test]
-    fn replace_random_full_never_changes_length() {
-        // The in-place overwrite must keep |A| and C fixed for every m,
-        // including the m = 0 and m = |A| edges.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(20);
-        for m in [0usize, 1, 5, 10] {
-            let mut l = LatentSample::from_full((0..10u32).collect::<Vec<_>>());
-            l.replace_random_full((100..100 + m as u32).collect(), &mut rng);
-            assert_eq!(l.full_items().len(), 10, "length changed for m={m}");
-            assert_eq!(l.weight(), 10.0);
-            let news = l.full_items().iter().filter(|&&x| x >= 100).count();
-            assert_eq!(news, m, "wrong replacement count for m={m}");
-            l.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn replace_random_full_victims_are_uniform() {
-        // Chi² test: every original item must be evicted equally often.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(21);
-        let trials = 60_000u64;
-        let n = 10usize;
-        let m = 3usize;
-        let mut evicted = vec![0u64; n];
-        for _ in 0..trials {
-            let mut l = LatentSample::from_full((0..n as u32).collect::<Vec<_>>());
-            l.replace_random_full(vec![999; m], &mut rng);
-            let survivors: std::collections::HashSet<u32> =
-                l.full_items().iter().copied().collect();
-            for v in 0..n as u32 {
-                if !survivors.contains(&v) {
-                    evicted[v as usize] += 1;
-                }
-            }
-        }
-        let expected = vec![trials as f64 * m as f64 / n as f64; n];
-        assert!(
-            !tbs_stats::gof::chi2_rejects(&evicted, &expected),
-            "victim choice not uniform: {evicted:?}"
-        );
-    }
-
-    #[test]
-    fn replace_random_full_from_swaps_victims_into_donors() {
+    fn replace_random_full_from_drops_victims_and_keeps_rejected_donors() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(22);
         let mut l = LatentSample::from_full((0..10u32).collect::<Vec<_>>());
         let mut donors: Vec<u32> = (100..108).collect();
         l.replace_random_full_from(&mut donors, 4, &mut rng);
         assert_eq!(l.full_items().len(), 10);
         assert_eq!(l.weight(), 10.0);
-        assert_eq!(
-            l.full_items().iter().filter(|&&x| x >= 100).count(),
-            4,
-            "exactly m donors must enter the sample"
-        );
-        // The pool still holds 8 items: 4 unused donors + 4 evicted originals.
-        assert_eq!(donors.len(), 8);
-        assert_eq!(donors.iter().filter(|&&x| x < 100).count(), 4);
-        // Conservation: sample ∪ donors is a permutation of the inputs.
-        let mut all: Vec<u32> = l
+        let accepted: Vec<u32> = l
             .full_items()
             .iter()
-            .chain(donors.iter())
             .copied()
+            .filter(|&x| x >= 100)
             .collect();
+        assert_eq!(accepted.len(), 4, "exactly m donors must enter the sample");
+        // The evicted originals are dropped: the batch keeps only the 4
+        // rejected donors, which together with the accepted ones are the
+        // 8 donors exactly once.
+        assert_eq!(donors.len(), 4);
+        assert!(
+            donors.iter().all(|&x| x >= 100),
+            "victims left in the batch"
+        );
+        let mut all: Vec<u32> = accepted.iter().chain(donors.iter()).copied().collect();
         all.sort_unstable();
-        let mut expect: Vec<u32> = (0..10).chain(100..108).collect();
-        expect.sort_unstable();
-        assert_eq!(all, expect);
+        assert_eq!(all, (100..108).collect::<Vec<_>>());
+        // The 6 survivors are distinct originals.
+        let mut survivors: Vec<u32> = l
+            .full_items()
+            .iter()
+            .copied()
+            .filter(|&x| x < 100)
+            .collect();
+        survivors.sort_unstable();
+        survivors.dedup();
+        assert_eq!(survivors.len(), 6);
         l.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replace_random_full_from_never_changes_length() {
+        // |A| and C stay fixed for every m, including the m = 0 and
+        // m = |A| edges and both donor sides (d = 12, so m ≤ 6 sweeps the
+        // accepted donors and m > 6 the rejected ones).
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(20);
+        for m in [0usize, 1, 5, 6, 7, 10] {
+            let mut l = LatentSample::from_full((0..10u32).collect::<Vec<_>>());
+            let cap = l.full_items().len();
+            let mut donors: Vec<u32> = (100..112).collect();
+            l.replace_random_full_from(&mut donors, m, &mut rng);
+            assert_eq!(l.full_items().len(), 10, "length changed for m={m}");
+            assert_eq!(l.weight(), 10.0);
+            assert_eq!(l.full.capacity(), cap, "buffer reallocated for m={m}");
+            let news = l.full_items().iter().filter(|&&x| x >= 100).count();
+            assert_eq!(news, m, "wrong replacement count for m={m}");
+            assert_eq!(donors.len(), 12 - m);
+            l.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -541,6 +465,65 @@ mod tests {
             !tbs_stats::gof::chi2_rejects(&inserted, &expect_insert),
             "donors not uniform: {inserted:?}"
         );
+    }
+
+    #[test]
+    fn replace_random_full_from_pairs_are_co_evicted_and_co_inserted_uniformly() {
+        // The joint law of Alg. 2 lines 16–17: a uniform m-subset of the
+        // n originals is evicted and a uniform m-subset of the d donors
+        // inserted, so every pair of originals is co-evicted with
+        // probability m(m−1)/(n(n−1)) and every pair of donors co-inserted
+        // with probability m(m−1)/(d(d−1)). Pair counts catch an exchange
+        // whose singletons are uniform but whose subsets are not (a
+        // contiguous window of victims or donors, say). d = 7 puts m = 2, 3
+        // on the accepted-minority side and m = 4, 5 on the other.
+        let (n, d) = (8usize, 7usize);
+        let trials = 40_000u64;
+        for (seed, m) in [(50u64, 2usize), (51, 3), (52, 4), (53, 5)] {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut co_evicted = vec![0u64; n * (n - 1) / 2];
+            let mut co_inserted = vec![0u64; d * (d - 1) / 2];
+            for _ in 0..trials {
+                let mut l = LatentSample::from_full((0..n as u32).collect::<Vec<_>>());
+                let mut donors: Vec<u32> = (100..100 + d as u32).collect();
+                l.replace_random_full_from(&mut donors, m, &mut rng);
+                let mut present = [false; 8];
+                let mut inserted = [false; 7];
+                for &x in l.full_items() {
+                    if x >= 100 {
+                        inserted[(x - 100) as usize] = true;
+                    } else {
+                        present[x as usize] = true;
+                    }
+                }
+                let mut cell = 0;
+                for i in 0..n {
+                    for j in i + 1..n {
+                        co_evicted[cell] += u64::from(!present[i] && !present[j]);
+                        cell += 1;
+                    }
+                }
+                let mut cell = 0;
+                for i in 0..d {
+                    for j in i + 1..d {
+                        co_inserted[cell] += u64::from(inserted[i] && inserted[j]);
+                        cell += 1;
+                    }
+                }
+            }
+            let pairs = (m * (m - 1)) as f64;
+            let expect_evict = vec![trials as f64 * pairs / (n * (n - 1)) as f64; co_evicted.len()];
+            let expect_insert =
+                vec![trials as f64 * pairs / (d * (d - 1)) as f64; co_inserted.len()];
+            assert!(
+                !tbs_stats::gof::chi2_rejects(&co_evicted, &expect_evict),
+                "m = {m}: victim pairs not uniform: {co_evicted:?}"
+            );
+            assert!(
+                !tbs_stats::gof::chi2_rejects(&co_inserted, &expect_insert),
+                "m = {m}: donor pairs not uniform: {co_inserted:?}"
+            );
+        }
     }
 
     #[test]

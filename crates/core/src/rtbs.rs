@@ -35,7 +35,7 @@ use tbs_stats::rounding::stochastic_round;
 /// `Xoshiro256PlusPlus`) and the whole per-batch transition is
 /// monomorphized with the RNG inlined into the inner loops. Steady-state
 /// ingest performs **zero heap allocations** beyond the caller-provided
-/// batch: victims are overwritten by in-place swaps, the unit-gap decay
+/// batch: victims are swept out and truncated in place, the unit-gap decay
 /// factor is memoized, and the latent sample's buffers persist at their
 /// high-water capacity. The [`crate::traits::BatchSampler`] impl is a thin
 /// `dyn`-RNG adapter over the same methods for heterogeneous harnesses.
@@ -121,11 +121,11 @@ impl<T> RTbs<T> {
 
     /// [`Self::observe`] from a caller-owned buffer: the batch items are
     /// drained out of `batch` (accepted ones move into the sample; rejected
-    /// ones and any evicted victims are left behind for the caller to
-    /// `clear`), and the buffer's allocation survives the call. This is the
-    /// ingest entry point for pipelines that recycle batch buffers — e.g.
-    /// the sharded parallel engine in `tbs-distributed` — where dropping a
-    /// `Vec` per batch would force a fresh allocation per batch upstream.
+    /// ones are left behind for the caller to `clear`), and the buffer's
+    /// allocation survives the call. This is the ingest entry point for
+    /// pipelines that recycle batch buffers — e.g. the sharded parallel
+    /// engine in `tbs-distributed` — where dropping a `Vec` per batch
+    /// would force a fresh allocation per batch upstream.
     ///
     /// Statistically and RNG-stream-wise identical to [`Self::observe`].
     #[inline]
@@ -225,11 +225,11 @@ impl<T> RTbs<T> {
             let new_weight = self.total_weight * decay + batch_size as f64; // line 14
             if new_weight >= n {
                 // Accept each batch item w.p. n/W via a single
-                // stochastically rounded count (lines 16-17), then swap
-                // the accepted items over uniformly chosen victims in
-                // place — no intermediate vectors. The evicted victims are
-                // swapped back into `batch`, whose leftover contents the
-                // caller discards.
+                // stochastically rounded count (lines 16-17), then drop
+                // `m` uniformly chosen victims and append `m` uniformly
+                // chosen batch items — no intermediate vectors. The
+                // rejected items stay in `batch`, whose leftover contents
+                // the caller discards.
                 let m_exact = batch_size as f64 * n / new_weight;
                 let m = (stochastic_round(rng, m_exact) as usize)
                     .min(batch_size)

@@ -5,6 +5,16 @@
 //! `A`". All samplers treat their stored collections as *sets* — element
 //! order inside the vectors carries no statistical meaning — so O(1)
 //! `swap_remove` is used freely.
+//!
+//! The subset-selection hot paths ([`retain_random`] and R-TBS's saturated
+//! exchange) run on [`sweep_to_tail`], a partial Fisher–Yates shuffle from
+//! the back of a slice. It takes **two bounded indices from each 64-bit
+//! RNG word** — one per 32-bit half, each reduced with its own exactly
+//! uniform Lemire rejection — so a sweep of `count` slots costs
+//! `⌈count/2⌉` generator steps plus the rare redraw. The halves of a
+//! word are independent uniform 32-bit values, so every index is drawn
+//! exactly as a lone `next_u32` would draw it and the subsets keep their
+//! exact law; only the RNG stream position moves.
 
 use rand::Rng;
 
@@ -22,21 +32,65 @@ use rand::Rng;
 pub(crate) fn uniform_index<R: Rng + ?Sized>(rng: &mut R, n: usize) -> usize {
     debug_assert!(n > 0, "empty index range");
     if n <= u32::MAX as usize {
-        let n32 = n as u32;
-        loop {
-            let x = rng.next_u32();
-            let m = x as u64 * n32 as u64;
-            let low = m as u32;
-            if low >= n32 {
-                return (m >> 32) as usize;
-            }
-            let threshold = n32.wrapping_neg() % n32;
-            if low >= threshold {
-                return (m >> 32) as usize;
-            }
-        }
+        let x = rng.next_u32();
+        lemire_reduce(rng, x, n as u32)
     } else {
         rng.gen_range(0..n)
+    }
+}
+
+/// Reduce the uniform 32-bit word `x` to an exactly uniform index in
+/// `[0, n)`: the high half of `x·n` is the index unless the low half
+/// falls in the biased tail (`< 2³² mod n`), in which case fresh words
+/// are drawn with `next_u32` until one lands outside it.
+#[inline]
+fn lemire_reduce<R: Rng + ?Sized>(rng: &mut R, mut x: u32, n: u32) -> usize {
+    loop {
+        let m = x as u64 * n as u64;
+        let low = m as u32;
+        // `low ≥ n` implies `low ≥ 2³² mod n`, so the modulo is only
+        // computed on the rare low draws.
+        if low >= n || low >= n.wrapping_neg() % n {
+            return (m >> 32) as usize;
+        }
+        x = rng.next_u32();
+    }
+}
+
+/// Move a uniform random `count`-subset of `items` into its last `count`
+/// slots, in uniformly random order; the prefix keeps the complement.
+///
+/// A partial Fisher–Yates shuffle from the back: the slot at `top − 1`
+/// receives an item drawn uniformly from `items[..top]`, then `top`
+/// shrinks by one. Each draw is one swap. Consecutive draws are paired
+/// onto one `next_u64`, the low half bounding `[0, top)` and the high
+/// half `[0, top − 1)`, each through its own Lemire rejection, so the
+/// indices are independent and exactly uniform — the same law as
+/// `count` separate bounded `next_u32` draws at half the generator steps.
+/// An odd final draw takes one `next_u32`; slices longer than `u32::MAX`
+/// fall back to single draws.
+///
+/// # Panics
+///
+/// Panics if `count > items.len()`.
+pub fn sweep_to_tail<T, R: Rng + ?Sized>(items: &mut [T], count: usize, rng: &mut R) {
+    let len = items.len();
+    assert!(count <= len, "cannot sweep {count} of {len} items");
+    let stop = len - count;
+    let mut top = len;
+    if len <= u32::MAX as usize {
+        while top - stop >= 2 {
+            let x = rng.next_u64();
+            let i = lemire_reduce(rng, x as u32, top as u32);
+            let j = lemire_reduce(rng, (x >> 32) as u32, (top - 1) as u32);
+            items.swap(i, top - 1);
+            items.swap(j, top - 2);
+            top -= 2;
+        }
+    }
+    while top > stop {
+        items.swap(uniform_index(rng, top), top - 1);
+        top -= 1;
     }
 }
 
@@ -61,28 +115,25 @@ pub fn draw_without_replacement<T, R: Rng + ?Sized>(
 /// Keep a uniform random subset of `min(m, items.len())` elements in place,
 /// discarding the rest. This is the paper's `S ← Sample(S, m)` retention.
 ///
-/// A partial Fisher–Yates sweep runs over whichever side is smaller, so a
-/// call draws `min(m, len − m)` random indices (plus the rare 32-bit
-/// rejection in the bounded index draw). When the kept subset is the minority
-/// it is swept into the prefix and the rest truncated; when it is the
-/// majority, the *discarded* complement is swept into the prefix and
-/// drained, leaving the kept suffix. A uniform subset's complement is
-/// itself uniform, so both sides keep a uniform `m`-subset. Every decay
-/// step keeps nearly everything (R-TBS's downsample keeps
-/// `k ≈ e^{−λ}·len` of `len` items), so the sweep costs ~`λ·len` draws
-/// instead of ~`len`.
+/// [`sweep_to_tail`] runs over whichever side is smaller, so a call draws
+/// `min(m, len − m)` indices from about half as many 64-bit RNG words
+/// (plus the rare 32-bit rejection redraw). When the kept subset is the
+/// majority, the *discarded* complement is swept into the tail and
+/// truncated, so nothing is moved; when it is the minority, it is swept
+/// into the tail and the prefix drained, moving only the `m` kept items.
+/// A uniform subset's complement is itself uniform, so both sides keep a
+/// uniform `m`-subset. Every decay step keeps nearly everything (R-TBS's
+/// downsample keeps `k ≈ e^{−λ}·len` of `len` items), so the sweep costs
+/// ~`λ·len` draws and a truncate instead of ~`len` draws.
 pub fn retain_random<T, R: Rng + ?Sized>(items: &mut Vec<T>, m: usize, rng: &mut R) {
-    let m = m.min(items.len());
     let len = items.len();
-    let swept = m.min(len - m);
-    for i in 0..swept {
-        let j = i + uniform_index(rng, len - i);
-        items.swap(i, j);
-    }
-    if swept == m {
-        items.truncate(m);
+    let m = m.min(len);
+    if 2 * m < len {
+        sweep_to_tail(items, m, rng);
+        items.drain(..len - m);
     } else {
-        items.drain(..swept);
+        sweep_to_tail(items, len - m, rng);
+        items.truncate(m);
     }
 }
 
@@ -99,7 +150,7 @@ pub fn sample_clone<T: Clone, R: Rng + ?Sized>(items: &[T], m: usize, rng: &mut 
 /// O(m) expected time and memory regardless of `n` (hash-set
 /// deduplication), which matters when subsampling large incoming batches
 /// (Algorithm 1 line 9); dense draws (`m·4 ≥ n`) switch to a partial
-/// Fisher–Yates prefix. Allocates fresh storage every call; hot paths
+/// Fisher–Yates sweep. Allocates fresh storage every call; hot paths
 /// that run every batch should hold a scratch buffer and call
 /// [`sample_indices_into`] instead.
 pub fn sample_indices<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
@@ -155,7 +206,7 @@ pub fn sample_indices_into<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R, out
     assert!(m <= n, "cannot draw {m} distinct indices from 0..{n}");
     out.clear();
     if m * 4 >= n || m > SORTED_FLOYD_MAX {
-        // Dense: partial Fisher–Yates prefix over the scratch buffer.
+        // Dense: partial Fisher–Yates sweep over the scratch buffer.
         out.extend(0..n);
         retain_random(out, m, rng);
     } else {
@@ -383,14 +434,15 @@ mod tests {
 
     #[test]
     fn retain_draws_only_the_minority_side() {
-        // One index per swept position, plus whatever `uniform_index`
-        // rejects: with len ≤ 1000 a 32-bit Lemire draw is rejected with
-        // probability < 2.4e-7, so allow a couple over the whole run.
+        // Two indices per 64-bit word over the swept (minority) side, plus
+        // whatever a Lemire reduction rejects: with len ≤ 1000 a 32-bit
+        // draw is rejected with probability < 2.4e-7, so allow a couple
+        // over the whole run.
         let mut rng = CountingRng {
             inner: Xoshiro256PlusPlus::seed_from_u64(44),
             draws: 0,
         };
-        let mut swept = 0u64;
+        let mut words = 0u64;
         for (len, m) in [
             (100usize, 30usize),
             (100, 70),
@@ -398,23 +450,90 @@ mod tests {
             (1000, 930),
             (1000, 1000),
             (10, 99),
+            (101, 50),
         ] {
             let before = rng.draws;
             let mut items: Vec<u32> = (0..len as u32).collect();
             retain_random(&mut items, m, &mut rng);
             let m = m.min(len);
-            let bound = m.min(len - m) as u64;
-            swept += bound;
+            let bound = m.min(len - m).div_ceil(2) as u64;
+            words += bound;
             assert!(
                 rng.draws - before >= bound,
                 "len {len}, m {m}: swept fewer positions than the minority side"
             );
         }
         assert!(
-            rng.draws <= swept + 2,
-            "{} draws for {swept} minority-side positions",
+            rng.draws <= words + 2,
+            "{} words drawn where the minority sides need {words}",
             rng.draws
         );
+    }
+
+    #[test]
+    fn sweep_to_tail_leaves_uniform_ordered_tails() {
+        // Every ordered `count`-tuple of distinct items must land in the
+        // tail equally often: this checks the subset law and the paired
+        // draws' independence at once. count = 2 uses one shared word,
+        // count = 3 adds the odd single draw.
+        let len = 6usize;
+        let trials = 60_000u64;
+        for (seed, count) in [(60u64, 2usize), (61, 3)] {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let cells = len.pow(count as u32);
+            let mut counts = vec![0u64; cells];
+            for _ in 0..trials {
+                let mut items: Vec<usize> = (0..len).collect();
+                sweep_to_tail(&mut items, count, &mut rng);
+                let mut sorted = items.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, (0..len).collect::<Vec<_>>(), "not a permutation");
+                let cell = items[len - count..].iter().fold(0, |acc, &x| acc * len + x);
+                counts[cell] += 1;
+            }
+            // Keep only the tuples of distinct items; the rest must be 0.
+            let mut observed = Vec::new();
+            for (cell, &c) in counts.iter().enumerate() {
+                let mut digits: Vec<usize> =
+                    (0..count).map(|k| cell / len.pow(k as u32) % len).collect();
+                digits.sort_unstable();
+                digits.dedup();
+                if digits.len() == count {
+                    observed.push(c);
+                } else {
+                    assert_eq!(c, 0, "a tail repeated an item");
+                }
+            }
+            let expected = vec![trials as f64 / observed.len() as f64; observed.len()];
+            assert!(
+                !chi2_rejects(&observed, &expected),
+                "count = {count}: {observed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_to_tail_edges() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(62);
+        let mut empty: Vec<u8> = Vec::new();
+        sweep_to_tail(&mut empty, 0, &mut rng);
+        let mut items: Vec<u32> = (0..9).collect();
+        sweep_to_tail(&mut items, 0, &mut rng);
+        assert_eq!(
+            items,
+            (0..9).collect::<Vec<_>>(),
+            "count 0 must not move items"
+        );
+        sweep_to_tail(&mut items, 9, &mut rng);
+        items.sort_unstable();
+        assert_eq!(items, (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sweep")]
+    fn sweep_to_tail_rejects_overdraw() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(63);
+        sweep_to_tail(&mut [1u8, 2], 3, &mut rng);
     }
 
     #[test]

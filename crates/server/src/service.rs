@@ -284,8 +284,14 @@ where
 
     fn ingest(&mut self, items: Vec<T>) -> Result<(u64, u64), ServiceError> {
         let mgr = self.manager();
-        mgr.ingest(items).map_err(engine_err)?;
-        let epoch = mgr.sampler_mut().publish().map_err(engine_err)?;
+        let report = mgr.ingest(items).map_err(engine_err)?;
+        // A policy-fired refit has just published this very state; a
+        // second publish would only announce a duplicate epoch.
+        let epoch = if report.retrained {
+            mgr.sampler().requested_epoch()
+        } else {
+            mgr.sampler_mut().publish().map_err(engine_err)?
+        };
         Ok((mgr.sampler().batches_observed(), epoch))
     }
 
@@ -452,6 +458,22 @@ mod tests {
         assert_eq!(got_epoch, epoch);
         assert_eq!(got_batches, 1);
         assert!(!items.is_empty() && items.len() <= 200);
+    }
+
+    #[test]
+    fn sampler_service_ingest_publishes_one_epoch_per_batch() {
+        // Whether or not the policy refits after a batch, each ingest
+        // publishes exactly once and acks the epoch it published.
+        for policy in [RetrainPolicy::EveryBatch, RetrainPolicy::Periodic(2)] {
+            let config = SamplerConfig::rtbs(0.05, 200).seed(11);
+            let mut svc: SamplerService<u64, NoModel> =
+                SamplerService::new(config, NoModel, policy).unwrap();
+            for k in 1..=4u64 {
+                let (batches, epoch) = svc.ingest((0..50).collect()).unwrap();
+                assert_eq!((batches, epoch), (k, k), "{policy:?}");
+                assert_eq!(svc.epoch_reader().published_epoch(), k, "{policy:?}");
+            }
+        }
     }
 
     #[test]
