@@ -90,7 +90,7 @@ fn main() {
     if filter.is_none() {
         match check_facade_overhead(&rows, 0.10) {
             Ok(ratio) => println!(
-                "api facade: R-TBS saturated at {:.1}% of the raw fast path (±10% gate)",
+                "api facade: R-TBS saturated at {:.1}% of the raw fast path (gate: ≥ 90%)",
                 ratio * 100.0
             ),
             Err(msg) if smoke => println!("api facade (not gated on --smoke runs): {msg}"),

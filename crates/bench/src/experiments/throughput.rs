@@ -175,8 +175,8 @@ pub enum ApiPath {
     Dyn,
     /// The public `temporal_sampling::api::Sampler` handle: enum
     /// dispatch onto the same monomorphized fast path, with the handle
-    /// owning its RNG. Must stay within ±10% of `fast` (the enum match
-    /// is a jump table, not a vtable).
+    /// owning its RNG. Must keep at least 90% of `fast`'s throughput (the
+    /// enum match is a jump table, not a vtable); faster is fine.
     Facade,
     /// The facade handle **plus** an automatic durable checkpoint every
     /// [`CHECKPOINT_EVERY`] batches (`CheckpointPolicy::EveryBatches`
@@ -687,7 +687,8 @@ pub const THROUGHPUT_ROW_KEYS: &[&str] = &["path", "elapsed_ns", "items_per_sec"
 /// slower than the `fast` path measured in the same run. Comparing
 /// within one run makes the gate robust to machine-to-machine absolute
 /// differences; the committed `BENCH_throughput.json` preserves the
-/// absolute numbers. Returns the facade/fast throughput ratio.
+/// absolute numbers. The gate is a one-sided floor: a facade row faster
+/// than `fast` passes. Returns the facade/fast throughput ratio.
 pub fn check_facade_overhead(rows: &[ThroughputRow], tolerance: f64) -> Result<f64, String> {
     let find = |path: &str| {
         rows.iter()
@@ -700,7 +701,7 @@ pub fn check_facade_overhead(rows: &[ThroughputRow], tolerance: f64) -> Result<f
     if ratio < 1.0 - tolerance {
         return Err(format!(
             "api facade dropped R-TBS saturated ingest to {:.1}M items/s \
-             ({:.1}% of the fast path's {:.1}M — tolerance is {:.0}%)",
+             ({:.1}% of the fast path's {:.1}M — the floor is {:.0}%)",
             facade.items_per_sec / 1e6,
             ratio * 100.0,
             fast.items_per_sec / 1e6,
@@ -779,6 +780,17 @@ mod tests {
             items_per_sec,
             ns_per_item: 1.0,
         }
+    }
+
+    #[test]
+    fn facade_overhead_gate_is_a_one_sided_floor() {
+        let fast = synthetic_row("fast", 100e6);
+        let faster = [fast.clone(), synthetic_row("facade", 120e6)];
+        let ratio = check_facade_overhead(&faster, 0.10).unwrap();
+        assert!((ratio - 1.2).abs() < 1e-9);
+        let slower = [fast, synthetic_row("facade", 85e6)];
+        let err = check_facade_overhead(&slower, 0.10).unwrap_err();
+        assert!(err.contains("the floor is 90%"), "{err}");
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //! caller loops and re-checks. No wakeup can be lost, because the
 //! condition is always re-examined after any generation the sleeper has
 //! not yet seen.
+//!
+//! ## Waking only sleepers
+//!
+//! [`Notify::wait_past`] counts its sleepers under the generation lock,
+//! and [`Notify::notify_all`] skips the condvar call when the count is
+//! zero, so a publication no one waits for makes no futex call. The
+//! generation bump itself is unconditional: it is what a waiter between
+//! steps (1) and (3) above relies on.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -29,9 +37,16 @@ use std::time::Instant;
 /// protocol.
 #[derive(Debug, Default)]
 pub struct Notify {
-    /// Bumped by every `notify_all`; sleepers wait for it to move.
-    generation: Mutex<u64>,
+    state: Mutex<State>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct State {
+    /// Bumped by every `notify_all`; sleepers wait for it to move.
+    generation: u64,
+    /// Threads blocked in `wait_past`.
+    sleepers: usize,
 }
 
 /// Outcome of [`Notify::wait_past`].
@@ -52,34 +67,42 @@ impl Notify {
     /// The current generation. Read this *before* checking the condition
     /// you intend to sleep on, then hand it to [`Notify::wait_past`].
     pub fn generation(&self) -> u64 {
-        *self.generation.lock().expect("notify lock")
+        self.state.lock().expect("notify lock").generation
     }
 
-    /// Bump the generation and wake every blocked thread.
+    /// Bump the generation and wake every blocked thread, if any.
     pub fn notify_all(&self) {
-        {
-            let mut generation = self.generation.lock().expect("notify lock");
-            *generation = generation.wrapping_add(1);
+        let sleepers = {
+            let mut state = self.state.lock().expect("notify lock");
+            state.generation = state.generation.wrapping_add(1);
+            state.sleepers
+        };
+        if sleepers > 0 {
+            self.cv.notify_all();
         }
-        self.cv.notify_all();
     }
 
     /// Block the calling thread until the generation moves past `seen`
     /// or `deadline` passes (`None` = wait forever). Returns immediately
     /// if the generation already differs from `seen`.
     pub fn wait_past(&self, seen: u64, deadline: Option<Instant>) -> WaitOutcome {
-        let mut generation = self.generation.lock().expect("notify lock");
-        while *generation == seen {
+        let mut state = self.state.lock().expect("notify lock");
+        while state.generation == seen {
             match deadline {
-                None => generation = self.cv.wait(generation).expect("notify lock"),
+                None => {
+                    state.sleepers += 1;
+                    state = self.cv.wait(state).expect("notify lock");
+                    state.sleepers -= 1;
+                }
                 Some(deadline) => {
                     let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                         return WaitOutcome::TimedOut;
                     };
-                    let (guard, timeout) =
-                        self.cv.wait_timeout(generation, left).expect("notify lock");
-                    generation = guard;
-                    if timeout.timed_out() && *generation == seen {
+                    state.sleepers += 1;
+                    let (guard, timeout) = self.cv.wait_timeout(state, left).expect("notify lock");
+                    state = guard;
+                    state.sleepers -= 1;
+                    if timeout.timed_out() && state.generation == seen {
                         return WaitOutcome::TimedOut;
                     }
                 }
@@ -101,6 +124,26 @@ mod tests {
         let seen = n.generation();
         n.notify_all();
         assert_eq!(n.wait_past(seen, None), WaitOutcome::Notified);
+    }
+
+    #[test]
+    fn notify_without_sleepers_still_bumps_the_generation() {
+        let n = Arc::new(Notify::new());
+        let seen = n.generation();
+        // No sleeper: the condvar is skipped, the generation moves anyway.
+        n.notify_all();
+        assert_eq!(n.state.lock().unwrap().sleepers, 0);
+        assert_eq!(n.wait_past(seen, None), WaitOutcome::Notified);
+        // A sleeper parked after that is still counted and woken.
+        let seen = n.generation();
+        let n2 = Arc::clone(&n);
+        let waiter = std::thread::spawn(move || n2.wait_past(seen, None));
+        while n.state.lock().unwrap().sleepers != 1 {
+            std::thread::yield_now();
+        }
+        n.notify_all();
+        assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
+        assert_eq!(n.state.lock().unwrap().sleepers, 0);
     }
 
     #[test]

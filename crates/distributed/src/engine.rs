@@ -53,14 +53,20 @@
 //!   function of the chunk assignment, never of thread timing.
 //! * Two run slots circulate with the driver's open run: one queued, one
 //!   being read, one filling. The shard that finishes a slot last (an
-//!   atomic countdown) returns its id to the free queue; the driver
-//!   blocks there when it needs a slot, swaps its full run in, and gets
-//!   the consumed run's buffers back, dropping the spent caller batches
-//!   on its own thread. In-flight ingest memory is thus bounded in
-//!   *items* (3 × K × the per-shard run target), and after warm-up no
-//!   buffer is ever allocated or grown, so steady-state ingest performs
-//!   **zero heap allocations** beyond the caller-provided batch
-//!   (verified by the engine's counting-allocator test).
+//!   atomic countdown) empties it under the slot's write lock, dropping
+//!   the spent caller batches on its own thread, and returns its id to
+//!   the free queue; the driver blocks there when it needs a slot, swaps
+//!   its full run in, and gets the emptied run's buffers back. The
+//!   driver's ingest path is thus appends plus, per run, one slot pop,
+//!   one swap and K pushes: it never frees an item. In-flight ingest
+//!   memory is bounded in *items*
+//!   (3 × K × the per-shard run target), and after warm-up no buffer is
+//!   ever allocated or grown, so steady-state ingest performs **zero
+//!   heap allocations** beyond the caller-provided batch (verified by
+//!   the engine's counting-allocator test).
+//! * Threads are woken only for work they can finish: every queue skips
+//!   its futex call when no thread is parked on the other side (see
+//!   [`crate::queue`]).
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
 //!
@@ -90,6 +96,17 @@
 //! FIFO through every shard, so epochs complete, and publish, in request
 //! order. The shard workers never see the merge: between runs they sleep
 //! on their work queues.
+//!
+//! The merger wakes once per complete epoch or checkpoint generation.
+//! The driver's `Request` and `CkptRequest` headers, and every shard fork
+//! but the one that completes its epoch or generation, are enqueued
+//! quietly ([`BatchQueue::push_quiet`]). Each shard counts its fork
+//! inside the merger queue's lock as it appends it
+//! ([`BatchQueue::push_wake_if`]), so the completing fork is also the
+//! last message of its epoch enqueued, and it wakes the merger. The
+//! merger's message stream, its order and so every published bit are
+//! those of a merger woken by every message; a full merger queue or a
+//! close wakes it too.
 //!
 //! [`ParallelIngestEngine::request_snapshot`] consumes **no** driver
 //! randomness, and the published [`FrozenSample`] is **bit-identical** to
@@ -346,7 +363,8 @@ impl<T> SharedRun<T> {
         self.batches.push(batch);
     }
 
-    /// Empty the run for reuse, dropping its caller batches.
+    /// Empty the run for reuse, dropping its caller batches (on the
+    /// thread of the run's last reader).
     fn clear(&mut self) {
         self.batches.clear();
         self.bounds.clear();
@@ -383,8 +401,9 @@ struct RunSlot<T> {
     run: RwLock<SharedRun<T>>,
     /// Set to K (`Release`) by the driver before it pushes the slot id.
     /// Each shard drops its read guard and then decrements (`AcqRel`), so
-    /// the shard that takes it to zero returns the slot only after every
-    /// read has ended; the driver's next write lock never waits.
+    /// the shard that takes it to zero empties the run and returns the
+    /// slot only after every read has ended; the driver's next write lock
+    /// never waits.
     pending: AtomicUsize,
 }
 
@@ -460,6 +479,36 @@ enum MergerMsg<S: MergeableSample> {
     },
 }
 
+/// Forks of one kind (epoch or checkpoint) pushed to the merger, per
+/// shard. Every shard forks the same barrier sequence in order, so the
+/// smallest count is the number of complete epochs (or generations), and
+/// the fork that raises it completes one. Counted only inside the merger
+/// queue's lock ([`BatchQueue::push_wake_if`]), so that fork is also the
+/// last of its epoch enqueued.
+struct ForkTally {
+    pushed: Vec<u64>,
+    complete: u64,
+}
+
+impl ForkTally {
+    fn new(shards: usize) -> Self {
+        Self {
+            pushed: vec![0; shards],
+            complete: 0,
+        }
+    }
+
+    /// Count one fork from `shard`; `true` iff it completes its epoch.
+    fn completes(&mut self, shard: usize) -> bool {
+        self.pushed[shard] += 1;
+        // INVARIANT: the engine never builds a pipeline without shards.
+        let done = *self.pushed.iter().min().expect("at least one shard");
+        let completes = done > self.complete;
+        self.complete = done;
+        completes
+    }
+}
+
 /// The driver-facing side of one shard: its queues and counters. The
 /// shard's sampler and RNG ([`ShardCore`]) live on its worker thread.
 struct ShardQueues<S: MergeableSample> {
@@ -499,6 +548,10 @@ struct EngineShared<S: MergeableSample> {
     free: BatchQueue<usize>,
     /// The merger thread's inbox.
     merger: BatchQueue<MergerMsg<S>>,
+    /// Epoch forks and checkpoint forks pushed to the merger; each is
+    /// locked only inside the merger queue's lock.
+    epoch_forks: Mutex<ForkTally>,
+    ckpt_forks: Mutex<ForkTally>,
     spec: ShardSpec,
     /// Per-shard recovery fork records; `Some` iff the policy is
     /// [`RecoveryPolicy::RespawnFromBarrier`].
@@ -732,9 +785,9 @@ where
     }
 
     /// Hand the open run to every shard: swap it into a free slot and
-    /// push the slot's id to each work queue. The slot's previous, fully
-    /// read run comes back as the new open run, and its spent caller
-    /// batches are dropped here. Under `RespawnFromBarrier` the run is
+    /// push the slot's id to each work queue. The slot's previous run,
+    /// already emptied by its last reader, comes back as the new open
+    /// run, so nothing is freed here. Under `RespawnFromBarrier` the run is
     /// logged before the pushes, so a push that fails or is dropped is
     /// replayed by the recovery it triggers; a failure before the swap
     /// leaves the run open.
@@ -751,7 +804,7 @@ where
         std::mem::swap(&mut *slot.run.write(), &mut self.open);
         slot.pending
             .store(self.shared.shards.len(), Ordering::Release);
-        self.open.clear();
+        debug_assert!(self.open.is_empty(), "a free slot holds an emptied run");
         let mut cause = None;
         for (k, queues) in self.shared.shards.iter().enumerate() {
             let faults = std::mem::take(&mut self.run_faults[k]);
@@ -911,11 +964,11 @@ where
             let gen = self.next_ckpt_gen;
             let mut cause = None;
             // Header before barriers: FIFO causality, exactly like the
-            // snapshot protocol.
+            // snapshot protocol (and quiet for the same reason).
             if self
                 .shared
                 .merger
-                .push(MergerMsg::CkptRequest {
+                .push_quiet(MergerMsg::CkptRequest {
                     gen,
                     driver_rng: self.driver_rng.state(),
                     deviations: self.splitter.deviations().to_vec(),
@@ -1027,11 +1080,12 @@ where
             let epoch = self.next_epoch;
             let mut cause = None;
             // Request before barriers: FIFO causality guarantees the
-            // merger sees the epoch header before any fork for it.
+            // merger sees the epoch header before any fork for it, so the
+            // header never completes its epoch and goes quietly.
             if self
                 .shared
                 .merger
-                .push(MergerMsg::Request {
+                .push_quiet(MergerMsg::Request {
                     epoch,
                     rng: pos,
                     batches: self.batches_ingested,
@@ -1456,6 +1510,8 @@ where
         runs,
         free,
         merger,
+        epoch_forks: Mutex::new(ForkTally::new(shard_count)),
+        ckpt_forks: Mutex::new(ForkTally::new(shard_count)),
         spec,
         recovery,
         ckpts_done,
@@ -1568,9 +1624,11 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                     });
                     items += fed as u64;
                 }
-                // The read guard is gone: the last reader frees the slot,
-                // and the driver's write lock never waits on a reader.
+                // The read guard is gone: the last reader empties the run
+                // (the driver's hand-off never frees a caller batch) and
+                // frees the slot, and neither write lock waits on a reader.
                 if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    slot.run.write().clear();
                     let _ = shared.free.try_push(id);
                 }
             }
@@ -1589,11 +1647,14 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                 if span.is_none() {
                     span = Some(Instant::now());
                 }
-                let _ = merger.push(MergerMsg::Fork {
-                    epoch,
-                    shard: shard_id,
-                    state: Box::new(core.sampler.fork_for_merge()),
-                });
+                let _ = merger.push_wake_if(
+                    MergerMsg::Fork {
+                        epoch,
+                        shard: shard_id,
+                        state: Box::new(core.sampler.fork_for_merge()),
+                    },
+                    || shared.epoch_forks.lock().completes(shard_id),
+                );
                 // Refresh the recovery fork record at the same boundary:
                 // barriers double as recovery points, bounding the
                 // driver's replay log at the publication cadence.
@@ -1617,11 +1678,14 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                         rng: state.1,
                     });
                 }
-                let _ = merger.push(MergerMsg::CkptFork {
-                    gen,
-                    shard: shard_id,
-                    state: Box::new(state),
-                });
+                let _ = merger.push_wake_if(
+                    MergerMsg::CkptFork {
+                        gen,
+                        shard: shard_id,
+                        state: Box::new(state),
+                    },
+                    || shared.ckpt_forks.lock().completes(shard_id),
+                );
             }
             ShardMsg::Sync => {
                 close_span(&mut span, &mut busy);
