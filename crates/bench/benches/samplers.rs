@@ -2,23 +2,24 @@
 //!
 //! Backs the paper's claim that R-TBS stays lightweight relative to
 //! B-Chao's overweight-item bookkeeping, and quantifies the price of exact
-//! decay control over plain reservoir sampling.
+//! decay control over plain reservoir sampling. Every scheme runs on its
+//! inherent, RNG-monomorphized `observe`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
 use std::hint::black_box;
-use tbs_core::traits::BatchSampler;
 use tbs_core::{BChao, BTbs, BatchedReservoir, CountWindow, RTbs, TTbs};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
 const LAMBDA: f64 = 0.07;
 const CAPACITY: usize = 10_000;
 
-fn bench_scheme<S, F>(c: &mut Criterion, name: &str, make: F)
-where
-    S: BatchSampler<u64>,
-    F: Fn() -> S,
-{
+fn bench_scheme<S>(
+    c: &mut Criterion,
+    name: &str,
+    make: impl Fn() -> S,
+    observe: impl Fn(&mut S, Vec<u64>, &mut Xoshiro256PlusPlus),
+) {
     let mut group = c.benchmark_group("sampler_observe");
     group.sample_size(20);
     for &batch_size in &[100usize, 1_000, 10_000] {
@@ -31,7 +32,8 @@ where
                 let mut sampler = make();
                 // Warm to steady state.
                 for t in 0..30u64 {
-                    sampler.observe(
+                    observe(
+                        &mut sampler,
                         (0..size as u64).map(|i| t * 100_000 + i).collect(),
                         &mut rng,
                     );
@@ -40,7 +42,7 @@ where
                 b.iter(|| {
                     let batch: Vec<u64> = (0..size as u64).map(|i| t * 100_000 + i).collect();
                     t += 1;
-                    sampler.observe(black_box(batch), &mut rng);
+                    observe(&mut sampler, black_box(batch), &mut rng);
                 });
             },
         );
@@ -49,12 +51,22 @@ where
 }
 
 fn benches(c: &mut Criterion) {
-    bench_scheme(c, "R-TBS", || RTbs::new(LAMBDA, CAPACITY));
-    bench_scheme(c, "T-TBS", || TTbs::new(LAMBDA, CAPACITY, 10_000.0));
-    bench_scheme(c, "B-TBS", || BTbs::new(LAMBDA));
-    bench_scheme(c, "B-RS(Unif)", || BatchedReservoir::new(CAPACITY));
-    bench_scheme(c, "B-Chao", || BChao::new(LAMBDA, CAPACITY));
-    bench_scheme(c, "SW", || CountWindow::new(CAPACITY));
+    bench_scheme(c, "R-TBS", || RTbs::new(LAMBDA, CAPACITY), RTbs::observe);
+    bench_scheme(
+        c,
+        "T-TBS",
+        || TTbs::new(LAMBDA, CAPACITY, 10_000.0),
+        TTbs::observe,
+    );
+    bench_scheme(c, "B-TBS", || BTbs::new(LAMBDA), BTbs::observe);
+    bench_scheme(
+        c,
+        "B-RS(Unif)",
+        || BatchedReservoir::new(CAPACITY),
+        BatchedReservoir::observe,
+    );
+    bench_scheme(c, "B-Chao", || BChao::new(LAMBDA, CAPACITY), BChao::observe);
+    bench_scheme(c, "SW", || CountWindow::new(CAPACITY), CountWindow::observe);
 }
 
 criterion_group! {

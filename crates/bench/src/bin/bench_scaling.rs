@@ -1,6 +1,5 @@
 //! Multi-core scaling baseline: aggregate and wall-clock ingest throughput
-//! of the sharded parallel engine at 1–64 shards, plus the
-//! spawn-vs-persistent-pool dispatch comparison. A full (non-smoke) run
+//! of the sharded parallel engine at 1–64 shards. A full (non-smoke) run
 //! **fails loudly** when the scaling gate does not pass: saturated
 //! R-TBS aggregate at K = 8 must clear twice the committed pre-fix row,
 //! K = 16 must not regress below K = 8, and K = 32 must not regress
@@ -25,8 +24,7 @@
 
 use std::path::PathBuf;
 use tbs_bench::experiments::scaling::{
-    report, rows_to_json, run_pool_dispatch, run_scaling, ScalingConfig,
-    GATE_K8_FLOOR_ITEMS_PER_SEC, SCALING_ROW_KEYS,
+    report, rows_to_json, run_scaling, ScalingConfig, GATE_K8_FLOOR_ITEMS_PER_SEC, SCALING_ROW_KEYS,
 };
 use tbs_bench::json::{validate_bench_doc, Json};
 use tbs_bench::output::{host_context, results_dir, workspace_root};
@@ -76,10 +74,9 @@ fn main() {
     }
 
     let rows = run_scaling(&cfg);
-    let pool = run_pool_dispatch(&cfg);
-    report(&rows, &pool);
+    report(&rows);
 
-    let doc = rows_to_json(&cfg, &rows, &pool);
+    let doc = rows_to_json(&cfg, &rows);
     if let Err(e) = validate_bench_doc(&doc, "scaling", SCALING_ROW_KEYS) {
         eprintln!("emitted document violates the shared row schema: {e}");
         std::process::exit(1);

@@ -1,6 +1,7 @@
 //! Ingest-throughput baseline: items/sec and ns/item for every sampler
-//! across unsaturated / saturated / bursty regimes, on both the
-//! monomorphized fast path and the object-safe `dyn` adapter.
+//! across unsaturated / saturated / bursty regimes, on the monomorphized
+//! fast path, through the `api::Sampler` facade, and (R-TBS, T-TBS) with
+//! automatic durable checkpoints.
 //!
 //! ```text
 //! cargo run --release -p tbs-bench --bin bench_throughput            # full run, writes BENCH_throughput.json

@@ -24,19 +24,40 @@ pub fn run(lambda: f64, trials: usize, seed: u64) -> Vec<InclusionReport> {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
 
     let mut reports = Vec::new();
-    let stats = measure_inclusion(|| BTbs::new(lambda), &schedule, trials, &mut rng);
+    let stats = measure_inclusion(
+        || BTbs::new(lambda),
+        BTbs::observe,
+        BTbs::sample,
+        &schedule,
+        trials,
+        &mut rng,
+    );
     reports.push(InclusionReport {
         name: "B-TBS",
         violation: max_ratio_violation(&stats, lambda, 0.02),
         stats,
     });
-    let stats = measure_inclusion(|| RTbs::new(lambda, 8), &schedule, trials, &mut rng);
+    let stats = measure_inclusion(
+        || RTbs::new(lambda, 8),
+        RTbs::observe,
+        RTbs::sample,
+        &schedule,
+        trials,
+        &mut rng,
+    );
     reports.push(InclusionReport {
         name: "R-TBS (saturating, n=8)",
         violation: max_ratio_violation(&stats, lambda, 0.02),
         stats,
     });
-    let stats = measure_inclusion(|| TTbs::new(lambda, 8, 6.0), &schedule, trials, &mut rng);
+    let stats = measure_inclusion(
+        || TTbs::new(lambda, 8, 6.0),
+        TTbs::observe,
+        TTbs::sample,
+        &schedule,
+        trials,
+        &mut rng,
+    );
     reports.push(InclusionReport {
         name: "T-TBS",
         violation: max_ratio_violation(&stats, lambda, 0.02),
@@ -44,7 +65,14 @@ pub fn run(lambda: f64, trials: usize, seed: u64) -> Vec<InclusionReport> {
     });
     // B-Chao with a capacity so large the whole run is fill-up: the
     // Appendix-D violation regime.
-    let stats = measure_inclusion(|| BChao::new(lambda, 1000), &schedule, trials, &mut rng);
+    let stats = measure_inclusion(
+        || BChao::new(lambda, 1000),
+        BChao::observe,
+        BChao::sample,
+        &schedule,
+        trials,
+        &mut rng,
+    );
     reports.push(InclusionReport {
         name: "B-Chao (fill-up)",
         violation: max_ratio_violation(&stats, lambda, 0.02),

@@ -5,17 +5,17 @@
 //! sliding window, a uniform reservoir), repeated over independent runs.
 
 use crate::output::{f, print_table, write_csv};
+use crate::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
 use rand::Rng;
 use rand::SeedableRng;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
-use tbs_datagen::gmm::{GmmGenerator, LabeledPoint};
+use tbs_datagen::gmm::GmmGenerator;
 use tbs_datagen::modes::ModeSchedule;
 use tbs_datagen::stream::StreamPlan;
 use tbs_datagen::BatchSizeProcess;
 use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
 use tbs_ml::KnnClassifier;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::SamplerConfig;
 
 /// Paper defaults for the kNN experiments (§6.2).
 #[derive(Debug, Clone)]
@@ -55,8 +55,8 @@ impl KnnConfig {
 }
 
 /// Build the standard contender set for one run.
-fn contenders(cfg: &KnnConfig) -> Vec<Contender<LabeledPoint>> {
-    let mut list: Vec<Contender<LabeledPoint>> = cfg
+fn contenders(cfg: &KnnConfig) -> Vec<Contender<KnnClassifier>> {
+    let mut list: Vec<Contender<KnnClassifier>> = cfg
         .lambdas
         .iter()
         .map(|&lambda| {
@@ -67,20 +67,20 @@ fn contenders(cfg: &KnnConfig) -> Vec<Contender<LabeledPoint>> {
             };
             Contender::new(
                 name,
-                Box::new(RTbs::new(lambda, cfg.n)),
-                Box::new(KnnClassifier::new(cfg.k)),
+                SamplerConfig::rtbs(lambda, cfg.n),
+                KnnClassifier::new(cfg.k),
             )
         })
         .collect();
     list.push(Contender::new(
         "SW",
-        Box::new(CountWindow::new(cfg.n)),
-        Box::new(KnnClassifier::new(cfg.k)),
+        SamplerConfig::sliding_count(cfg.n),
+        KnnClassifier::new(cfg.k),
     ));
     list.push(Contender::new(
         "Unif",
-        Box::new(BatchedReservoir::new(cfg.n)),
-        Box::new(KnnClassifier::new(cfg.k)),
+        SamplerConfig::uniform(cfg.n),
+        KnnClassifier::new(cfg.k),
     ));
     list
 }
@@ -104,13 +104,14 @@ pub fn run_knn(cfg: &KnnConfig) -> KnnResult {
     };
     let mut all_runs: Vec<Vec<RunOutput>> = Vec::with_capacity(cfg.runs);
     for run in 0..cfg.runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(cfg.seed.wrapping_add(run as u64));
+        let seed = cfg.seed.wrapping_add(run as u64);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs = contenders(cfg);
         let outputs = run_stream(
             &plan,
             |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
+            contenders(cfg),
+            seed,
             &mut rng,
         );
         all_runs.push(outputs);
@@ -272,7 +273,6 @@ pub fn smoke_run() -> KnnResult {
 /// Ablation: misclassification of R-TBS vs B-Chao under slow, bursty
 /// streams where Chao's overweight items distort inclusion probabilities.
 pub fn run_chao_ablation(runs: usize) {
-    use tbs_core::BChao;
     let schedule = ModeSchedule::periodic(10, 10);
     let plan = StreamPlan {
         warmup_batches: 100,
@@ -282,24 +282,26 @@ pub fn run_chao_ablation(runs: usize) {
     };
     let mut summaries: Vec<Vec<SeriesSummary>> = vec![Vec::new(), Vec::new()];
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(99_000 + run as u64);
+        let seed = 99_000 + run as u64;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs: Vec<Contender<LabeledPoint>> = vec![
+        let cs = vec![
             Contender::new(
                 "R-TBS",
-                Box::new(RTbs::new(0.07, 1000)),
-                Box::new(KnnClassifier::new(7)),
+                SamplerConfig::rtbs(0.07, 1000),
+                KnnClassifier::new(7),
             ),
             Contender::new(
                 "B-Chao",
-                Box::new(BChao::new(0.07, 1000)),
-                Box::new(KnnClassifier::new(7)),
+                SamplerConfig::chao(0.07, 1000),
+                KnnClassifier::new(7),
             ),
         ];
         let outputs = run_stream(
             &plan,
             |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
+            cs,
+            seed,
             &mut rng,
         );
         for (i, o) in outputs.iter().enumerate() {

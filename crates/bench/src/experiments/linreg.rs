@@ -9,16 +9,16 @@
 //!            retain the previous context, and its error fluctuates wildly.
 
 use crate::output::{f, print_table, write_csv};
+use crate::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
 use rand::SeedableRng;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
 use tbs_datagen::modes::ModeSchedule;
-use tbs_datagen::regression::{RegressionGenerator, RegressionPoint};
+use tbs_datagen::regression::RegressionGenerator;
 use tbs_datagen::stream::StreamPlan;
 use tbs_datagen::BatchSizeProcess;
 use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
 use tbs_ml::LinearRegression;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::SamplerConfig;
 
 /// One panel configuration.
 #[derive(Debug, Clone, Copy)]
@@ -68,22 +68,22 @@ pub struct LinregResult {
     pub rtbs_mean_sample_size: f64,
 }
 
-fn contenders(n: usize, lambda: f64) -> Vec<Contender<RegressionPoint>> {
+fn contenders(n: usize, lambda: f64) -> Vec<Contender<LinearRegression>> {
     vec![
         Contender::new(
             "R-TBS",
-            Box::new(RTbs::new(lambda, n)),
-            Box::new(LinearRegression::new(true)),
+            SamplerConfig::rtbs(lambda, n),
+            LinearRegression::new(true),
         ),
         Contender::new(
             "SW",
-            Box::new(CountWindow::new(n)),
-            Box::new(LinearRegression::new(true)),
+            SamplerConfig::sliding_count(n),
+            LinearRegression::new(true),
         ),
         Contender::new(
             "Unif",
-            Box::new(BatchedReservoir::new(n)),
-            Box::new(LinearRegression::new(true)),
+            SamplerConfig::uniform(n),
+            LinearRegression::new(true),
         ),
     ]
 }
@@ -99,12 +99,13 @@ pub fn run_panel(panel: &LinregPanel, runs: usize, seed: u64) -> LinregResult {
     let generator = RegressionGenerator::paper();
     let mut all_runs = Vec::with_capacity(runs);
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed.wrapping_add(run as u64));
-        let mut cs = contenders(panel.n, 0.07);
+        let seed = seed.wrapping_add(run as u64);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let outputs = run_stream(
             &plan,
             |mode, size, rng| generator.sample_batch(mode, size, rng),
-            &mut cs,
+            contenders(panel.n, 0.07),
+            seed,
             &mut rng,
         );
         all_runs.push(outputs);

@@ -6,14 +6,16 @@
 //! batches.
 
 use crate::output::{f, print_table, write_csv};
+use crate::pipeline::{mean_error_series, run_stream, Contender};
 use rand::SeedableRng;
-use tbs_core::traits::BatchSampler;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
-use tbs_datagen::text::{Message, UsenetGenerator};
+use tbs_datagen::modes::ModeSchedule;
+use tbs_datagen::stream::StreamPlan;
+use tbs_datagen::text::UsenetGenerator;
+use tbs_datagen::BatchSizeProcess;
 use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::OnlineModel;
 use tbs_ml::NaiveBayes;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::SamplerConfig;
 
 /// Result of the NB experiment.
 pub struct NbResult {
@@ -27,56 +29,57 @@ pub struct NbResult {
 pub fn run_nb(runs: usize, lambda: f64, seed: u64) -> NbResult {
     let generator = UsenetGenerator::paper();
     let vocab = generator.vocab_size() as usize;
-    let names = ["R-TBS", "SW", "Unif"];
-    let mut series_acc: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let mut summaries: Vec<Vec<SeriesSummary>> = vec![Vec::new(); 3];
-
+    let (messages, batch) = (1500u64, 50usize);
+    // Every batch is measured: no warm-up. The generator itself encodes
+    // the recurring interest flips, so the plan's mode is unused.
+    let plan = StreamPlan {
+        warmup_batches: 0,
+        measured_batches: messages / batch as u64,
+        batch_sizes: BatchSizeProcess::Deterministic(batch as u64),
+        schedule: ModeSchedule::AlwaysNormal,
+    };
+    let mut all_runs = Vec::with_capacity(runs);
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed.wrapping_add(run as u64));
-        let stream = generator.stream(1500, 50, &mut rng);
-        let mut samplers: Vec<Box<dyn BatchSampler<Message>>> = vec![
-            Box::new(RTbs::new(lambda, 300)),
-            Box::new(CountWindow::new(300)),
-            Box::new(BatchedReservoir::new(300)),
+        let seed = seed.wrapping_add(run as u64);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let mut stream = generator.stream(messages, batch, &mut rng).into_iter();
+        let contenders = vec![
+            Contender::new(
+                "R-TBS",
+                SamplerConfig::rtbs(lambda, 300),
+                NaiveBayes::new(vocab),
+            ),
+            Contender::new(
+                "SW",
+                SamplerConfig::sliding_count(300),
+                NaiveBayes::new(vocab),
+            ),
+            Contender::new("Unif", SamplerConfig::uniform(300), NaiveBayes::new(vocab)),
         ];
-        let mut models: Vec<NaiveBayes> = (0..3).map(|_| NaiveBayes::new(vocab)).collect();
-        let mut errors: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        for batch in &stream {
-            for i in 0..3 {
-                errors[i].push(models[i].batch_error(batch));
-                samplers[i].observe(batch.clone(), &mut rng);
-                let sample = samplers[i].sample(&mut rng);
-                models[i].retrain(&sample);
-            }
-        }
-        for i in 0..3 {
+        all_runs.push(run_stream(
+            &plan,
+            |_, _, _| stream.next().expect("the stream covers the plan"),
+            contenders,
+            seed,
+            &mut rng,
+        ));
+    }
+    let summaries = (0..all_runs[0].len())
+        .map(|ci| {
             // 20% ES over ALL batches (es_start = 0) — the stream is short.
-            summaries[i].push(summarize_series(&errors[i], 0, 0.20));
-            if series_acc[i].is_empty() {
-                series_acc[i] = errors[i].clone();
-            } else {
-                for (a, e) in series_acc[i].iter_mut().zip(&errors[i]) {
-                    *a += e;
-                }
-            }
-        }
-    }
-    for s in &mut series_acc {
-        for v in s.iter_mut() {
-            *v /= runs as f64;
-        }
-    }
+            let per_run: Vec<SeriesSummary> = all_runs
+                .iter()
+                .map(|run| summarize_series(&run[ci].errors, 0, 0.20))
+                .collect();
+            (all_runs[0][ci].name.clone(), average_summaries(&per_run))
+        })
+        .collect();
     NbResult {
-        mean_series: names
-            .iter()
-            .map(|n| n.to_string())
-            .zip(series_acc)
+        mean_series: mean_error_series(&all_runs)
+            .into_iter()
+            .map(|o| (o.name, o.errors))
             .collect(),
-        summaries: names
-            .iter()
-            .map(|n| n.to_string())
-            .zip(summaries.iter().map(|s| average_summaries(s)))
-            .collect(),
+        summaries,
     }
 }
 

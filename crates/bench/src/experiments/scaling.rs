@@ -34,10 +34,6 @@
 //!   JSON) wall-clock parallel speedup is physically impossible, while
 //!   per-shard busy time still exposes whether the pipeline adds overhead
 //!   per shard. On a multi-core host the two metrics converge.
-//!
-//! The sweep also times `WorkerPool` job dispatch — persistent pool vs
-//! the pre-PR-3 per-batch `thread::spawn` — quantifying the D-R-TBS
-//! per-batch overhead drop (`pool_dispatch` rows).
 
 use crate::experiments::throughput::{measure_one, ApiPath, Regime, SamplerKind, ThroughputConfig};
 use crate::json::Json;
@@ -45,7 +41,6 @@ use crate::output::{f, print_table, write_csv};
 use std::time::Instant;
 use tbs_core::merge::{MergePlan, MergeableSample, ShardSpec};
 use tbs_core::{RTbs, TTbs};
-use tbs_distributed::cluster::WorkerPool;
 use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine, ShardStats};
 
 /// Acceptance floor for the saturated R-TBS aggregate rate at K = 8:
@@ -70,11 +65,6 @@ pub struct ScalingConfig {
     pub seed: u64,
     /// Shard counts to sweep.
     pub shard_counts: Vec<usize>,
-    /// Iterations for the pool-dispatch comparison (persistent pool).
-    pub dispatch_iters: usize,
-    /// Iterations for the pool-dispatch comparison (spawn-per-batch —
-    /// fewer, because each iteration pays k thread spawns).
-    pub spawn_iters: usize,
 }
 
 impl Default for ScalingConfig {
@@ -85,8 +75,6 @@ impl Default for ScalingConfig {
             repeats: 3,
             seed: 0x5CA1_2018,
             shard_counts: vec![1, 2, 4, 8, 16, 32, 64],
-            dispatch_iters: 2_000,
-            spawn_iters: 300,
         }
     }
 }
@@ -101,8 +89,6 @@ impl ScalingConfig {
             repeats: 1,
             seed: 7,
             shard_counts: vec![1, 2],
-            dispatch_iters: 20,
-            spawn_iters: 5,
         }
     }
 }
@@ -141,21 +127,6 @@ pub struct ScalingRow {
     /// sums to 1, one entry per shard). Balanced splits should keep these
     /// near `1/K`; a hot shard shows up here directly.
     pub shard_busy_fracs: Vec<f64>,
-}
-
-/// One pool-dispatch comparison row: per-batch cost of running `workers`
-/// jobs through the given execution mode.
-#[derive(Debug, Clone)]
-pub struct PoolDispatchRow {
-    /// Jobs per batch (= simulated worker count).
-    pub workers: usize,
-    /// `spawn_per_batch` (pre-PR-3: one `thread::spawn` per job per
-    /// batch) or `persistent_pool` (cached threads, condvar dispatch).
-    pub mode: &'static str,
-    /// Timed iterations.
-    pub iters: usize,
-    /// Mean nanoseconds per batch of `workers` jobs.
-    pub per_batch_ns: f64,
 }
 
 /// Generate `count` batches of the regime's schedule starting at step
@@ -293,70 +264,6 @@ fn measure_single_fast(cfg: &ScalingConfig, kind: SamplerKind, regime: Regime) -
     }
 }
 
-/// Time `iters` batches of `workers` jobs through `run`, returning mean
-/// nanoseconds per batch. Each job does a token amount of work (a short
-/// checksum) so dispatch is measured against a realistic non-empty job.
-fn time_dispatch(workers: usize, iters: usize, mut run: impl FnMut(usize) -> u64) -> f64 {
-    let mut sink = 0u64;
-    let start = Instant::now();
-    for _ in 0..iters.max(1) {
-        sink = sink.wrapping_add(run(workers));
-    }
-    let total = start.elapsed().as_nanos() as f64;
-    // Keep the checksum observable so the work is not optimized away.
-    assert!(sink != u64::MAX, "checksum sentinel");
-    total / iters.max(1) as f64
-}
-
-fn dispatch_job(j: usize) -> u64 {
-    (0..64u64).fold(j as u64, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-}
-
-/// Compare per-batch job dispatch: pre-PR-3 spawn-per-batch vs the
-/// persistent `WorkerPool`.
-pub fn run_pool_dispatch(cfg: &ScalingConfig) -> Vec<PoolDispatchRow> {
-    let mut rows = Vec::new();
-    for &workers in &[2usize, 4, 8] {
-        let spawn_ns = time_dispatch(workers, cfg.spawn_iters, |k| {
-            // The pre-PR-3 WorkerPool::run body: one scoped OS thread per
-            // job, joined before the batch completes.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..k)
-                    .map(|j| scope.spawn(move || dispatch_job(j)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .fold(0u64, |acc, h| acc.wrapping_add(h.join().unwrap()))
-            })
-        });
-        rows.push(PoolDispatchRow {
-            workers,
-            mode: "spawn_per_batch",
-            iters: cfg.spawn_iters,
-            per_batch_ns: spawn_ns,
-        });
-        let pool = WorkerPool::threaded();
-        // Warm the thread cache so the measurement sees steady state.
-        pool.run(
-            (0..workers)
-                .map(|j| move || dispatch_job(j))
-                .collect::<Vec<_>>(),
-        );
-        let pool_ns = time_dispatch(workers, cfg.dispatch_iters, |k| {
-            pool.run((0..k).map(|j| move || dispatch_job(j)).collect::<Vec<_>>())
-                .into_iter()
-                .fold(0u64, u64::wrapping_add)
-        });
-        rows.push(PoolDispatchRow {
-            workers,
-            mode: "persistent_pool",
-            iters: cfg.dispatch_iters,
-            per_batch_ns: pool_ns,
-        });
-    }
-    rows
-}
-
 /// Run the full scaling sweep: engine rows for every
 /// (sampler, shard count, regime) plus single-threaded reference rows.
 pub fn run_scaling(cfg: &ScalingConfig) -> Vec<ScalingRow> {
@@ -452,7 +359,7 @@ fn summary(rows: &[ScalingRow]) -> Json {
 }
 
 /// Print the aligned console tables and write the CSVs under `results/`.
-pub fn report(rows: &[ScalingRow], pool: &[PoolDispatchRow]) {
+pub fn report(rows: &[ScalingRow]) {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -502,32 +409,10 @@ pub fn report(rows: &[ScalingRow], pool: &[PoolDispatchRow]) {
         ],
         &table,
     );
-
-    let pool_table: Vec<Vec<String>> = pool
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                r.mode.to_string(),
-                r.iters.to_string(),
-                f(r.per_batch_ns / 1e3, 2),
-            ]
-        })
-        .collect();
-    write_csv(
-        "bench_pool_dispatch.csv",
-        &["workers", "mode", "iters", "per_batch_us"],
-        &pool_table,
-    );
-    print_table(
-        "WorkerPool dispatch: per-batch cost of k jobs (µs)",
-        &["workers", "mode", "iters", "per-batch µs"],
-        &pool_table,
-    );
 }
 
 /// Assemble the `BENCH_scaling.json` document.
-pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispatchRow]) -> Json {
+pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow]) -> Json {
     let regimes = [Regime::Saturated, Regime::Bursty]
         .iter()
         .map(|r| {
@@ -562,17 +447,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
                     "shard_busy_fracs",
                     Json::Arr(r.shard_busy_fracs.iter().map(|&x| Json::Num(x)).collect()),
                 ),
-            ])
-        })
-        .collect();
-    let pool_values = pool
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("workers", Json::Int(r.workers as i64)),
-                ("mode", Json::str(r.mode)),
-                ("iters", Json::Int(r.iters as i64)),
-                ("per_batch_ns", Json::Num(r.per_batch_ns)),
             ])
         })
         .collect();
@@ -628,7 +502,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
             ]),
         ),
         ("rows", Json::Arr(row_values)),
-        ("pool_dispatch", Json::Arr(pool_values)),
         ("summary", summary(rows)),
     ])
 }
@@ -683,9 +556,7 @@ mod tests {
                 );
             }
         }
-        let pool = run_pool_dispatch(&cfg);
-        assert_eq!(pool.len(), 6);
-        let doc = rows_to_json(&cfg, &rows, &pool);
+        let doc = rows_to_json(&cfg, &rows);
         validate_bench_doc(&doc, "scaling", SCALING_ROW_KEYS).unwrap();
     }
 
@@ -707,7 +578,7 @@ mod tests {
             ..ScalingConfig::smoke()
         };
         let rows = run_scaling(&cfg);
-        let doc = rows_to_json(&cfg, &rows, &[]);
+        let doc = rows_to_json(&cfg, &rows);
         let s = doc.get("summary").unwrap();
         assert!(matches!(
             s.get("saturated_rtbs_speedup_4x_vs_1x"),

@@ -17,11 +17,12 @@
 //!   batches) over a capacity of 1000, exercising all four R-TBS
 //!   transitions plus B-Chao's overweight bookkeeping.
 //!
-//! Each sampler is measured twice: on the **fast** path (concrete sampler
-//! type + concrete RNG — fully monomorphized, no virtual dispatch) and on
-//! the **dyn** path (`Box<dyn BatchSampler<u64>>` + `&mut dyn RngCore`,
-//! the heterogeneous-harness adapter). The spread between the two is the
-//! price of object safety.
+//! Each sampler is measured on the **fast** path (concrete sampler type +
+//! concrete RNG — fully monomorphized, no virtual dispatch) and through
+//! the **facade** (`api::Sampler`: enum dispatch onto the same fast path,
+//! the handle owning its RNG); R-TBS and T-TBS also on the **checkpoint**
+//! path (the facade plus an automatic durable checkpoint ring). See
+//! [`ApiPath`] for each path's gate.
 //!
 //! Results go to `results/bench_throughput.csv` and to a machine-readable
 //! `BENCH_throughput.json` (see [`rows_to_json`]) whose schema downstream
@@ -30,9 +31,7 @@
 use crate::json::Json;
 use crate::output::{f, print_table, write_csv};
 use std::time::Instant;
-use tbs_core::{
-    BAres, BChao, BTbs, BatchSampler, BatchedReservoir, CountWindow, RTbs, TTbs, TimeWindow,
-};
+use tbs_core::{BAres, BChao, BTbs, BatchedReservoir, CountWindow, RTbs, TTbs, TimeWindow};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 use temporal_sampling::api::SamplerConfig;
 
@@ -170,9 +169,6 @@ impl Regime {
 pub enum ApiPath {
     /// Concrete sampler + concrete RNG: monomorphized hot path.
     Fast,
-    /// `Box<dyn BatchSampler<u64>>` + `&mut dyn RngCore`: object-safe
-    /// adapter, as used by heterogeneous harnesses.
-    Dyn,
     /// The public `temporal_sampling::api::Sampler` handle: enum
     /// dispatch onto the same monomorphized fast path, with the handle
     /// owning its RNG. Must keep at least 90% of `fast`'s throughput (the
@@ -190,20 +186,14 @@ pub enum ApiPath {
 
 impl ApiPath {
     /// All paths, in report order.
-    pub fn all() -> [ApiPath; 4] {
-        [
-            ApiPath::Fast,
-            ApiPath::Dyn,
-            ApiPath::Facade,
-            ApiPath::Checkpoint,
-        ]
+    pub fn all() -> [ApiPath; 3] {
+        [ApiPath::Fast, ApiPath::Facade, ApiPath::Checkpoint]
     }
 
     /// Label used in CSV/JSON output.
     pub fn label(self) -> &'static str {
         match self {
             ApiPath::Fast => "fast",
-            ApiPath::Dyn => "dyn",
             ApiPath::Facade => "facade",
             ApiPath::Checkpoint => "checkpoint",
         }
@@ -263,7 +253,7 @@ impl SamplerKind {
         ]
     }
 
-    /// Label used in CSV/JSON output (matches `BatchSampler::name`).
+    /// Label used in CSV/JSON output (matches `api::Algorithm::label`).
     pub fn label(self) -> &'static str {
         match self {
             SamplerKind::RTbs => "R-TBS",
@@ -283,7 +273,7 @@ impl SamplerKind {
 pub struct ThroughputRow {
     /// Sampler label (`R-TBS`, `T-TBS`, …).
     pub sampler: &'static str,
-    /// API path label (`fast` or `dyn`).
+    /// API path label (`fast`, `facade` or `checkpoint`).
     pub path: &'static str,
     /// Regime label (`unsaturated`, `saturated`, `bursty`).
     pub regime: &'static str,
@@ -385,31 +375,12 @@ fn facade_config(kind: SamplerKind, regime: Regime) -> SamplerConfig {
     }
 }
 
-/// Construct the boxed, type-erased variant of `kind` for the dyn path.
-fn boxed_sampler(kind: SamplerKind, regime: Regime) -> Box<dyn BatchSampler<u64>> {
-    let (n, lambda) = (regime.capacity(), regime.lambda());
-    match kind {
-        SamplerKind::RTbs => Box::new(RTbs::new(lambda, n)),
-        SamplerKind::TTbs => Box::new(TTbs::new(lambda, regime.ttbs_target(), regime.mean_batch())),
-        SamplerKind::BTbs => Box::new(BTbs::new(lambda)),
-        SamplerKind::Unif => Box::new(BatchedReservoir::new(n)),
-        SamplerKind::Chao => Box::new(BChao::new(lambda, n)),
-        SamplerKind::SlidingCount => Box::new(CountWindow::new(n)),
-        SamplerKind::SlidingTime => Box::new(TimeWindow::new(5.0)),
-        SamplerKind::ARes => Box::new(BAres::new(lambda, n)),
-    }
-}
-
 /// Build one (sampler, path, regime) combination, warm it up, and return
 /// its repeat timer.
 fn prepare_one(cfg: &ThroughputConfig, kind: SamplerKind, path: ApiPath, regime: Regime) -> Repeat {
     let seed = combo_seed(cfg, kind, path, regime);
     let (n, lambda) = (regime.capacity(), regime.lambda());
     match path {
-        ApiPath::Dyn => {
-            let mut s = boxed_sampler(kind, regime);
-            drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
-        }
         // The facade handle owns its RNG (seeded from the same combo
         // seed), so the driver-side rng is unused here — what is timed
         // is exactly what an `api` caller pays per `observe`.
@@ -752,9 +723,9 @@ mod tests {
     fn smoke_grid_produces_sane_rows() {
         let cfg = ThroughputConfig::smoke();
         let rows = run_throughput(&cfg);
-        // 8 samplers × 3 paths × 3 regimes, plus checkpoint rows for
-        // the two mergeable samplers.
-        assert_eq!(rows.len(), 8 * 3 * 3 + 2 * 3);
+        // 8 samplers × 2 paths (fast, facade) × 3 regimes, plus
+        // checkpoint rows for the two mergeable samplers.
+        assert_eq!(rows.len(), 8 * 2 * 3 + 2 * 3);
         assert_eq!(rows.iter().filter(|r| r.path == "checkpoint").count(), 6);
         for r in &rows {
             assert!(

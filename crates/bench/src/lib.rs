@@ -9,6 +9,10 @@
 //! 2. the `all_experiments` binary that runs the full suite;
 //! 3. Criterion microbenches (`benches/`) for the per-batch costs.
 //!
+//! The §6 model experiments share one test-then-train driver,
+//! [`pipeline::run_stream`], which runs every contending scheme through
+//! the facade's `ModelManager`.
+//!
 //! Beyond the paper's figures, [`experiments::throughput`] (the
 //! `bench_throughput` binary) measures ingest items/sec and ns/item for
 //! every sampler and writes the machine-readable `BENCH_throughput.json`
@@ -22,3 +26,4 @@
 pub mod experiments;
 pub mod json;
 pub mod output;
+pub mod pipeline;

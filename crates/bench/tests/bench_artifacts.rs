@@ -105,7 +105,8 @@ fn committed_scaling_baseline_passes_the_cliff_gate() {
 #[test]
 fn committed_throughput_baseline_passes_its_gates() {
     // The throughput artifact carries its gate verdicts: the facade
-    // within 10% of the raw fast path, and automatic checkpointing
+    // keeping at least 90% of the raw fast path (a one-sided floor;
+    // faster is fine), and automatic checkpointing
     // keeping ≥50% of the facade's throughput in the same run. Re-check
     // the recorded ratios so a hand-edited pass flag fails.
     let text = std::fs::read_to_string(workspace_root().join("BENCH_throughput.json"))

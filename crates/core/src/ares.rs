@@ -19,7 +19,6 @@
 //! of `e^{λ·t_i}` on long streams.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::adapt_batch_sampler;
 use rand::Rng;
 
 /// One reservoir entry: log-space A-Res key plus the item.
@@ -121,11 +120,6 @@ impl<T> BAres<T> {
     pub fn batches_observed(&self) -> u64 {
         self.steps
     }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "A-Res"
-    }
 }
 
 impl<T: Clone> BAres<T> {
@@ -187,8 +181,6 @@ impl<T: Wire> BAres<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BAres);
 
 #[cfg(test)]
 mod tests {
@@ -257,7 +249,14 @@ mod tests {
         let lambda = 0.4;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         let schedule = [5u64, 5, 5];
-        let stats = measure_inclusion(|| BAres::new(lambda, 1000), &schedule, 4_000, &mut rng);
+        let stats = measure_inclusion(
+            || BAres::new(lambda, 1000),
+            BAres::observe,
+            BAres::sample,
+            &schedule,
+            4_000,
+            &mut rng,
+        );
         let v = max_ratio_violation(&stats, lambda, 0.02);
         let expect = 1.0 - (-lambda).exp();
         assert!(
@@ -275,11 +274,24 @@ mod tests {
         let schedule = [4u64, 4, 4, 4, 4, 4, 4, 4];
         let trials = 60_000;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
-        let ares_stats = measure_inclusion(|| BAres::new(lambda, 6), &schedule, trials, &mut rng);
+        let ares_stats = measure_inclusion(
+            || BAres::new(lambda, 6),
+            BAres::observe,
+            BAres::sample,
+            &schedule,
+            trials,
+            &mut rng,
+        );
         // min_prob 0.02 trims pairs whose ratio estimate is pure noise.
         let ares_violation = max_ratio_violation(&ares_stats, lambda, 0.02);
-        let rtbs_stats =
-            measure_inclusion(|| crate::RTbs::new(lambda, 6), &schedule, trials, &mut rng);
+        let rtbs_stats = measure_inclusion(
+            || crate::RTbs::new(lambda, 6),
+            crate::RTbs::observe,
+            crate::RTbs::sample,
+            &schedule,
+            trials,
+            &mut rng,
+        );
         let rtbs_violation = max_ratio_violation(&rtbs_stats, lambda, 0.02);
         assert!(
             ares_violation > 2.0 * rtbs_violation + 0.02,

@@ -8,16 +8,14 @@
 //! the sample (decay rate λ = 0) — this is the `Unif` baseline of §6.
 
 use crate::checkpoint::{CheckpointError, Reader, Wire, Writer};
-use crate::traits::adapt_batch_sampler;
 use crate::util::retain_random;
 use rand::Rng;
 use tbs_stats::hypergeometric::hypergeometric;
 
 /// Uniform bounded reservoir over a batch stream.
 ///
-/// The inherent `observe` method is the monomorphized, allocation-free
-/// fast path; the [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over it.
+/// The inherent `observe` method is generic over the RNG: the
+/// monomorphized, allocation-free fast path.
 #[derive(Debug, Clone)]
 pub struct BatchedReservoir<T> {
     items: Vec<T>,
@@ -114,11 +112,6 @@ impl<T> BatchedReservoir<T> {
     pub fn batches_observed(&self) -> u64 {
         self.steps
     }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "Unif"
-    }
 }
 
 impl<T: Clone> BatchedReservoir<T> {
@@ -160,8 +153,6 @@ impl<T: Wire> BatchedReservoir<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BatchedReservoir);
 
 #[cfg(test)]
 mod tests {
@@ -260,9 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn trait_metadata() {
+    fn metadata() {
         let r = BatchedReservoir::<u8>::new(10);
-        assert_eq!(r.name(), "Unif");
         assert_eq!(r.decay_rate(), 0.0);
         assert_eq!(r.max_size(), Some(10));
     }

@@ -13,16 +13,14 @@
 //! 2015) used for time-biased edge sampling in dynamic graphs.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::{retain_random, DecayCache};
+use crate::util::{check_gap, retain_random, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::binomial;
 
 /// Bernoulli time-biased sampler with decay rate λ.
 ///
-/// The inherent `observe`/`observe_after` methods are the monomorphized,
-/// allocation-free fast path; the [`crate::traits::BatchSampler`] impl is
-/// a thin `dyn`-RNG adapter over them.
+/// The inherent `observe`/`observe_after` methods are generic over the
+/// RNG: the monomorphized, allocation-free fast path.
 #[derive(Debug, Clone)]
 pub struct BTbs<T> {
     items: Vec<T>,
@@ -109,11 +107,6 @@ impl<T> BTbs<T> {
         self.steps
     }
 
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "B-TBS"
-    }
-
     fn decay_and_insert<R: Rng + ?Sized>(&mut self, batch: Vec<T>, p: f64, rng: &mut R) {
         // Simulate |S| independent retention flips with one binomial draw,
         // then keep that many uniformly chosen survivors (Alg. 4, lines 4-5).
@@ -154,9 +147,6 @@ impl<T: Wire> BTbs<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BTbs);
-adapt_timed_batch_sampler!(BTbs);
 
 #[cfg(test)]
 mod tests {
@@ -271,9 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn trait_metadata() {
+    fn metadata() {
         let s = BTbs::<u8>::new(0.25);
-        assert_eq!(s.name(), "B-TBS");
         assert_eq!(s.decay_rate(), 0.25);
         assert_eq!(s.max_size(), None);
     }

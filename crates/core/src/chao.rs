@@ -18,15 +18,13 @@
 //! which the benchmarks compare against R-TBS's lighter state.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::DecayCache;
+use crate::util::{check_gap, DecayCache};
 use rand::Rng;
 
 /// Batched time-decayed Chao sampler with capacity `n` and decay rate λ.
 ///
-/// The inherent `observe`/`observe_after` methods are the monomorphized
-/// fast path; the [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over them. In the well-fed steady state (no
+/// The inherent `observe`/`observe_after` methods are generic over the
+/// RNG: the monomorphized fast path. In the well-fed steady state (no
 /// overweight items) per-batch processing allocates nothing; the
 /// overweight bookkeeping of Algorithm 7 allocates scratch vectors when it
 /// actually triggers — that cost is part of what the benchmarks compare
@@ -125,11 +123,6 @@ impl<T> BChao<T> {
     /// Number of batches observed so far.
     pub fn batches_observed(&self) -> u64 {
         self.steps
-    }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "B-Chao"
     }
 
     /// Process one arriving item against a full reservoir.
@@ -311,9 +304,6 @@ impl<T: Wire> BChao<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BChao);
-adapt_timed_batch_sampler!(BChao);
 
 #[cfg(test)]
 mod tests {

@@ -40,30 +40,23 @@
 //! multi-core engine in `tbs-distributed` ingest with zero cross-shard
 //! coordination.
 //!
-//! ## Two API layers
+//! ## Calling a sampler
 //!
-//! Every sampler's ingest API exists twice (see [`traits`] for the full
-//! rationale):
+//! Every sampler's ingest API is a set of **inherent generic methods**
+//! (`observe<R: Rng>`, `observe_after`, `sample`, `sample_into`) — the
+//! monomorphized fast path. With a concrete RNG the per-batch transition
+//! inlines every random draw and performs zero steady-state heap
+//! allocations beyond the caller-provided batch.
 //!
-//! * **inherent generic methods** (`observe<R: Rng>`, `observe_after`,
-//!   `sample`, `sample_into`) — the monomorphized fast path. With a
-//!   concrete RNG the per-batch transition inlines every random draw and
-//!   performs zero steady-state heap allocations beyond the caller-provided
-//!   batch. Concrete call sites get this automatically: inherent methods
-//!   shadow the trait methods of the same name.
-//! * the object-safe [`traits::BatchSampler`] / [`traits::TimedBatchSampler`]
-//!   (`&mut dyn RngCore`) — thin adapters over the inherent methods, for
-//!   heterogeneous `Box<dyn BatchSampler<T>>` collections (the ML pipeline,
-//!   the evaluation harness). The `bench_throughput` binary in `tbs-bench`
-//!   measures the dispatch cost of this layer (`fast` vs `dyn` rows).
-//!
-//! Service code should usually enter through the root crate's
+//! Service code, and any caller that holds a heterogeneous set of
+//! samplers, should enter through the root crate's
 //! `temporal_sampling::api` facade instead: a validating builder over all
 //! of these samplers (errors instead of panics), a unified handle that
 //! owns its RNG, and versioned snapshot/restore built on [`checkpoint`]
 //! and each sampler's `save_state`/`load_state` pair. The facade's
-//! `observe` enum-dispatches straight onto the inherent fast path
-//! (`facade` rows in the same benchmark).
+//! `observe` enum-dispatches straight onto the inherent fast path; the
+//! `bench_throughput` binary in `tbs-bench` measures the residual cost
+//! (`facade` vs `fast` rows).
 //!
 //! ## Example
 //!
@@ -107,7 +100,6 @@ pub mod notify;
 pub mod rtbs;
 pub mod sliding;
 pub mod theory;
-pub mod traits;
 pub mod ttbs;
 pub mod util;
 pub mod verify;
@@ -125,5 +117,4 @@ pub use merge::{
 };
 pub use rtbs::RTbs;
 pub use sliding::{CountWindow, TimeWindow};
-pub use traits::{BatchSampler, TimedBatchSampler};
 pub use ttbs::TTbs;

@@ -21,8 +21,7 @@
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
 use crate::downsample::downsample;
 use crate::latent::LatentSample;
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::DecayCache;
+use crate::util::{check_gap, DecayCache};
 use rand::Rng;
 use tbs_stats::rounding::stochastic_round;
 
@@ -37,8 +36,7 @@ use tbs_stats::rounding::stochastic_round;
 /// ingest performs **zero heap allocations** beyond the caller-provided
 /// batch: victims are swept out and truncated in place, the unit-gap decay
 /// factor is memoized, and the latent sample's buffers persist at their
-/// high-water capacity. The [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over the same methods for heterogeneous harnesses.
+/// high-water capacity.
 #[derive(Debug, Clone)]
 pub struct RTbs<T> {
     latent: LatentSample<T>,
@@ -190,11 +188,6 @@ impl<T> RTbs<T> {
     /// Number of batches observed so far.
     pub fn batches_observed(&self) -> u64 {
         self.steps
-    }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "R-TBS"
     }
 
     /// One batch transition. Items are *drained* out of `batch` (its
@@ -349,9 +342,6 @@ impl<T: Clone> RTbs<T> {
         self.latent.realize_into(rng, out);
     }
 }
-
-adapt_batch_sampler!(RTbs);
-adapt_timed_batch_sampler!(RTbs);
 
 #[cfg(test)]
 mod tests {
@@ -559,9 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn trait_metadata() {
+    fn metadata() {
         let s = RTbs::<u8>::new(0.07, 11);
-        assert_eq!(s.name(), "R-TBS");
         assert_eq!(s.max_size(), Some(11));
         assert_eq!(s.decay_rate(), 0.07);
     }

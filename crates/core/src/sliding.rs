@@ -12,7 +12,7 @@
 //!   empty when the stream dries up — like any wall-clock scheme).
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -87,11 +87,6 @@ impl<T> CountWindow<T> {
     pub fn batches_observed(&self) -> u64 {
         self.steps
     }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "SW"
-    }
 }
 
 impl<T: Clone> CountWindow<T> {
@@ -139,8 +134,6 @@ impl<T: Wire> CountWindow<T> {
         })
     }
 }
-
-adapt_batch_sampler!(CountWindow);
 
 /// All items that arrived strictly within the last `width` time units.
 #[derive(Debug, Clone)]
@@ -239,11 +232,6 @@ impl<T> TimeWindow<T> {
     pub fn batches_observed(&self) -> u64 {
         self.steps
     }
-
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "SW-time"
-    }
 }
 
 impl<T: Clone> TimeWindow<T> {
@@ -302,9 +290,6 @@ impl<T: Wire> TimeWindow<T> {
         })
     }
 }
-
-adapt_batch_sampler!(TimeWindow);
-adapt_timed_batch_sampler!(TimeWindow);
 
 #[cfg(test)]
 mod tests {
@@ -406,9 +391,6 @@ mod tests {
     #[test]
     fn metadata() {
         let w = CountWindow::<u8>::new(7);
-        assert_eq!(w.name(), "SW");
         assert_eq!(w.max_size(), Some(7));
-        let t = TimeWindow::<u8>::new(2.0);
-        assert_eq!(t.name(), "SW-time");
     }
 }

@@ -11,16 +11,14 @@
 //! size drifts away from the assumed `b` (Figure 1).
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
-use crate::util::{retain_random, DecayCache};
+use crate::util::{check_gap, retain_random, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::{binomial, CachedBinomial};
 
 /// Targeted-size time-biased sampler.
 ///
-/// The inherent `observe`/`observe_after` methods are the monomorphized,
-/// allocation-free fast path; the [`crate::traits::BatchSampler`] impl is
-/// a thin `dyn`-RNG adapter over them.
+/// The inherent `observe`/`observe_after` methods are generic over the
+/// RNG: the monomorphized, allocation-free fast path.
 #[derive(Debug, Clone)]
 pub struct TTbs<T> {
     items: Vec<T>,
@@ -167,11 +165,6 @@ impl<T> TTbs<T> {
         self.steps = steps;
     }
 
-    /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
-        "T-TBS"
-    }
-
     fn step<R: Rng + ?Sized>(&mut self, batch: &mut Vec<T>, p: f64, rng: &mut R) {
         // Decay current sample: keep Binomial(|S|, p) random survivors.
         let keep = binomial(rng, self.items.len() as u64, p) as usize;
@@ -225,9 +218,6 @@ impl<T: Wire> TTbs<T> {
         Ok(s)
     }
 }
-
-adapt_batch_sampler!(TTbs);
-adapt_timed_batch_sampler!(TTbs);
 
 #[cfg(test)]
 mod tests {
@@ -355,9 +345,8 @@ mod tests {
     }
 
     #[test]
-    fn trait_metadata() {
+    fn metadata() {
         let s = TTbs::<u8>::new(0.07, 20, 10.0);
-        assert_eq!(s.name(), "T-TBS");
         assert_eq!(s.max_size(), None);
         assert_eq!(s.target(), 20);
     }

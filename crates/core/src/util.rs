@@ -18,6 +18,15 @@
 
 use rand::Rng;
 
+/// Validate an inter-arrival gap; shared by every sampler's
+/// `observe_after`.
+pub(crate) fn check_gap(gap: f64) {
+    assert!(
+        gap.is_finite() && gap >= 0.0,
+        "inter-arrival gap must be finite and non-negative, got {gap}"
+    );
+}
+
 /// Exactly uniform index in `[0, n)` via 32-bit Lemire reduction
 /// (widening multiply + rejection of the biased tail).
 ///

@@ -8,8 +8,7 @@
 //! experiment binary that contrasts R-TBS (conforming) with B-Chao
 //! (violating during fill-up / slow arrivals).
 
-use crate::traits::BatchSampler;
-use rand::RngCore;
+use rand::Rng;
 
 /// A stream item tagged with its batch index, for tracking appearances.
 pub type Tagged = (u32, u32);
@@ -31,25 +30,27 @@ pub struct BatchInclusion {
 /// Replay `schedule` (batch sizes at times 0, 1, 2, …) `trials` times
 /// through fresh samplers produced by `make_sampler`, and estimate each
 /// batch's per-item appearance probability in the *final* sample.
-pub fn measure_inclusion<S, F>(
-    mut make_sampler: F,
+///
+/// `observe` feeds one batch and `sample` realizes the final sample —
+/// usually a sampler's inherent methods, e.g.
+/// `measure_inclusion(|| RTbs::new(0.3, 8), RTbs::observe, RTbs::sample, …)`.
+pub fn measure_inclusion<S, R: Rng>(
+    mut make_sampler: impl FnMut() -> S,
+    mut observe: impl FnMut(&mut S, Vec<Tagged>, &mut R),
+    mut sample: impl FnMut(&S, &mut R) -> Vec<Tagged>,
     schedule: &[u64],
     trials: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<BatchInclusion>
-where
-    S: BatchSampler<Tagged>,
-    F: FnMut() -> S,
-{
+    rng: &mut R,
+) -> Vec<BatchInclusion> {
     assert!(trials > 0, "need at least one trial");
     let mut appearances = vec![0u64; schedule.len()];
     for _ in 0..trials {
         let mut sampler = make_sampler();
         for (bi, &size) in schedule.iter().enumerate() {
             let batch: Vec<Tagged> = (0..size as u32).map(|i| (bi as u32, i)).collect();
-            sampler.observe(batch, rng);
+            observe(&mut sampler, batch, rng);
         }
-        for (bi, _) in sampler.sample(rng) {
+        for (bi, _) in sample(&sampler, rng) {
             appearances[bi as usize] += 1;
         }
     }
@@ -110,12 +111,29 @@ mod tests {
     use rand::SeedableRng;
     use tbs_stats::rng::Xoshiro256PlusPlus;
 
+    /// [`measure_inclusion`] over fresh B-TBS samplers.
+    fn btbs_inclusion(
+        lambda: f64,
+        schedule: &[u64],
+        trials: usize,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Vec<BatchInclusion> {
+        measure_inclusion(
+            || BTbs::new(lambda),
+            BTbs::observe,
+            BTbs::sample,
+            schedule,
+            trials,
+            rng,
+        )
+    }
+
     #[test]
     fn btbs_satisfies_ratio_property() {
         let lambda = 0.4;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         let schedule = [5u64, 5, 5, 5];
-        let stats = measure_inclusion(|| BTbs::new(lambda), &schedule, 30_000, &mut rng);
+        let stats = btbs_inclusion(lambda, &schedule, 30_000, &mut rng);
         let v = max_ratio_violation(&stats, lambda, 0.05);
         assert!(v < 0.05, "B-TBS ratio violation {v}");
     }
@@ -126,7 +144,14 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
         // Saturates (capacity 8 < total arrivals) and keeps decaying.
         let schedule = [6u64, 6, 6, 6, 6];
-        let stats = measure_inclusion(|| RTbs::new(lambda, 8), &schedule, 40_000, &mut rng);
+        let stats = measure_inclusion(
+            || RTbs::new(lambda, 8),
+            RTbs::observe,
+            RTbs::sample,
+            &schedule,
+            40_000,
+            &mut rng,
+        );
         let v = max_ratio_violation(&stats, lambda, 0.02);
         assert!(v < 0.05, "R-TBS ratio violation {v}");
     }
@@ -137,7 +162,14 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
         // Capacity far above arrivals: the whole run is fill-up.
         let schedule = [6u64, 6, 6, 6];
-        let stats = measure_inclusion(|| BChao::new(lambda, 1000), &schedule, 4_000, &mut rng);
+        let stats = measure_inclusion(
+            || BChao::new(lambda, 1000),
+            BChao::observe,
+            BChao::sample,
+            &schedule,
+            4_000,
+            &mut rng,
+        );
         // Every batch fully retained → all probabilities 1, ratio 1.
         let v = max_ratio_violation(&stats, lambda, 0.02);
         let expected_gap = 1.0 - (-lambda).exp();
@@ -152,7 +184,7 @@ mod tests {
         let lambda = 0.5;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         let schedule = [4u64, 0, 4];
-        let stats = measure_inclusion(|| BTbs::new(lambda), &schedule, 5_000, &mut rng);
+        let stats = btbs_inclusion(lambda, &schedule, 5_000, &mut rng);
         assert_eq!(stats[1].batch_size, 0);
         assert_eq!(stats[1].probability, 0.0);
         // Ratio check must not trip over the empty batch.
@@ -163,19 +195,13 @@ mod tests {
     fn std_error_shrinks_with_trials() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
         let schedule = [10u64];
-        let few = measure_inclusion(|| BTbs::new(0.1), &schedule, 100, &mut rng);
-        let many = measure_inclusion(|| BTbs::new(0.1), &schedule, 10_000, &mut rng);
+        let few = btbs_inclusion(0.1, &schedule, 100, &mut rng);
+        let many = btbs_inclusion(0.1, &schedule, 10_000, &mut rng);
         // p = 1 for the most recent batch in B-TBS, so SE = 0 in both; use a
         // decayed batch instead.
         let schedule = [10u64, 0, 0];
-        let few = [
-            few,
-            measure_inclusion(|| BTbs::new(0.3), &schedule, 100, &mut rng),
-        ];
-        let many = [
-            many,
-            measure_inclusion(|| BTbs::new(0.3), &schedule, 10_000, &mut rng),
-        ];
+        let few = [few, btbs_inclusion(0.3, &schedule, 100, &mut rng)];
+        let many = [many, btbs_inclusion(0.3, &schedule, 10_000, &mut rng)];
         assert!(many[1][0].std_error < few[1][0].std_error);
     }
 }

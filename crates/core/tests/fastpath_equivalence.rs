@@ -1,108 +1,35 @@
-//! Regression tests proving the optimized, monomorphized R-TBS hot path is
-//! statistically (and, with a shared seed, *bitwise*) equivalent to the
-//! object-safe `dyn` adapter, and that both still satisfy the paper's
-//! distributional guarantees.
-//!
-//! The two paths run the same code — the adapter merely instantiates the
-//! generic methods at `R = dyn RngCore` — so with identical seeds they must
-//! consume the RNG stream identically and produce identical trajectories.
-//! On top of that exact check, seeded Monte-Carlo runs re-verify Theorem
-//! 4.2 inclusion probabilities and the §6.3 equilibrium-size prediction
-//! through each path independently, using the same tolerance machinery as
+//! Regression tests proving the optimized, monomorphized R-TBS hot path
+//! still satisfies the paper's distributional guarantees: seeded
+//! Monte-Carlo runs re-verify Theorem 4.2 inclusion probabilities and the
+//! §6.3 equilibrium-size prediction, using the same tolerance machinery as
 //! the `rtbs` unit tests (4.5σ binomial bands plus a small absolute
 //! floor).
 
-use rand::{RngCore, SeedableRng};
-use tbs_core::traits::{BatchSampler, TimedBatchSampler};
+use rand::SeedableRng;
 use tbs_core::RTbs;
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
 /// Items tagged with (batch index, item index) for inclusion accounting.
 type Tagged = (usize, u64);
 
-/// Drive `sampler` through `schedule` and realize the final sample, either
-/// through the inherent generic API (`fast = true`) or through
-/// `&mut dyn BatchSampler` + `&mut dyn RngCore` (`fast = false`).
+/// Drive a fresh sampler through `schedule` and realize the final sample.
 fn run_schedule(
     lambda: f64,
     capacity: usize,
     schedule: &[u64],
-    fast: bool,
     rng: &mut Xoshiro256PlusPlus,
 ) -> (RTbs<Tagged>, Vec<Tagged>) {
     let mut s: RTbs<Tagged> = RTbs::new(lambda, capacity);
-    if fast {
-        for (bi, &b) in schedule.iter().enumerate() {
-            s.observe((0..b).map(|i| (bi, i)).collect(), rng);
-        }
-        let sample = s.sample(rng);
-        (s, sample)
-    } else {
-        let dyn_rng: &mut dyn RngCore = rng;
-        {
-            let dyn_sampler: &mut dyn BatchSampler<Tagged> = &mut s;
-            for (bi, &b) in schedule.iter().enumerate() {
-                dyn_sampler.observe((0..b).map(|i| (bi, i)).collect(), dyn_rng);
-            }
-        }
-        let sample = BatchSampler::sample(&s, dyn_rng);
-        (s, sample)
+    for (bi, &b) in schedule.iter().enumerate() {
+        s.observe((0..b).map(|i| (bi, i)).collect(), rng);
     }
+    let sample = s.sample(rng);
+    (s, sample)
 }
 
-#[test]
-fn same_seed_trajectories_are_bitwise_identical() {
-    // The adapter may not change how the RNG stream is consumed: with a
-    // shared seed, weights AND realized samples must match exactly at
-    // every step, across all four transition kinds.
-    let schedule: &[u64] = &[4, 4, 0, 8, 0, 0, 3, 12, 1, 0, 5];
-    for seed in 0..20u64 {
-        let mut rng_fast = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let mut rng_dyn = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let (s_fast, sample_fast) = run_schedule(0.4, 6, schedule, true, &mut rng_fast);
-        let (s_dyn, sample_dyn) = run_schedule(0.4, 6, schedule, false, &mut rng_dyn);
-        assert_eq!(s_fast.total_weight(), s_dyn.total_weight(), "seed {seed}");
-        assert_eq!(s_fast.sample_weight(), s_dyn.sample_weight(), "seed {seed}");
-        assert_eq!(
-            sample_fast, sample_dyn,
-            "seed {seed}: realized samples diverged"
-        );
-        assert_eq!(
-            rng_fast.state(),
-            rng_dyn.state(),
-            "seed {seed}: RNG streams consumed differently"
-        );
-    }
-}
-
-#[test]
-fn timed_gaps_agree_across_paths() {
-    // observe_after must route through the same memoized decay factors on
-    // both paths.
-    let gaps = [1.0, 0.5, 0.5, 2.5, 1.0, 0.25];
-    for seed in 0..10u64 {
-        let mut rng_fast = Xoshiro256PlusPlus::seed_from_u64(1000 + seed);
-        let mut rng_dyn = Xoshiro256PlusPlus::seed_from_u64(1000 + seed);
-        let mut s_fast: RTbs<u64> = RTbs::new(0.3, 50);
-        let mut s_dyn: RTbs<u64> = RTbs::new(0.3, 50);
-        for (t, &gap) in gaps.iter().enumerate() {
-            let batch: Vec<u64> = (0..30).map(|i| t as u64 * 100 + i).collect();
-            s_fast.observe_after(batch.clone(), gap, &mut rng_fast);
-            let d: &mut dyn TimedBatchSampler<u64> = &mut s_dyn;
-            d.observe_after(batch, gap, &mut rng_dyn);
-            assert_eq!(s_fast.total_weight(), s_dyn.total_weight(), "gap step {t}");
-            assert_eq!(
-                s_fast.sample_weight(),
-                s_dyn.sample_weight(),
-                "gap step {t}"
-            );
-        }
-    }
-}
-
-/// Monte-Carlo Theorem 4.2 check through one path: for every batch,
+/// Monte-Carlo Theorem 4.2 check: for every batch,
 /// `Pr[i ∈ S_t] = (C_t/W_t)·w_t(i)` within a 4.5σ band.
-fn check_theorem_4_2(fast: bool, seed: u64) {
+fn check_theorem_4_2(seed: u64) {
     let lambda = 0.4f64;
     let n = 6usize;
     let schedule: &[u64] = &[4, 4, 0, 8, 0, 0, 3];
@@ -113,7 +40,7 @@ fn check_theorem_4_2(fast: bool, seed: u64) {
     let mut w_final = 0.0;
     let mut c_final = 0.0;
     for _ in 0..trials {
-        let (s, sample) = run_schedule(lambda, n, schedule, fast, &mut rng);
+        let (s, sample) = run_schedule(lambda, n, schedule, &mut rng);
         w_final = s.total_weight();
         c_final = s.sample_weight();
         for (bi, _) in sample {
@@ -132,50 +59,33 @@ fn check_theorem_4_2(fast: bool, seed: u64) {
         let tol = 4.5 * (expect * (1.0 - expect) / (trials as f64 * b as f64)).sqrt() + 0.004;
         assert!(
             (phat - expect).abs() < tol,
-            "path {}: batch {bi}: phat {phat} vs expect {expect}",
-            if fast { "fast" } else { "dyn" }
+            "batch {bi}: phat {phat} vs expect {expect}"
         );
     }
 }
 
 #[test]
 fn theorem_4_2_holds_on_fast_path() {
-    check_theorem_4_2(true, 42);
-}
-
-#[test]
-fn theorem_4_2_holds_on_dyn_path() {
-    check_theorem_4_2(false, 43);
+    check_theorem_4_2(42);
 }
 
 /// §6.3 equilibrium: n = 1600, b = 100, λ = 0.07 ⇒ C* = b/(1−e^{−λ}) ≈ 1479.
-fn check_equilibrium(fast: bool, seed: u64) {
+fn check_equilibrium(seed: u64) {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut s: RTbs<u64> = RTbs::new(0.07, 1600);
     for t in 0..400u64 {
         let batch: Vec<u64> = (0..100).map(|i| t * 100 + i).collect();
-        if fast {
-            s.observe(batch, &mut rng);
-        } else {
-            let d: &mut dyn BatchSampler<u64> = &mut s;
-            d.observe(batch, &mut rng);
-        }
+        s.observe(batch, &mut rng);
     }
     assert!(!s.is_saturated());
     let c = s.sample_weight();
     assert!(
         (c - 1479.0).abs() < 2.0,
-        "path {}: equilibrium sample weight {c}, expected ≈1479",
-        if fast { "fast" } else { "dyn" }
+        "equilibrium sample weight {c}, expected ≈1479"
     );
 }
 
 #[test]
 fn equilibrium_size_holds_on_fast_path() {
-    check_equilibrium(true, 7);
-}
-
-#[test]
-fn equilibrium_size_holds_on_dyn_path() {
-    check_equilibrium(false, 8);
+    check_equilibrium(7);
 }

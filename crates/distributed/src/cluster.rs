@@ -7,8 +7,7 @@
 //! kernel work) the pre-PR-3 implementation paid *per job per batch*. The
 //! thread cache grows lazily to the widest `run` call and is reused for
 //! the lifetime of the pool, so a D-R-TBS instance processing thousands of
-//! batches spawns its worker threads exactly once. The scaling benchmark's
-//! `pool_dispatch` rows quantify the per-batch saving.
+//! batches spawns its worker threads exactly once.
 //!
 //! A **sequential** pool runs jobs inline for deterministic
 //! single-threaded runs. Statistical correctness never depends on the

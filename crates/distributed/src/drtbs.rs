@@ -23,9 +23,8 @@ use crate::cost::{CostModel, CostTracker};
 use crate::kvstore::KvReservoir;
 use crate::partition::Partitioned;
 use crate::wire::{Wire, WIRE_ENVELOPE_BYTES};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use tbs_core::checkpoint::CheckpointError;
-use tbs_core::traits::BatchSampler;
 use tbs_core::util::draw_without_replacement;
 use tbs_stats::multivariate::multivariate_hypergeometric;
 use tbs_stats::rng::Xoshiro256PlusPlus;
@@ -764,43 +763,6 @@ impl<T: Wire + Send + 'static> DRTbs<T> {
     }
 }
 
-impl<T: Wire + Send + 'static> BatchSampler<T> for DRTbs<T> {
-    fn observe(&mut self, batch: Vec<T>, _rng: &mut dyn RngCore) {
-        // Randomness comes from the instance's own master/worker streams so
-        // distributed runs stay reproducible; the harness RNG is unused.
-        // The trait has no error channel; decode failures are impossible
-        // here because `restore` validates every stored payload — the
-        // fallible typed path is `observe_batch` itself.
-        self.observe_batch(batch)
-            .expect("restore-validated reservoir payload decodes");
-    }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> Vec<T> {
-        self.realize_sample(rng)
-            .expect("restore-validated reservoir payload decodes")
-    }
-
-    fn expected_size(&self) -> f64 {
-        self.sample_weight
-    }
-
-    fn max_size(&self) -> Option<usize> {
-        Some(self.cfg.capacity)
-    }
-
-    fn decay_rate(&self) -> f64 {
-        self.cfg.lambda
-    }
-
-    fn batches_observed(&self) -> u64 {
-        self.steps
-    }
-
-    fn name(&self) -> &'static str {
-        self.cfg.strategy.label()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,7 +1001,7 @@ mod checkpoint_tests {
             let mut b: DRTbs<u64> = DRTbs::restore(blob).expect("restore");
             feed(&mut b, &second, 4);
 
-            assert_eq!(a.batches_observed(), b.batches_observed(), "{strategy:?}");
+            assert_eq!(a.steps, b.steps, "{strategy:?}");
             assert!((a.total_weight() - b.total_weight()).abs() < 1e-12);
             assert!((a.sample_weight() - b.sample_weight()).abs() < 1e-12);
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);

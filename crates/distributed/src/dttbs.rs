@@ -13,8 +13,7 @@
 use crate::cluster::WorkerPool;
 use crate::cost::{CostModel, CostTracker};
 use crate::partition::Partitioned;
-use rand::{RngCore, SeedableRng};
-use tbs_core::traits::BatchSampler;
+use rand::SeedableRng;
 use tbs_core::util::retain_random;
 use tbs_stats::binomial::binomial;
 use tbs_stats::rng::Xoshiro256PlusPlus;
@@ -192,36 +191,6 @@ impl<T: Send + 'static> DTTbs<T> {
         T: Clone,
     {
         self.partitions.iter().flatten().cloned().collect()
-    }
-}
-
-impl<T: Clone + Send + 'static> BatchSampler<T> for DTTbs<T> {
-    fn observe(&mut self, batch: Vec<T>, _rng: &mut dyn RngCore) {
-        self.observe_batch(batch);
-    }
-
-    fn sample(&self, _rng: &mut dyn RngCore) -> Vec<T> {
-        self.collect()
-    }
-
-    fn expected_size(&self) -> f64 {
-        self.len() as f64
-    }
-
-    fn max_size(&self) -> Option<usize> {
-        None
-    }
-
-    fn decay_rate(&self) -> f64 {
-        self.cfg.lambda
-    }
-
-    fn batches_observed(&self) -> u64 {
-        self.steps
-    }
-
-    fn name(&self) -> &'static str {
-        "D-T-TBS (Dist,CP)"
     }
 }
 

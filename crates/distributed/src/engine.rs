@@ -129,7 +129,7 @@
 //! each one adds a hand-off and a merge leaf. Keep K at or below the
 //! free cores of `std::thread::available_parallelism()`.
 
-use crate::fault::{FaultPlan, PushAction};
+use crate::fault::FaultPlan;
 use crate::queue::BatchQueue;
 use crate::snapshot::{EpochCell, EpochWait};
 use parking_lot::{Mutex, RwLock};
@@ -407,17 +407,6 @@ struct RunSlot<T> {
     pending: AtomicUsize,
 }
 
-/// Injected push verdicts collected for one shard at append time, applied
-/// to that shard's push when the open run is handed off (fault-matrix
-/// only).
-#[derive(Debug, Default, Clone, Copy)]
-struct RunFaults {
-    /// First batch of the run whose push the plan drops.
-    dropped: Option<u64>,
-    /// Total stall the plan puts before the push.
-    stall: Duration,
-}
-
 enum ShardMsg {
     /// Ingest this shard's range of every batch in run slot `usize`.
     Run(usize),
@@ -614,9 +603,9 @@ where
     /// ingested. Held by value, so appending takes no lock, and kept
     /// across a pipeline rebuild.
     open: SharedRun<S::Item>,
-    /// Injected push verdicts per shard for the open run (fault-matrix
-    /// only).
-    run_faults: Vec<RunFaults>,
+    /// Per shard, the first batch of the open run whose push the fault
+    /// plan drops (fault-matrix only).
+    dropped_pushes: Vec<Option<u64>>,
     /// Responses are popped into this scratch vector (capacity 1).
     resp_scratch: Vec<ShardResp<S>>,
     /// The config the pipeline was built from (recovery respawns reuse it).
@@ -720,7 +709,7 @@ where
             spawn_pipeline(&cfg, cores, faults, ckpts_done, &cell);
         Self {
             open: SharedRun::pooled(cfg.spec.shards),
-            run_faults: vec![RunFaults::default(); cfg.spec.shards],
+            dropped_pushes: vec![None; cfg.spec.shards],
             replay: VecDeque::new(),
             shared,
             worker_joins,
@@ -771,13 +760,9 @@ where
         self.open.push(batch, sizes);
         if let Some(plan) = &self.shared.faults {
             let batch_no = self.batches_ingested;
-            for (shard, faults) in self.run_faults.iter_mut().enumerate() {
-                match plan.push_action(shard, batch_no) {
-                    PushAction::Drop => {
-                        faults.dropped.get_or_insert(batch_no);
-                    }
-                    PushAction::Delay(stall) => faults.stall += stall,
-                    PushAction::Deliver => {}
+            for (shard, dropped) in self.dropped_pushes.iter_mut().enumerate() {
+                if plan.drops_push(shard, batch_no) {
+                    dropped.get_or_insert(batch_no);
                 }
             }
         }
@@ -807,17 +792,13 @@ where
         debug_assert!(self.open.is_empty(), "a free slot holds an emptied run");
         let mut cause = None;
         for (k, queues) in self.shared.shards.iter().enumerate() {
-            let faults = std::mem::take(&mut self.run_faults[k]);
-            if let Some(batch) = faults.dropped {
+            if let Some(batch) = self.dropped_pushes[k].take() {
                 // The enqueue was "lost": the shard's state no longer
                 // matches its stream. Surfaced exactly like a dead shard —
                 // fail typed, or restore from fork + replay (the log holds
                 // the lost run).
                 cause.get_or_insert(EngineError::ChunkDropped { shard: k, batch });
                 continue;
-            }
-            if !faults.stall.is_zero() {
-                std::thread::sleep(faults.stall);
             }
             if queues.work.push(ShardMsg::Run(id)).is_err() {
                 cause.get_or_insert(EngineError::ShardDead { shard: k });
@@ -1614,10 +1595,11 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                     let fed = run.feed(shard_id, 0, scratch, |batch| {
                         if let Some(plan) = &shared.faults {
                             // Injection site: "the worker processing shard
-                            // `shard_id`'s `seen`-th batch". Keyed to the
-                            // shard's deterministic stream position, not
-                            // the (timing-dependent) run boundaries.
-                            plan.fire_kill_worker(shard_id, core.seen);
+                            // `shard_id`'s `seen`-th batch" stalls or dies
+                            // here. Keyed to the shard's deterministic
+                            // stream position, not the (timing-dependent)
+                            // run boundaries.
+                            plan.fire_shard_batch(shard_id, core.seen);
                         }
                         core.seen += 1;
                         core.sampler.observe_shard(batch, &mut core.rng);

@@ -4,7 +4,8 @@
 //! checkpoint … to ensure fault tolerance" — which is only worth anything
 //! if the failure paths are actually exercised. A [`FaultPlan`] describes,
 //! at *precise* positions in the deterministic pipeline, where to kill a
-//! shard worker, kill the merger, or drop/delay a queue push. Because the
+//! shard worker, kill the merger, drop a queue push, or stall one shard
+//! before a batch. Because the
 //! engine's splits, RNG substreams, and batch numbering are all
 //! deterministic per `(seed, K)`, a plan names exact events — "kill the
 //! worker processing shard 2's 37th batch" — and every run of the same
@@ -12,7 +13,7 @@
 //! plans against the supervisor in [`crate::engine`] and asserts typed
 //! errors, bounded time, and bit-identical recovery.
 //!
-//! Injection sites are checked with [`FaultPlan::fire_kill_worker`] &
+//! Injection sites are checked with [`FaultPlan::fire_shard_batch`] &
 //! friends from inside the engine; an engine built without a plan (the
 //! only way production code builds one) pays a single always-false branch
 //! per batch in the driver and per run in a shard, nothing per item. Each
@@ -63,9 +64,12 @@ pub enum FaultSite {
         /// 1-based global batch number.
         batch_no: u64,
     },
-    /// Stall the driver for `millis` before pushing the run carrying
-    /// `shard`'s chunk of global batch `batch_no` — a hung/slow queue,
-    /// exercising timeout paths without killing anything.
+    /// Stall shard `shard`'s worker for `millis` just before it
+    /// processes its chunk of global batch `batch_no` (1-based) — a slow
+    /// shard. The driver pushes the run carrying the chunk at once and
+    /// keeps ingesting, the other shards keep reading, and only this
+    /// shard lags (its queue backs up behind the stall until the run
+    /// slots run out).
     DelayPush {
         /// Destination shard of the delayed chunk.
         shard: usize,
@@ -206,10 +210,18 @@ impl FaultPlan {
     }
 
     /// Engine hook: called by whichever thread is about to process
-    /// logical shard `shard`'s `batch_index`-th data batch. Panics with
-    /// [`INJECTED_PANIC`] if a matching [`FaultSite::KillWorker`] is
-    /// scheduled and has not fired yet.
-    pub fn fire_kill_worker(&self, shard: usize, batch_index: u64) {
+    /// logical shard `shard`'s `batch_index`-th data batch (0-based, so
+    /// global batch `batch_index + 1`). Sleeps first if a matching
+    /// [`FaultSite::DelayPush`] is scheduled, then panics with
+    /// [`INJECTED_PANIC`] if a matching [`FaultSite::KillWorker`] is;
+    /// each fires once.
+    pub fn fire_shard_batch(&self, shard: usize, batch_index: u64) {
+        let delay = self.claim(|s| {
+            matches!(s, FaultSite::DelayPush { shard: sh, batch_no: b, .. } if *sh == shard && *b == batch_index + 1)
+        });
+        if let Some(FaultSite::DelayPush { millis, .. }) = delay {
+            std::thread::sleep(Duration::from_millis(millis));
+        }
         if self
             .claim(|s| matches!(s, FaultSite::KillWorker { shard: sh, batch_index: b } if *sh == shard && *b == batch_index))
             .is_some()
@@ -230,39 +242,14 @@ impl FaultPlan {
         }
     }
 
-    /// Engine hook: what the driver should do with the push of `shard`'s
-    /// chunk of global batch `batch_no`.
-    pub fn push_action(&self, shard: usize, batch_no: u64) -> PushAction {
-        match self.claim(|s| match s {
-            FaultSite::DropPush {
-                shard: sh,
-                batch_no: b,
-            }
-            | FaultSite::DelayPush {
-                shard: sh,
-                batch_no: b,
-                ..
-            } => *sh == shard && *b == batch_no,
-            _ => false,
-        }) {
-            Some(FaultSite::DropPush { .. }) => PushAction::Drop,
-            Some(FaultSite::DelayPush { millis, .. }) => {
-                PushAction::Delay(Duration::from_millis(millis))
-            }
-            _ => PushAction::Deliver,
-        }
+    /// Engine hook, on the driver: whether the push of `shard`'s chunk of
+    /// global batch `batch_no` is lost ([`FaultSite::DropPush`]).
+    pub fn drops_push(&self, shard: usize, batch_no: u64) -> bool {
+        self.claim(|s| {
+            matches!(s, FaultSite::DropPush { shard: sh, batch_no: b } if *sh == shard && *b == batch_no)
+        })
+        .is_some()
     }
-}
-
-/// Verdict of [`FaultPlan::push_action`] for one driver→shard push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushAction {
-    /// Push normally.
-    Deliver,
-    /// Pretend the push was lost: do not enqueue the chunk.
-    Drop,
-    /// Sleep, then push normally.
-    Delay(Duration),
 }
 
 impl FaultPlan {
@@ -352,21 +339,23 @@ mod tests {
     #[test]
     fn faults_fire_exactly_once() {
         let plan = FaultPlan::new().drop_push(1, 10).delay_push(0, 3, 5);
-        assert_eq!(plan.push_action(1, 10), PushAction::Drop);
-        assert_eq!(plan.push_action(1, 10), PushAction::Deliver);
-        assert_eq!(
-            plan.push_action(0, 3),
-            PushAction::Delay(Duration::from_millis(5))
-        );
-        assert_eq!(plan.push_action(0, 3), PushAction::Deliver);
+        assert!(plan.drops_push(1, 10));
+        assert!(!plan.drops_push(1, 10));
+        // The delay fires as shard 0 reaches batch 3 (0-based index 2).
+        plan.fire_shard_batch(0, 1);
+        plan.fire_shard_batch(1, 2);
+        assert_eq!(plan.fired_count(), 1);
+        plan.fire_shard_batch(0, 2);
+        assert_eq!(plan.fired_count(), 2);
+        plan.fire_shard_batch(0, 2);
         assert_eq!(plan.fired_count(), 2);
     }
 
     #[test]
     fn unmatched_positions_do_nothing() {
         let plan = FaultPlan::new().kill_worker(2, 7).kill_merger(4);
-        plan.fire_kill_worker(2, 6);
-        plan.fire_kill_worker(1, 7);
+        plan.fire_shard_batch(2, 6);
+        plan.fire_shard_batch(1, 7);
         plan.fire_kill_merger(3);
         assert_eq!(plan.fired_count(), 0);
     }
@@ -375,11 +364,11 @@ mod tests {
     fn kill_worker_panics_with_marker() {
         let plan = FaultPlan::new().kill_worker(0, 0);
         let err =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.fire_kill_worker(0, 0)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.fire_shard_batch(0, 0)))
                 .unwrap_err();
         assert!(is_injected_panic(err.as_ref()));
         // One-shot: a second pass at the same position is quiet.
-        plan.fire_kill_worker(0, 0);
+        plan.fire_shard_batch(0, 0);
         assert_eq!(plan.fired_count(), 1);
     }
 

@@ -58,7 +58,7 @@ pub use engine::{
     EngineCheckpoint, EngineConfig, EngineError, EngineHealth, ParallelIngestEngine,
     RecoveryPolicy, ShardStats,
 };
-pub use fault::{FaultPlan, FaultSite, PushAction, WireAction};
+pub use fault::{FaultPlan, FaultSite, WireAction};
 pub use kvstore::KvReservoir;
 pub use partition::{Location, Partitioned};
 pub use queue::BatchQueue;

@@ -11,7 +11,7 @@
 //! reproducible.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tbs_core::merge::ShardSpec;
 use tbs_core::{RTbs, TTbs};
 use tbs_distributed::engine::{
@@ -477,9 +477,9 @@ fn faults_inside_open_and_queued_runs() {
         ("delay_push", |shards| {
             FaultPlan::new().delay_push(shards / 2, TARGET, 5)
         }),
-        // The run reaches the last shard 50 ms after the others, so they
-        // have read it and released their share of its slot before that
-        // shard dies inside it.
+        // The last shard stalls 50 ms inside the run, just before the
+        // target batch, so the others have read the run and released
+        // their share of its slot before that shard dies at that batch.
         ("kill_after_release", |shards| {
             FaultPlan::new()
                 .delay_push(shards - 1, TARGET, 50)
@@ -641,4 +641,46 @@ fn shard_death_while_the_driver_holds_its_open_run() {
         );
         assert_eq!(health, EngineHealth::Degraded { recoveries: 1 }, "{label}");
     }
+}
+
+/// A delayed push stalls only its shard: the driver hands the run off at
+/// once and keeps ingesting while shard 1 sleeps, and the sample comes
+/// out bit-identical to a clean run.
+#[test]
+fn delay_push_stalls_the_shard_not_the_driver() {
+    const DELAYED: u64 = 4;
+    const STALL_MS: u64 = 300;
+    // Above the run target (2 shards × 8192 items), so every batch travels
+    // in a run of its own and each ingest hands the previous one off.
+    let batch = |t: u64| -> Vec<u64> { (0..20_000).map(|i| t * 100_000 + i).collect() };
+    let run = |plan: Option<FaultPlan>| {
+        let cfg = EngineConfig::new(ShardSpec::rtbs(0.2, 500, 2), 9);
+        let mut engine: ParallelIngestEngine<RTbs<u64>> = match plan {
+            Some(p) => ParallelIngestEngine::with_fault_plan(cfg, Arc::new(p)),
+            None => ParallelIngestEngine::new(cfg),
+        };
+        // Generated up front, so only ingest is timed.
+        let batches: Vec<Vec<u64>> = (0..8).map(batch).collect();
+        let mut around_delay = Duration::ZERO;
+        for (batch_no, b) in (1u64..).zip(batches) {
+            let start = Instant::now();
+            engine.ingest(b).expect("ingest");
+            // Batch DELAYED is appended, handed off by the next ingest and
+            // followed by one more hand-off into the slot it did not take;
+            // none of the three may wait on the stalled shard.
+            if (DELAYED..DELAYED + 3).contains(&batch_no) {
+                around_delay += start.elapsed();
+            }
+        }
+        let sample = engine.sample().expect("sample");
+        assert_eq!(engine.health(), EngineHealth::Healthy);
+        (sample, around_delay)
+    };
+    let (clean, _) = run(None);
+    let (delayed, around_delay) = run(Some(FaultPlan::new().delay_push(1, DELAYED, STALL_MS)));
+    assert!(
+        around_delay < Duration::from_millis(STALL_MS / 2),
+        "the driver waited {around_delay:?} on a stall of shard 1"
+    );
+    assert_eq!(delayed, clean, "a delay must not move the sample");
 }

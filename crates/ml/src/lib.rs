@@ -3,8 +3,7 @@
 //! From-scratch machine-learning substrate for the EDBT 2018
 //! temporally-biased-sampling evaluation: the three model families the
 //! paper retrains on maintained samples, the accuracy/robustness metrics it
-//! reports, and the test-then-train pipeline tying streams, samplers and
-//! models together.
+//! reports, and the model interface of the test-then-train loop.
 //!
 //! * [`knn`] — k-nearest-neighbour classification (§6.2, k = 7);
 //! * [`linreg`] — OLS linear regression via normal equations (§6.3);
@@ -13,8 +12,8 @@
 //!   (Table 1);
 //! * [`drift`] — error-based drift detection and drift-triggered
 //!   retraining policies (the §7 Velox integration);
-//! * [`pipeline`] — the predict → update → retrain loop with all competing
-//!   schemes observing the same stream.
+//! * [`pipeline`] — [`OnlineModel`], the model side of the predict →
+//!   update → retrain loop.
 
 pub mod drift;
 pub mod knn;
@@ -28,4 +27,4 @@ pub use knn::KnnClassifier;
 pub use linreg::LinearRegression;
 pub use metrics::{average_summaries, summarize_series, SeriesSummary};
 pub use naive_bayes::NaiveBayes;
-pub use pipeline::{mean_error_series, run_stream, Contender, OnlineModel, RunOutput};
+pub use pipeline::OnlineModel;

@@ -1,4 +1,4 @@
-//! The online model-management loop (§6).
+//! The model side of the online model-management loop (§6).
 //!
 //! Protocol per batch (the paper's evaluation discipline):
 //!
@@ -7,14 +7,11 @@
 //! 2. **Update** — feed the batch to the sampling scheme;
 //! 3. **Retrain** — refit the model on the scheme's current sample.
 //!
-//! All competing schemes (R-TBS, sliding window, uniform reservoir, …)
-//! observe the *same* generated stream within a run, so per-batch error
-//! series are directly comparable.
-
-use rand::RngCore;
-use tbs_core::traits::BatchSampler;
-use tbs_datagen::modes::Mode;
-use tbs_datagen::stream::StreamPlan;
+//! [`OnlineModel`] is the model's half of that contract, implemented here
+//! for the three learners the paper retrains. The loop itself lives once,
+//! in the root crate's `temporal_sampling::api::ModelManager`, which owns
+//! the sampler too; the §6 experiments in `tbs-bench` drive one manager
+//! per contending scheme over a shared stream.
 
 use crate::knn::KnnClassifier;
 use crate::linreg::LinearRegression;
@@ -56,250 +53,5 @@ impl OnlineModel<Message> for NaiveBayes {
     }
     fn batch_error(&self, batch: &[Message]) -> f64 {
         self.misclassification_pct(batch)
-    }
-}
-
-/// One sampling scheme + model under evaluation.
-pub struct Contender<T> {
-    /// Display name ("R-TBS", "SW", "Unif", …).
-    pub name: String,
-    /// The sampling scheme maintaining the training sample.
-    pub sampler: Box<dyn BatchSampler<T>>,
-    /// The model retrained on that sample.
-    pub model: Box<dyn OnlineModel<T>>,
-}
-
-impl<T> Contender<T> {
-    /// Bundle a named sampler/model pair.
-    pub fn new(
-        name: impl Into<String>,
-        sampler: Box<dyn BatchSampler<T>>,
-        model: Box<dyn OnlineModel<T>>,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            sampler,
-            model,
-        }
-    }
-}
-
-/// Per-contender result of one streamed run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutput {
-    /// Contender name.
-    pub name: String,
-    /// Per-measured-batch error (index = batches after warm-up).
-    pub errors: Vec<f64>,
-    /// Expected sample size at each measured batch.
-    pub sample_sizes: Vec<f64>,
-}
-
-/// Execute one run of the plan: every contender sees the same stream.
-///
-/// `generate` produces the batch items for a `(mode, size)` request.
-pub fn run_stream<T: Clone>(
-    plan: &StreamPlan,
-    mut generate: impl FnMut(Mode, usize, &mut dyn RngCore) -> Vec<T>,
-    contenders: &mut [Contender<T>],
-    rng: &mut dyn RngCore,
-) -> Vec<RunOutput> {
-    let mut outputs: Vec<RunOutput> = contenders
-        .iter()
-        .map(|c| RunOutput {
-            name: c.name.clone(),
-            errors: Vec::with_capacity(plan.measured_batches as usize),
-            sample_sizes: Vec::with_capacity(plan.measured_batches as usize),
-        })
-        .collect();
-
-    for planned in plan.layout(rng) {
-        let batch = generate(planned.mode, planned.size as usize, rng);
-        for (contender, out) in contenders.iter_mut().zip(&mut outputs) {
-            // 1. Predict on the arriving batch (measured phase only).
-            if planned.measured_time.is_some() {
-                out.errors.push(contender.model.batch_error(&batch));
-            }
-            // 2. Update the sample.
-            contender.sampler.observe(batch.clone(), rng);
-            // 3. Retrain on the refreshed sample.
-            let sample = contender.sampler.sample(rng);
-            contender.model.retrain(&sample);
-            if planned.measured_time.is_some() {
-                out.sample_sizes.push(contender.sampler.expected_size());
-            }
-        }
-    }
-    outputs
-}
-
-/// Element-wise mean of several runs' error series (for plotting stable
-/// figure curves). All runs must have equal length and contender order.
-pub fn mean_error_series(runs: &[Vec<RunOutput>]) -> Vec<RunOutput> {
-    assert!(!runs.is_empty(), "need at least one run");
-    let n_contenders = runs[0].len();
-    (0..n_contenders)
-        .map(|ci| {
-            let name = runs[0][ci].name.clone();
-            let len = runs[0][ci].errors.len();
-            let mut errors = vec![0.0; len];
-            let mut sizes = vec![0.0; len];
-            for run in runs {
-                assert_eq!(run[ci].errors.len(), len, "ragged runs");
-                for (i, &e) in run[ci].errors.iter().enumerate() {
-                    errors[i] += e;
-                }
-                for (i, &s) in run[ci].sample_sizes.iter().enumerate() {
-                    sizes[i] += s;
-                }
-            }
-            let scale = 1.0 / runs.len() as f64;
-            errors.iter_mut().for_each(|e| *e *= scale);
-            sizes.iter_mut().for_each(|s| *s *= scale);
-            RunOutput {
-                name,
-                errors,
-                sample_sizes: sizes,
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-    use tbs_core::{BatchedReservoir, CountWindow, RTbs};
-    use tbs_datagen::gmm::GmmGenerator;
-    use tbs_datagen::modes::ModeSchedule;
-    use tbs_datagen::BatchSizeProcess;
-    use tbs_stats::rng::Xoshiro256PlusPlus;
-
-    fn small_plan(measured: u64, schedule: ModeSchedule) -> StreamPlan {
-        StreamPlan {
-            warmup_batches: 20,
-            measured_batches: measured,
-            batch_sizes: BatchSizeProcess::Deterministic(60),
-            schedule,
-        }
-    }
-
-    fn knn_contenders(lambda: f64, n: usize, k: usize) -> Vec<Contender<LabeledPoint>> {
-        vec![
-            Contender::new(
-                "R-TBS",
-                Box::new(RTbs::new(lambda, n)),
-                Box::new(KnnClassifier::new(k)),
-            ),
-            Contender::new(
-                "SW",
-                Box::new(CountWindow::new(n)),
-                Box::new(KnnClassifier::new(k)),
-            ),
-            Contender::new(
-                "Unif",
-                Box::new(BatchedReservoir::new(n)),
-                Box::new(KnnClassifier::new(k)),
-            ),
-        ]
-    }
-
-    #[test]
-    fn run_produces_aligned_series() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let plan = small_plan(15, ModeSchedule::single_event());
-        let mut contenders = knn_contenders(0.1, 300, 7);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut contenders,
-            &mut rng,
-        );
-        assert_eq!(outputs.len(), 3);
-        for o in &outputs {
-            assert_eq!(o.errors.len(), 15);
-            assert_eq!(o.sample_sizes.len(), 15);
-            assert!(o.errors.iter().all(|&e| (0.0..=100.0).contains(&e)));
-        }
-    }
-
-    #[test]
-    fn warmed_up_models_beat_chance() {
-        // With 100 classes, chance accuracy is ~1%; trained kNN on the
-        // normal mode must be far better (error well below 90%).
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let plan = small_plan(10, ModeSchedule::AlwaysNormal);
-        let mut contenders = knn_contenders(0.1, 300, 7);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut contenders,
-            &mut rng,
-        );
-        for o in &outputs {
-            let avg: f64 = o.errors.iter().sum::<f64>() / o.errors.len() as f64;
-            assert!(avg < 60.0, "{} error {avg}% — not learning", o.name);
-        }
-    }
-
-    #[test]
-    fn mode_change_spikes_error_then_adaptive_schemes_recover() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let plan = small_plan(30, ModeSchedule::single_event());
-        let mut contenders = knn_contenders(0.1, 300, 7);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut contenders,
-            &mut rng,
-        );
-        let rtbs = &outputs[0];
-        // Error right after the change (t=10) exceeds error before (t=9)...
-        assert!(rtbs.errors[10] > rtbs.errors[9]);
-        // ...and R-TBS recovers by the end of the abnormal stretch.
-        assert!(rtbs.errors[19] < rtbs.errors[10]);
-    }
-
-    #[test]
-    fn sample_sizes_respect_bounds() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let plan = small_plan(10, ModeSchedule::AlwaysNormal);
-        let mut contenders = knn_contenders(0.1, 150, 7);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut contenders,
-            &mut rng,
-        );
-        for o in &outputs {
-            assert!(o.sample_sizes.iter().all(|&s| s <= 150.0 + 1e-9));
-        }
-    }
-
-    #[test]
-    fn mean_series_averages_runs() {
-        let run1 = vec![RunOutput {
-            name: "X".into(),
-            errors: vec![10.0, 20.0],
-            sample_sizes: vec![5.0, 5.0],
-        }];
-        let run2 = vec![RunOutput {
-            name: "X".into(),
-            errors: vec![30.0, 40.0],
-            sample_sizes: vec![7.0, 7.0],
-        }];
-        let mean = mean_error_series(&[run1, run2]);
-        assert_eq!(mean[0].errors, vec![20.0, 30.0]);
-        assert_eq!(mean[0].sample_sizes, vec![6.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one run")]
-    fn mean_series_rejects_empty() {
-        mean_error_series(&[]);
     }
 }

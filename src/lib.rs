@@ -26,8 +26,9 @@
 //!   normal/abnormal mode schedules, Gaussian-mixture classification streams,
 //!   drifting linear-regression streams, and a synthetic Usenet2 substitute.
 //! * [`ml`] — from-scratch learners retrained on the maintained samples:
-//!   kNN, OLS linear regression, multinomial naive Bayes, plus the online
-//!   model-management pipeline and evaluation metrics.
+//!   kNN, OLS linear regression, multinomial naive Bayes, plus the
+//!   `OnlineModel` interface the retraining loop drives and evaluation
+//!   metrics.
 //! * [`distributed`] — a simulated Spark-like cluster substrate running
 //!   D-R-TBS and D-T-TBS with co-partitioned or key-value-store reservoirs
 //!   and centralized or distributed insert/delete decisions — plus the
@@ -90,7 +91,6 @@ pub mod prelude {
     pub use tbs_core::chao::BChao;
     pub use tbs_core::rtbs::RTbs;
     pub use tbs_core::sliding::{CountWindow, TimeWindow};
-    pub use tbs_core::traits::{BatchSampler, TimedBatchSampler};
     pub use tbs_core::ttbs::TTbs;
     pub use tbs_stats::rng::Xoshiro256PlusPlus;
     pub use tbs_stats::summary::{expected_shortfall, OnlineMoments};

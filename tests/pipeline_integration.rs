@@ -1,37 +1,26 @@
-//! Cross-crate integration: datagen → samplers → models, end to end.
+//! Cross-crate integration: datagen → samplers → models, end to end. Every
+//! contender runs as an `api::ModelManager` over the shared stream.
 //!
 //! These replicate the paper's headline qualitative findings on small
 //! configurations: time-biased samples beat uniform ones on accuracy, beat
 //! sliding windows on robustness, and keep their size bounds throughout.
 
 use rand::SeedableRng;
+use tbs_bench::pipeline::{run_stream, Contender};
 use temporal_sampling::datagen::gmm::GmmGenerator;
 use temporal_sampling::datagen::modes::ModeSchedule;
 use temporal_sampling::datagen::regression::RegressionGenerator;
 use temporal_sampling::datagen::stream::StreamPlan;
 use temporal_sampling::datagen::BatchSizeProcess;
 use temporal_sampling::ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use temporal_sampling::ml::pipeline::{run_stream, Contender};
 use temporal_sampling::ml::{KnnClassifier, LinearRegression};
 use temporal_sampling::prelude::*;
 
-fn knn_contenders(n: usize) -> Vec<Contender<temporal_sampling::datagen::LabeledPoint>> {
+fn knn_contenders(n: usize) -> Vec<Contender<KnnClassifier>> {
     vec![
-        Contender::new(
-            "R-TBS",
-            Box::new(RTbs::new(0.07, n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
-        Contender::new(
-            "SW",
-            Box::new(CountWindow::new(n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
-        Contender::new(
-            "Unif",
-            Box::new(BatchedReservoir::new(n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
+        Contender::new("R-TBS", SamplerConfig::rtbs(0.07, n), KnnClassifier::new(7)),
+        Contender::new("SW", SamplerConfig::sliding_count(n), KnnClassifier::new(7)),
+        Contender::new("Unif", SamplerConfig::uniform(n), KnnClassifier::new(7)),
     ]
 }
 
@@ -46,13 +35,14 @@ fn knn_periodic_summaries(runs: usize) -> Vec<(String, SeriesSummary)> {
     let mut per_contender: Vec<Vec<SeriesSummary>> = vec![Vec::new(); 3];
     let mut names = Vec::new();
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5000 + run as u64);
+        let seed = 5000 + run as u64;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs = knn_contenders(600);
         let outputs = run_stream(
             &plan,
             |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
+            knn_contenders(600),
+            seed,
             &mut rng,
         );
         if names.is_empty() {
@@ -120,23 +110,25 @@ fn regression_unsaturated_rtbs_beats_sw_with_less_data() {
     let mut rtbs_size = 0.0;
     let runs = 5;
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(9_100 + run as u64);
-        let mut cs: Vec<Contender<_>> = vec![
+        let seed = 9_100 + run as u64;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let cs = vec![
             Contender::new(
                 "R-TBS",
-                Box::new(RTbs::new(0.07, 1600)),
-                Box::new(LinearRegression::new(true)),
+                SamplerConfig::rtbs(0.07, 1600),
+                LinearRegression::new(true),
             ),
             Contender::new(
                 "SW",
-                Box::new(CountWindow::new(1600)),
-                Box::new(LinearRegression::new(true)),
+                SamplerConfig::sliding_count(1600),
+                LinearRegression::new(true),
             ),
         ];
         let outputs = run_stream(
             &plan,
             |mode, size, rng| generator.sample_batch(mode, size, rng),
-            &mut cs,
+            cs,
+            seed,
             &mut rng,
         );
         rtbs_mse += outputs[0].errors.iter().sum::<f64>() / outputs[0].errors.len() as f64;
@@ -168,11 +160,11 @@ fn all_samplers_keep_their_bounds_through_the_pipeline() {
     };
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(777);
     let gmm = GmmGenerator::paper(&mut rng);
-    let mut cs = knn_contenders(200);
     let outputs = run_stream(
         &plan,
         |mode, size, rng| gmm.sample_batch(mode, size, rng),
-        &mut cs,
+        knn_contenders(200),
+        777,
         &mut rng,
     );
     for o in &outputs {
@@ -198,22 +190,23 @@ fn chao_pipeline_runs_but_rtbs_is_more_robust() {
     };
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(3131);
     let gmm = GmmGenerator::paper(&mut rng);
-    let mut cs: Vec<Contender<_>> = vec![
+    let cs = vec![
         Contender::new(
             "B-Chao",
-            Box::new(BChao::new(0.07, 400)),
-            Box::new(KnnClassifier::new(7)),
+            SamplerConfig::chao(0.07, 400),
+            KnnClassifier::new(7),
         ),
         Contender::new(
             "R-TBS",
-            Box::new(RTbs::new(0.07, 400)),
-            Box::new(KnnClassifier::new(7)),
+            SamplerConfig::rtbs(0.07, 400),
+            KnnClassifier::new(7),
         ),
     ];
     let outputs = run_stream(
         &plan,
         |mode, size, rng| gmm.sample_batch(mode, size, rng),
-        &mut cs,
+        cs,
+        3131,
         &mut rng,
     );
     for o in &outputs {
