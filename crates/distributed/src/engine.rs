@@ -64,9 +64,19 @@
 //!   ever allocated or grown, so steady-state ingest performs **zero
 //!   heap allocations** beyond the caller-provided batch (verified by
 //!   the engine's counting-allocator test).
-//! * Threads are woken only for work they can finish: every queue skips
-//!   its futex call when no thread is parked on the other side (see
-//!   [`crate::queue`]).
+//! * Threads are woken only for work they can finish, and shards only
+//!   when work backs up or someone waits: every queue skips its futex
+//!   call when no thread is parked on the other side (see
+//!   [`crate::queue`]), and a run handed off while the shards have no
+//!   other run in flight (every other slot is free) is queued quietly
+//!   ([`BatchQueue::push_quiet`]). The shards find it when the next
+//!   hand-off wakes them, or a sync, snapshot, publish barrier or
+//!   checkpoint fork (which always wake), a full work queue or the
+//!   close at drop. The driver blocks on the free queue only when every
+//!   slot is in flight, and the last of those was pushed with a wake.
+//!   Quiet or not, the shards see the same messages in the same order,
+//!   so every published bit is the same; only the moment a parked shard
+//!   starts differs, landing in the read the caller waits on anyway.
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
 //!
@@ -124,10 +134,15 @@
 //! decay-geometric) headroom term, so keep the whole-stream equilibrium
 //! `b/(1−e^{−λ})` comfortably above `n + 2K`.
 //!
-//! Every shard is one thread, so K beyond the host's free cores does not
-//! add throughput: the extra threads only time-slice the same cores, and
-//! each one adds a hand-off and a merge leaf. Keep K at or below the
-//! free cores of `std::thread::available_parallelism()`.
+//! Every shard is one thread, and so is the producer calling
+//! [`ParallelIngestEngine::ingest`]: keep K + 1 at or below the free
+//! cores of `std::thread::available_parallelism()`. At K equal to the
+//! core count one shard already shares the producer's core (a timeline
+//! of `ingest-sharded-bursty` on 2 vCPUs shows one of the two shards
+//! starting its run only once the producer blocks), and each shard
+//! beyond that adds a hand-off and a merge leaf without adding a core.
+//! On a 2-vCPU host, K = 2 runs continuous ingest at 0.78–0.93× the
+//! K = 1 wall rate.
 
 use crate::fault::FaultPlan;
 use crate::queue::BatchQueue;
@@ -280,6 +295,9 @@ impl EngineConfig {
 /// [`ParallelIngestEngine::shard_stats`]. Each shard's worker thread is
 /// the only thread that processes its sub-stream, so the counters
 /// describe both the shard's share of the stream and its thread's work.
+/// A run queued quietly (handed off while the shards had no other run in
+/// flight, see the module docs) is not counted until the next hand-off
+/// or a read wakes the shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Items ingested by this shard.
@@ -302,15 +320,23 @@ struct ShardCounters {
 /// Items per shard at which the driver hands its open run off: a run
 /// carries up to `K × RUN_ITEMS` items. Large enough that one queue push
 /// and one worker wake-up amortize over thousands of items; small enough
-/// that a run stays a few hundred KB per shard and the run left open at a
-/// publication drains in microseconds.
+/// that a run stays a few hundred KB per shard and the runs a publication
+/// drains (a quietly queued one and the one left open, so up to two)
+/// take microseconds.
 const RUN_ITEMS: usize = 8192;
 /// Batches per run at which the driver hands it off regardless of its
 /// item count (a long streak of empty or tiny batches).
 const RUN_BATCHES: usize = 1024;
 /// Shared run slots: one queued, one being read by the shards; the
-/// driver fills a third run, its open one.
+/// driver fills a third run, its open one. A run handed off while every
+/// other slot is free is queued quietly, so the shards may sleep on it
+/// until the next hand-off or a read.
 const RUN_SLOTS: usize = 2;
+// The driver blocks on the free queue only when every slot is in flight,
+// and with two or more slots the last of them was handed off with a
+// wake: a quiet run then never leaves the driver waiting on sleeping
+// shards.
+const _: () = assert!(RUN_SLOTS >= 2, "a quiet run needs a second slot to wake it");
 
 /// A run of consecutive caller batches shared by all K shards: each
 /// batch moved in whole, plus the `K + 1` offsets of its balanced split
@@ -790,6 +816,10 @@ where
         slot.pending
             .store(self.shared.shards.len(), Ordering::Release);
         debug_assert!(self.open.is_empty(), "a free slot holds an emptied run");
+        // With every other slot free, the shards have no run in flight:
+        // queue this one quietly and let them sleep until the next
+        // hand-off or a message someone waits on.
+        let quiet = self.shared.free.len() == RUN_SLOTS - 1;
         let mut cause = None;
         for (k, queues) in self.shared.shards.iter().enumerate() {
             if let Some(batch) = self.dropped_pushes[k].take() {
@@ -800,7 +830,12 @@ where
                 cause.get_or_insert(EngineError::ChunkDropped { shard: k, batch });
                 continue;
             }
-            if queues.work.push(ShardMsg::Run(id)).is_err() {
+            let pushed = if quiet {
+                queues.work.push_quiet(ShardMsg::Run(id))
+            } else {
+                queues.work.push(ShardMsg::Run(id))
+            };
+            if pushed.is_err() {
                 cause.get_or_insert(EngineError::ShardDead { shard: k });
             }
         }
@@ -1161,7 +1196,9 @@ where
 
     /// Per-shard ingest counters (items, batches, busy nanoseconds).
     /// Exact after a [`ParallelIngestEngine::quiesce`]; otherwise a
-    /// point-in-time reading.
+    /// point-in-time reading, which leaves out a run still queued
+    /// quietly: the shards sleep on it until the next hand-off or a read
+    /// (sync, snapshot, publish, checkpoint) wakes them.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared
             .shards

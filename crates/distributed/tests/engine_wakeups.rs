@@ -8,7 +8,13 @@
 //!   is dropped on the driver thread across hand-offs and `quiesce`;
 //! * epoch headers queued quietly behind a stalled shard fill the
 //!   merger's queue without a hang: the push that finds it full wakes
-//!   the merger first, and every epoch still publishes in order.
+//!   the merger first, and every epoch still publishes in order;
+//! * a run handed off while the shards have no other run in flight is
+//!   queued quietly: parked shards stay asleep on it (no voluntary
+//!   context switch, no item counted) until the next hand-off or a read
+//!   wakes them, the second hand-off always does, a one-message work
+//!   queue never hangs, and the sample equals that of an engine
+//!   synchronized after every batch.
 //!
 //! Its own test binary, so no other test's `tbs-*` threads share the
 //! process; the tests here take turns through one lock.
@@ -26,9 +32,10 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Voluntary context switches of this process's `tbs-merger` thread, or
-/// `None` where `/proc/self/task` is unreadable.
-fn merger_switches() -> Option<u64> {
+/// `(scheduler state letter, voluntary context switches)` of this
+/// process's thread named `name`, or `None` where `/proc/self/task` is
+/// unreadable.
+fn thread_status(name: &str) -> Option<(char, u64)> {
     for task in std::fs::read_dir("/proc/self/task").ok()? {
         let Ok(status) = std::fs::read_to_string(task.ok()?.path().join("status")) else {
             continue;
@@ -39,11 +46,18 @@ fn merger_switches() -> Option<u64> {
                 .find_map(|line| line.strip_prefix(key))
                 .map(str::trim)
         };
-        if field("Name:") == Some("tbs-merger") {
-            return field("voluntary_ctxt_switches:")?.parse().ok();
+        if field("Name:") == Some(name) {
+            let state = field("State:")?.chars().next()?;
+            return Some((state, field("voluntary_ctxt_switches:")?.parse().ok()?));
         }
     }
     None
+}
+
+/// Voluntary context switches of this process's `tbs-merger` thread, or
+/// `None` where `/proc/self/task` is unreadable.
+fn merger_switches() -> Option<u64> {
+    Some(thread_status("tbs-merger")?.1)
 }
 
 #[test]
@@ -226,4 +240,126 @@ fn snapshot_flood_behind_a_stalled_shard_publishes_in_order() {
     // Every request sat at the same batch boundary and RNG position.
     assert_eq!(last.items(), expect.items());
     drop(engine);
+}
+
+/// Items in one run of a 2-shard engine: K × the per-shard run target.
+const RUN: u64 = 2 * 8192;
+
+/// Batch `t` of the quiet-run tests' stream: 1000 distinct items.
+fn batch(t: u64) -> Vec<u64> {
+    (0..1000).map(|i| t * 1000 + i).collect()
+}
+
+/// Items counted by every shard so far.
+fn counted(engine: &ParallelIngestEngine<RTbs<u64>>) -> u64 {
+    engine.shard_stats().iter().map(|s| s.items).sum()
+}
+
+/// The sample of an engine fed batches `0..batches` with a `quiesce()`
+/// after every one, so each batch is handed off, and woken for, alone.
+fn synced_reference(cfg: EngineConfig, batches: u64) -> Vec<u64> {
+    let mut engine: ParallelIngestEngine<RTbs<u64>> = ParallelIngestEngine::new(cfg);
+    for t in 0..batches {
+        engine.ingest(batch(t)).unwrap();
+        engine.quiesce().unwrap();
+    }
+    engine.sample().unwrap()
+}
+
+#[test]
+fn first_run_after_idle_is_queued_quietly() {
+    // 16 batches fill the open run; the 17th hands it off, the only
+    // hand-off, and stays open.
+    const BATCHES: u64 = RUN / 1000 + 1;
+    let _serial = serial();
+    let cfg = EngineConfig::new(ShardSpec::rtbs(0.1, 200, 2), 5);
+    let mut engine: ParallelIngestEngine<RTbs<u64>> = ParallelIngestEngine::new(cfg);
+    engine.quiesce().unwrap();
+    let shards = ["tbs-shard-0", "tbs-shard-1"];
+    let Some(mut parked) = shards
+        .iter()
+        .map(|n| thread_status(n))
+        .collect::<Option<Vec<_>>>()
+    else {
+        eprintln!("skipped: /proc/self/task is unavailable on this host");
+        return;
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while parked.iter().any(|&(state, _)| state != 'S') {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shards never parked after quiesce: {parked:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+        parked = shards
+            .iter()
+            .map(|n| thread_status(n).expect("/proc readable a moment ago"))
+            .collect();
+    }
+    let items_before = counted(&engine);
+    for t in 0..BATCHES {
+        engine.ingest(batch(t)).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    for (name, &(_, before)) in shards.iter().zip(&parked) {
+        let (_, after) = thread_status(name).expect("/proc readable a moment ago");
+        assert_eq!(
+            after - before,
+            0,
+            "{name} woke for a run handed off while no other was in flight"
+        );
+    }
+    assert_eq!(
+        counted(&engine),
+        items_before,
+        "a shard processed the quietly queued run"
+    );
+    engine.quiesce().unwrap();
+    assert_eq!(counted(&engine), BATCHES * 1000);
+    assert_eq!(engine.sample().unwrap(), synced_reference(cfg, BATCHES));
+}
+
+#[test]
+fn second_hand_off_wakes_the_shards() {
+    // Two hand-offs of 16 batches each; the 33rd batch stays open.
+    const BATCHES: u64 = 2 * (RUN / 1000) + 1;
+    let _serial = serial();
+    let cfg = EngineConfig::new(ShardSpec::rtbs(0.1, 200, 2), 6);
+    let mut engine: ParallelIngestEngine<RTbs<u64>> = ParallelIngestEngine::new(cfg);
+    engine.quiesce().unwrap();
+    for t in 0..BATCHES {
+        engine.ingest(batch(t)).unwrap();
+    }
+    // No read: only the second hand-off can have woken the shards.
+    let first_run = RUN / 1000 * 1000;
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while counted(&engine) < first_run {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shards still asleep 5 s after the second hand-off: {} of {first_run} items",
+            counted(&engine)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn quiet_runs_never_hang_a_one_message_queue() {
+    const BATCHES: u64 = 50 * (RUN / 1000);
+    let _serial = serial();
+    let mut cfg = EngineConfig::new(ShardSpec::rtbs(0.1, 200, 2), 8);
+    cfg.queue_depth = 1;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let feeder = std::thread::spawn(move || {
+        let mut engine: ParallelIngestEngine<RTbs<u64>> = ParallelIngestEngine::new(cfg);
+        for t in 0..BATCHES {
+            engine.ingest(batch(t)).unwrap();
+        }
+        tx.send(engine.sample().unwrap()).unwrap();
+    });
+    let sample = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("ingest behind a one-message work queue hung");
+    feeder.join().unwrap();
+    assert_eq!(sample, synced_reference(cfg, BATCHES));
 }
