@@ -39,9 +39,9 @@
 //!   ([`tbs_core::merge::BalancedSplitter::split_sizes`]) — `O(K)` per
 //!   batch. Once the run would pass `K` × 8192 items or 1024 batches (a
 //!   larger single batch travels alone), and always before any `Sync`,
-//!   `Snapshot`, `Barrier` or `CheckpointFork` and at drop, the driver
-//!   hands it to **all** shards at once: it swaps the run into a free
-//!   slot and pushes the slot id to every work queue. Every read path
+//!   `Snapshot` or `Barrier` and at drop, the driver hands it to **all**
+//!   shards at once: it swaps the run into a free slot and pushes the
+//!   slot id to every work queue. Every read path
 //!   therefore sees exactly the batches fed before it, with no timer.
 //!   Each shard copies its range of each batch into its own scratch
 //!   buffer and feeds it to its sampler, one sub-batch at a time, in
@@ -70,10 +70,10 @@
 //!   [`crate::queue`]), and a run handed off while the shards have no
 //!   other run in flight (every other slot is free) is queued quietly
 //!   ([`BatchQueue::push_quiet`]). The shards find it when the next
-//!   hand-off wakes them, or a sync, snapshot, publish barrier or
-//!   checkpoint fork (which always wake), a full work queue or the
-//!   close at drop. The driver blocks on the free queue only when every
-//!   slot is in flight, and the last of those was pushed with a wake.
+//!   hand-off wakes them, or a sync, snapshot or publish barrier (which
+//!   always wake), a full work queue or the close at drop. The driver
+//!   blocks on the free queue only when every slot is in flight, and the
+//!   last of those was pushed with a wake.
 //!   Quiet or not, the shards see the same messages in the same order,
 //!   so every published bit is the same; only the moment a parked shard
 //!   starts differs, landing in the read the caller waits on anyway.
@@ -107,11 +107,10 @@
 //! order. The shard workers never see the merge: between runs they sleep
 //! on their work queues.
 //!
-//! The merger wakes once per complete epoch or checkpoint generation.
-//! The driver's `Request` and `CkptRequest` headers, and every shard fork
-//! but the one that completes its epoch or generation, are enqueued
-//! quietly ([`BatchQueue::push_quiet`]). Each shard counts its fork
-//! inside the merger queue's lock as it appends it
+//! The merger wakes once per complete epoch. The driver's `Request`
+//! header, and every shard fork but the one that completes its epoch,
+//! are enqueued quietly ([`BatchQueue::push_quiet`]). Each shard counts
+//! its fork inside the merger queue's lock as it appends it
 //! ([`BatchQueue::push_wake_if`]), so the completing fork is also the
 //! last message of its epoch enqueued, and it wakes the merger. The
 //! merger's message stream, its order and so every published bit are
@@ -124,6 +123,12 @@
 //! from the same RNG position (the engine-snapshot tests pin this down),
 //! while ingest never stops: shards pause only for the `O(n_k)` state
 //! fork.
+//!
+//! Epochs are the merger's only protocol. Durable state leaves the
+//! pipeline one way: [`ParallelIngestEngine::save_parts`] asks every
+//! shard for a `Snapshot` of its sampler and RNG position and adds the
+//! driver's own, which the facade serializes (and, under an automatic
+//! checkpoint policy, hands to its store's write-behind thread).
 //!
 //! ## Choosing a shard count
 //!
@@ -169,16 +174,18 @@ pub enum RecoveryPolicy {
     #[default]
     Fail,
     /// Supervised recovery: each shard's state is recorded at every
-    /// barrier/checkpoint fork, the driver keeps a replay log of the
-    /// shared runs it handed off since then, and on a fault the engine
-    /// rebuilds the whole pipeline from the fork records and replays the
-    /// log — restoring **bit-identical** `(seed, K)` state, because splits
-    /// and per-shard RNG substreams are deterministic. Costs one state
-    /// clone per shard per barrier plus one clone per shared run handed
-    /// off (a run holds many batches for all K shards; see the module
-    /// docs); the replay log is trimmed at each barrier/checkpoint to the
-    /// oldest shard's fork record, so publish or checkpoint periodically
-    /// to bound its memory.
+    /// publish barrier and every snapshot ([`ParallelIngestEngine::save_parts`],
+    /// [`ParallelIngestEngine::snapshot_merged`]), the driver keeps a
+    /// replay log of the shared runs it handed off since then, and on a
+    /// fault the engine rebuilds the whole pipeline from the fork records
+    /// and replays the log — restoring **bit-identical** `(seed, K)`
+    /// state, because splits and per-shard RNG substreams are
+    /// deterministic. Costs one state clone per shard per barrier or
+    /// snapshot plus one clone per shared run handed off (a run holds
+    /// many batches for all K shards; see the module docs); the replay
+    /// log is trimmed at each barrier or snapshot to the oldest shard's
+    /// fork record, so publish or checkpoint periodically to bound its
+    /// memory.
     RespawnFromBarrier,
 }
 
@@ -259,9 +266,9 @@ pub struct EngineConfig {
     /// plus the shard count.
     pub spec: ShardSpec,
     /// Bounded depth of each shard's work queue, in messages: shared
-    /// runs of batches plus control messages (sync, snapshot, barrier,
-    /// checkpoint). It bounds how many requests can queue up ahead of a
-    /// shard; in-flight *items* are bounded separately, by the engine's
+    /// runs of batches plus control messages (sync, snapshot, barrier).
+    /// It bounds how many requests can queue up ahead of a shard;
+    /// in-flight *items* are bounded separately, by the engine's
     /// fixed set of shared run slots times the run size target (see the
     /// module docs), whatever the depth.
     pub queue_depth: usize,
@@ -445,11 +452,6 @@ enum ShardMsg {
     /// Epoch-snapshot barrier: fork the shard state off to the merger
     /// thread (no driver round-trip — the shard keeps ingesting).
     Barrier(u64),
-    /// Checkpoint barrier: clone `(sampler, RNG state)` off to the merger,
-    /// which assembles generation `gen` once every shard reports. Like
-    /// `Barrier`, FIFO placement pins the checkpoint to an exact batch
-    /// boundary and the shard keeps ingesting.
-    CheckpointFork { gen: u64 },
 }
 
 enum ShardResp<S> {
@@ -476,30 +478,14 @@ enum MergerMsg<S: MergeableSample> {
         shard: usize,
         state: Box<S>,
     },
-    /// Driver-side checkpoint header: the driver state that, together
-    /// with the K shard forks, forms a complete [`EngineCheckpoint`].
-    /// Enqueued before the matching `CheckpointFork` barriers, so FIFO
-    /// causality delivers it first, exactly like `Request`.
-    CkptRequest {
-        gen: u64,
-        driver_rng: [u64; 4],
-        deviations: Vec<f64>,
-        batches: u64,
-    },
-    /// One shard's `(sampler, RNG state)` at checkpoint generation `gen`.
-    CkptFork {
-        gen: u64,
-        shard: usize,
-        state: Box<(S, [u64; 4])>,
-    },
 }
 
-/// Forks of one kind (epoch or checkpoint) pushed to the merger, per
-/// shard. Every shard forks the same barrier sequence in order, so the
-/// smallest count is the number of complete epochs (or generations), and
-/// the fork that raises it completes one. Counted only inside the merger
-/// queue's lock ([`BatchQueue::push_wake_if`]), so that fork is also the
-/// last of its epoch enqueued.
+/// Epoch forks pushed to the merger, per shard. Every shard forks the
+/// same barrier sequence in order, so the smallest count is the number
+/// of complete epochs, and the fork that raises it completes one.
+/// Counted only inside the merger queue's lock
+/// ([`BatchQueue::push_wake_if`]), so that fork is also the last of its
+/// epoch enqueued.
 struct ForkTally {
     pushed: Vec<u64>,
     complete: u64,
@@ -543,9 +529,21 @@ struct ShardCore<S> {
     seen: u64,
 }
 
-/// One shard's resumable state, recorded at every barrier/checkpoint fork
-/// (and once at spawn). Under [`RecoveryPolicy::RespawnFromBarrier`] the
-/// driver rebuilds a dead pipeline from these plus its replay log.
+impl<S: Clone> ShardCore<S> {
+    /// The shard's current state as a recovery fork record.
+    fn fork_record(&self) -> ForkRecord<S> {
+        ForkRecord {
+            batches: self.seen,
+            sampler: self.sampler.clone(),
+            rng: self.rng.state(),
+        }
+    }
+}
+
+/// One shard's resumable state, recorded at every barrier fork and
+/// snapshot (and once at spawn). Under
+/// [`RecoveryPolicy::RespawnFromBarrier`] the driver rebuilds a dead
+/// pipeline from these plus its replay log.
 struct ForkRecord<S> {
     /// The shard's `seen` batch count at the fork.
     batches: u64,
@@ -563,18 +561,13 @@ struct EngineShared<S: MergeableSample> {
     free: BatchQueue<usize>,
     /// The merger thread's inbox.
     merger: BatchQueue<MergerMsg<S>>,
-    /// Epoch forks and checkpoint forks pushed to the merger; each is
-    /// locked only inside the merger queue's lock.
+    /// Epoch forks pushed to the merger; locked only inside the merger
+    /// queue's lock.
     epoch_forks: Mutex<ForkTally>,
-    ckpt_forks: Mutex<ForkTally>,
     spec: ShardSpec,
     /// Per-shard recovery fork records; `Some` iff the policy is
     /// [`RecoveryPolicy::RespawnFromBarrier`].
     recovery: Option<Vec<Mutex<Option<ForkRecord<S>>>>>,
-    /// Completed checkpoint generations, oldest evicted on overflow.
-    /// Shared by `Arc` so completed generations survive a pipeline
-    /// rebuild (the queue outlives any one `EngineShared`).
-    ckpts_done: Arc<BatchQueue<(u64, EngineCheckpoint<S>)>>,
     /// Injected-fault schedule; `None` (a single predictable branch per
     /// drained batch group — nothing per item) everywhere outside the
     /// fault-matrix tests.
@@ -640,8 +633,6 @@ where
     failure: Option<EngineError>,
     /// Supervised recoveries performed so far.
     recoveries: u64,
-    /// Generation assigned to the next checkpoint request (first is 1).
-    next_ckpt_gen: u64,
     /// Replay log of the shared runs handed off since the oldest shard
     /// fork record, each with the global number of its last batch; only
     /// filled under `RespawnFromBarrier`.
@@ -727,12 +718,7 @@ where
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
         let cell = Arc::new(EpochCell::new());
-        // Completed checkpoints outlive any one pipeline incarnation (a
-        // recovery respawn hands the same queue to the new merger), so
-        // generations assembled before a fault stay claimable after it.
-        let ckpts_done = Arc::new(BatchQueue::with_capacity(4));
-        let (shared, worker_joins, merger_join) =
-            spawn_pipeline(&cfg, cores, faults, ckpts_done, &cell);
+        let (shared, worker_joins, merger_join) = spawn_pipeline(&cfg, cores, faults, &cell);
         Self {
             open: SharedRun::pooled(cfg.spec.shards),
             dropped_pushes: vec![None; cfg.spec.shards],
@@ -749,7 +735,6 @@ where
             cfg,
             failure: None,
             recoveries: 0,
-            next_ckpt_gen: 1,
         }
     }
 
@@ -918,12 +903,17 @@ where
         Ok(snapshots)
     }
 
+    /// Snapshot every shard. Each shard refreshes its recovery fork record
+    /// before it replies, so the replay log is trimmed to this point.
     fn snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
         self.check_alive()?;
         self.hand_off()?;
         loop {
             match self.try_snapshot_shards() {
-                Ok(snaps) => return Ok(snaps),
+                Ok(snaps) => {
+                    self.trim_replay();
+                    return Ok(snaps);
+                }
                 Err(cause) => self.incident(cause)?,
             }
         }
@@ -932,18 +922,17 @@ where
     /// Quiesce, snapshot every shard, and merge the snapshots into a
     /// single-node-equivalent sampler (shards keep running; their live
     /// state is untouched). The merge runs the canonical
-    /// [`tbs_core::merge::merge_replay`] tree on the driver thread.
+    /// [`tbs_core::merge::merge_replay`] tree on the driver thread from a
+    /// copy of the driver's RNG position, so like
+    /// [`ParallelIngestEngine::save_parts`] it consumes **no** randomness.
     pub fn snapshot_merged(&mut self) -> Result<S, EngineError> {
         let snapshots = self
             .snapshot_shards()?
             .into_iter()
             .map(|(sampler, _)| sampler)
             .collect();
-        Ok(S::merge_shards(
-            snapshots,
-            &self.shared.spec,
-            &mut self.driver_rng,
-        ))
+        let mut rng = Xoshiro256PlusPlus::from_state(self.driver_rng.state());
+        Ok(S::merge_shards(snapshots, &self.shared.spec, &mut rng))
     }
 
     /// Quiesce and capture the engine's complete durable state: every
@@ -959,95 +948,6 @@ where
             split_deviations: self.splitter.deviations().to_vec(),
             batches: self.batches_ingested,
         })
-    }
-
-    /// Request an asynchronous checkpoint at the current batch boundary
-    /// and return its generation number, **without stopping ingest**.
-    ///
-    /// Like [`ParallelIngestEngine::request_snapshot`], this rides the
-    /// barrier machinery: each shard clones its `(sampler, RNG)` exactly
-    /// at this boundary and keeps ingesting; the merger assembles the
-    /// parts into an [`EngineCheckpoint`] claimable via
-    /// [`ParallelIngestEngine::try_take_checkpoint`]. Consumes **no**
-    /// driver randomness, and the assembled checkpoint is byte-identical
-    /// to what a synchronous [`ParallelIngestEngine::save_parts`] at the
-    /// same boundary would return. At most 4 completed generations are
-    /// retained; the oldest unclaimed one is evicted.
-    pub fn request_checkpoint(&mut self) -> Result<u64, EngineError> {
-        self.check_alive()?;
-        self.hand_off()?;
-        loop {
-            let gen = self.next_ckpt_gen;
-            let mut cause = None;
-            // Header before barriers: FIFO causality, exactly like the
-            // snapshot protocol (and quiet for the same reason).
-            if self
-                .shared
-                .merger
-                .push_quiet(MergerMsg::CkptRequest {
-                    gen,
-                    driver_rng: self.driver_rng.state(),
-                    deviations: self.splitter.deviations().to_vec(),
-                    batches: self.batches_ingested,
-                })
-                .is_err()
-            {
-                cause = Some(EngineError::MergerDead);
-            }
-            if cause.is_none() {
-                for (i, queues) in self.shared.shards.iter().enumerate() {
-                    if queues.work.push(ShardMsg::CheckpointFork { gen }).is_err() {
-                        cause = Some(EngineError::ShardDead { shard: i });
-                        break;
-                    }
-                }
-            }
-            match cause {
-                None => {
-                    self.next_ckpt_gen += 1;
-                    self.trim_replay();
-                    return Ok(gen);
-                }
-                // After a recovery the generation is re-requested on the
-                // fresh pipeline — shard state is restored bit-identical,
-                // so the checkpoint is too.
-                Some(cause) => self.incident(cause)?,
-            }
-        }
-    }
-
-    /// Claim a completed asynchronous checkpoint, oldest first, without
-    /// blocking. Returns `(generation, checkpoint)`.
-    pub fn try_take_checkpoint(&mut self) -> Option<(u64, EngineCheckpoint<S>)> {
-        self.shared.ckpts_done.try_pop()
-    }
-
-    /// Claim a completed asynchronous checkpoint, waiting up to `timeout`
-    /// for one to assemble. `Ok(None)` means none completed within the
-    /// deadline — including when a fault was detected and recovered
-    /// mid-wait, in which case any in-flight generation died with the old
-    /// pipeline and must be re-requested.
-    pub fn wait_checkpoint(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<(u64, EngineCheckpoint<S>)>, EngineError> {
-        self.check_alive()?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(got) = self.shared.ckpts_done.try_pop() {
-                return Ok(Some(got));
-            }
-            if let Some(cause) = self.detect_dead() {
-                self.incident(cause)?;
-                return Ok(None);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let wait = (deadline - now).min(Duration::from_millis(5));
-            self.shared.ckpts_done.wait_nonempty(wait);
-        }
     }
 
     /// Request publication of an epoch snapshot and return its epoch
@@ -1198,7 +1098,7 @@ where
     /// Exact after a [`ParallelIngestEngine::quiesce`]; otherwise a
     /// point-in-time reading, which leaves out a run still queued
     /// quietly: the shards sleep on it until the next hand-off or a read
-    /// (sync, snapshot, publish, checkpoint) wakes them.
+    /// (sync, snapshot, publish) wakes them.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared
             .shards
@@ -1222,10 +1122,8 @@ where
         }
     }
 
-    /// Number of supervised recoveries performed so far. Consumers with
-    /// work in flight across the pipeline (asynchronous checkpoints) can
-    /// compare readings to learn that the pipeline was rebuilt under
-    /// them.
+    /// Number of supervised recoveries performed so far (the count in
+    /// [`EngineHealth::Degraded`]).
     pub fn recoveries(&self) -> u64 {
         self.recoveries
     }
@@ -1339,13 +1237,8 @@ where
         // The dead merger's closer closed it (waking stranded waiters
         // with `PublisherGone`); re-arm it for the new incarnation.
         self.cell.reopen();
-        let (shared, worker_joins, merger_join) = spawn_pipeline(
-            &self.cfg,
-            cores,
-            self.shared.faults.clone(),
-            Arc::clone(&self.shared.ckpts_done),
-            &self.cell,
-        );
+        let (shared, worker_joins, merger_join) =
+            spawn_pipeline(&self.cfg, cores, self.shared.faults.clone(), &self.cell);
         // The open run stays in the driver across the rebuild and reaches
         // the new shards at its hand-off.
         self.shared = shared;
@@ -1360,7 +1253,7 @@ where
     }
 
     /// Drop replay-log entries already covered by every shard's latest
-    /// fork record. Called after each barrier/checkpoint issuance;
+    /// fork record. Called after each barrier issuance and snapshot;
     /// `try_lock` only — a busy or stale record just means trimming less
     /// now and more later.
     fn trim_replay(&mut self) {
@@ -1468,7 +1361,6 @@ fn spawn_pipeline<S: MergeableSample + Clone + Send + 'static>(
     cfg: &EngineConfig,
     cores: Vec<ShardCore<S>>,
     faults: Option<Arc<FaultPlan>>,
-    ckpts_done: Arc<BatchQueue<(u64, EngineCheckpoint<S>)>>,
     cell: &Arc<EpochCell<S::Item>>,
 ) -> (
     Arc<EngineShared<S>>,
@@ -1484,13 +1376,7 @@ where
         RecoveryPolicy::RespawnFromBarrier => Some(
             cores
                 .iter()
-                .map(|core| {
-                    Mutex::new(Some(ForkRecord {
-                        batches: core.seen,
-                        sampler: core.sampler.clone(),
-                        rng: core.rng.state(),
-                    }))
-                })
+                .map(|core| Mutex::new(Some(core.fork_record())))
                 .collect(),
         ),
         RecoveryPolicy::Fail => None,
@@ -1529,10 +1415,8 @@ where
         free,
         merger,
         epoch_forks: Mutex::new(ForkTally::new(shard_count)),
-        ckpt_forks: Mutex::new(ForkTally::new(shard_count)),
         spec,
         recovery,
-        ckpts_done,
         faults,
     });
     // In-order publication continues wherever the cell left off — a
@@ -1654,6 +1538,11 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
             ShardMsg::Snapshot => {
                 close_span(&mut span, &mut busy);
                 flush(&mut items, &mut batches, &mut busy);
+                // A snapshot is a recovery point too: refresh the record
+                // before replying, so the driver trims its replay log to it.
+                if let Some(slots) = &shared.recovery {
+                    *slots[shard_id].lock() = Some(core.fork_record());
+                }
                 let _ = queues.resp.push(ShardResp::Snapshot(Box::new((
                     core.sampler.clone(),
                     core.rng.state(),
@@ -1678,33 +1567,8 @@ fn process_shard_msgs<S: MergeableSample + Clone>(
                 // barriers double as recovery points, bounding the
                 // driver's replay log at the publication cadence.
                 if let Some(slots) = &shared.recovery {
-                    *slots[shard_id].lock() = Some(ForkRecord {
-                        batches: core.seen,
-                        sampler: core.sampler.clone(),
-                        rng: core.rng.state(),
-                    });
+                    *slots[shard_id].lock() = Some(core.fork_record());
                 }
-            }
-            ShardMsg::CheckpointFork { gen } => {
-                if span.is_none() {
-                    span = Some(Instant::now());
-                }
-                let state = (core.sampler.clone(), core.rng.state());
-                if let Some(slots) = &shared.recovery {
-                    *slots[shard_id].lock() = Some(ForkRecord {
-                        batches: core.seen,
-                        sampler: state.0.clone(),
-                        rng: state.1,
-                    });
-                }
-                let _ = merger.push_wake_if(
-                    MergerMsg::CkptFork {
-                        gen,
-                        shard: shard_id,
-                        state: Box::new(state),
-                    },
-                    || shared.ckpt_forks.lock().completes(shard_id),
-                );
             }
             ShardMsg::Sync => {
                 close_span(&mut span, &mut busy);
@@ -1794,34 +1658,10 @@ impl<S> PendingEpoch<S> {
     }
 }
 
-/// Per-generation checkpoint assembly state on the merger thread.
-struct PendingCkpt<S> {
-    /// `(driver RNG, split deviations, batches)` from the `CkptRequest`.
-    header: Option<([u64; 4], Vec<f64>, u64)>,
-    /// `(sampler, RNG state)` parts, indexed by shard id.
-    parts: Vec<Option<(S, [u64; 4])>>,
-    received: usize,
-}
-
-impl<S> PendingCkpt<S> {
-    fn new(shards: usize) -> Self {
-        Self {
-            header: None,
-            parts: (0..shards).map(|_| None).collect(),
-            received: 0,
-        }
-    }
-
-    fn is_complete(&self, shards: usize) -> bool {
-        self.header.is_some() && self.received == shards
-    }
-}
-
 /// The background merger: collect each epoch's `Request` header and K
 /// shard forks, fold them with [`tbs_core::merge::merge_replay`] from the
 /// recorded driver position, realize, and publish epochs **strictly in
-/// order**; assemble each checkpoint generation from its header and K
-/// shard parts.
+/// order**.
 fn merger_worker<S: MergeableSample + Clone>(
     shared: &EngineShared<S>,
     cell: &EpochCell<S::Item>,
@@ -1852,7 +1692,6 @@ fn merger_worker<S: MergeableSample + Clone>(
     let spec = shared.spec;
     let shard_count = shared.shards.len();
     let mut pending: BTreeMap<u64, PendingEpoch<S>> = BTreeMap::new();
-    let mut pending_ckpts: BTreeMap<u64, PendingCkpt<S>> = BTreeMap::new();
     // Publication continues wherever the cell left off — 1 for a fresh
     // engine, published+1 for a recovery respawn.
     let mut next_pub: u64 = start_pub;
@@ -1890,53 +1729,6 @@ fn merger_worker<S: MergeableSample + Clone>(
                         entry.received += 1;
                     }
                 }
-                MergerMsg::CkptRequest {
-                    gen,
-                    driver_rng,
-                    deviations,
-                    batches,
-                } => {
-                    pending_ckpts
-                        .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(shard_count))
-                        .header = Some((driver_rng, deviations, batches));
-                }
-                MergerMsg::CkptFork { gen, shard, state } => {
-                    let entry = pending_ckpts
-                        .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(shard_count));
-                    if entry.parts[shard].replace(*state).is_none() {
-                        entry.received += 1;
-                    }
-                }
-            }
-        }
-        // Assemble every complete checkpoint generation, oldest first.
-        while let Some(entry) = pending_ckpts.first_entry() {
-            if !entry.get().is_complete(shard_count) {
-                break;
-            }
-            let (gen, state) = entry.remove_entry();
-            // INVARIANT: `is_complete` just verified the header and all K
-            // shard parts arrived, so the unwraps below cannot fire.
-            let (driver_rng, deviations, batches) =
-                state.header.expect("complete checkpoint has a header");
-            let ckpt = EngineCheckpoint {
-                shard_states: state
-                    .parts
-                    .into_iter()
-                    .map(|p| p.expect("complete checkpoint has every shard"))
-                    .collect(),
-                driver_rng,
-                split_deviations: deviations,
-                batches,
-            };
-            if let Err(fresh) = shared.ckpts_done.try_push((gen, ckpt)) {
-                // Ring full: evict the oldest unclaimed generation to
-                // keep the newest — never block the merge pipeline on a
-                // slow checkpoint consumer.
-                let _ = shared.ckpts_done.try_pop();
-                let _ = shared.ckpts_done.try_push(fresh);
             }
         }
         // Fold and publish every complete epoch, oldest first. Barriers
@@ -2139,6 +1931,26 @@ mod tests {
             }
         }
         assert_eq!(plain.sample().unwrap(), observed.sample().unwrap());
+    }
+
+    #[test]
+    fn save_parts_bounds_the_replay_log() {
+        // Under RespawnFromBarrier every shard's fork record moves to the
+        // save point, so the log of runs to replay after a fault is empty
+        // even when nothing was ever published.
+        let cfg = EngineConfig::new(ShardSpec::rtbs(0.1, 64, 2), 3)
+            .recovery(RecoveryPolicy::RespawnFromBarrier);
+        let mut engine = ParallelIngestEngine::<RTbs<u64>>::new(cfg);
+        for t in 0..200u64 {
+            // Above the run target every few batches, so runs hand off
+            // during ingest as well as at the save.
+            let b = [9000u64, 30, 0, 500][t as usize % 4];
+            engine
+                .ingest((0..b).map(|i| t * 10_000 + i).collect())
+                .unwrap();
+        }
+        engine.save_parts().unwrap();
+        assert!(engine.replay.is_empty(), "{} runs", engine.replay.len());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Bounded blocking batch queues for the persistent ingest pipeline.
 //!
-//! The parallel engine ([`crate::engine`]) connects the driver thread to
-//! each long-lived shard worker with one of these queues per direction.
+//! The parallel engine ([`crate::engine`]) passes messages between its
+//! threads through these queues: a work and a response queue per shard
+//! worker, the free queue of shared run slots, and the merger's inbox.
 //! Design constraints, in order:
 //!
 //! 1. **No allocation in steady state** — the ring is a `VecDeque` that
@@ -35,7 +36,6 @@
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// A bounded multi-producer blocking queue drained in bulk by consumers.
 #[derive(Debug)]
@@ -50,7 +50,7 @@ pub struct BatchQueue<T> {
 struct Inner<T> {
     buf: VecDeque<T>,
     closed: bool,
-    /// Consumers parked on `not_empty` (drain, pop, `wait_nonempty`).
+    /// Consumers parked on `not_empty` (drain, pop).
     takers: usize,
     /// Producers parked on `not_full`.
     givers: usize,
@@ -177,30 +177,6 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Block until the queue is non-empty, closed, or `timeout` elapses.
-    /// Returns `true` when there may be something to do (entries queued
-    /// or the queue closed), `false` on a pure timeout — the engine's
-    /// checkpoint wait uses it to sleep between pipeline pulse checks
-    /// without taking the entry it waits for.
-    pub fn wait_nonempty(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if !state.buf.is_empty() || state.closed {
-                return true;
-            }
-            let Some(left) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            state.takers += 1;
-            state = self.not_empty.wait_timeout(state, left).0;
-            state.takers -= 1;
-        }
-    }
-
     /// Dequeue a single entry, blocking while the queue is empty.
     /// Returns `None` only after [`BatchQueue::close`] once the queue has
     /// fully drained.
@@ -216,16 +192,6 @@ impl<T> BatchQueue<T> {
             }
             state = self.wait_for_entry(state);
         }
-    }
-
-    /// Dequeue a single entry without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        let item = state.buf.pop_front();
-        if item.is_some() {
-            self.made_room(state);
-        }
-        item
     }
 
     /// Close the queue: pending entries remain drainable, further pushes
@@ -275,7 +241,7 @@ mod tests {
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
     }
 
@@ -321,22 +287,6 @@ mod tests {
         q.close();
         assert_eq!(consumer.join().unwrap(), 0);
         assert_eq!(q.push(1), Err(1));
-    }
-
-    #[test]
-    fn wait_nonempty_reports_work_and_closure() {
-        let q = Arc::new(BatchQueue::<u32>::with_capacity(4));
-        assert!(!q.wait_nonempty(std::time::Duration::from_millis(5)));
-        q.push(1).unwrap();
-        assert!(q.wait_nonempty(std::time::Duration::from_millis(5)));
-        assert_eq!(q.try_pop(), Some(1));
-        let q2 = Arc::clone(&q);
-        let waiter =
-            std::thread::spawn(move || q2.wait_nonempty(std::time::Duration::from_secs(10)));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        q.close();
-        assert!(waiter.join().unwrap(), "close must wake the waiter");
-        assert!(q.is_closed());
     }
 
     #[test]
@@ -387,7 +337,7 @@ mod tests {
             // Full: this push must wake the consumer before it blocks.
             q.push_quiet(3).unwrap();
             assert_eq!(consumer.join().unwrap(), vec![1, 2]);
-            assert_eq!(q.try_pop(), Some(3));
+            assert_eq!(q.pop(), Some(3));
         });
     }
 
@@ -409,19 +359,6 @@ mod tests {
             assert!(ran, "the decision runs even with a parked consumer");
             assert_eq!(consumer.join().unwrap(), Some(1));
             assert_eq!(q.state.lock().takers, 0);
-        });
-    }
-
-    #[test]
-    fn push_wakes_a_consumer_parked_in_wait_nonempty() {
-        within(10, || {
-            let q = Arc::new(BatchQueue::<u32>::with_capacity(4));
-            let q2 = Arc::clone(&q);
-            let waiter =
-                std::thread::spawn(move || q2.wait_nonempty(std::time::Duration::from_secs(60)));
-            until_parked(&q, 1);
-            q.try_push(1).unwrap();
-            assert!(waiter.join().unwrap());
         });
     }
 

@@ -325,7 +325,6 @@ fn failed_engine_answers_every_call_typed() {
     assert_eq!(engine.sample().unwrap_err(), cause);
     assert_eq!(engine.save_parts().unwrap_err(), cause);
     assert_eq!(engine.request_snapshot().unwrap_err(), cause);
-    assert_eq!(engine.request_checkpoint().unwrap_err(), cause);
 }
 
 /// Readers blocked on an epoch that will never publish must be woken by
@@ -563,9 +562,10 @@ fn faults_inside_open_and_queued_runs() {
 
 /// A shard dies while the driver holds its open run, for two streams:
 ///
-/// * small batches: the death is detected by a checkpoint wait, which
-///   sends nothing to the shards, so the open run stays in the driver
-///   across the rebuild and reaches the new shards at the next hand-off;
+/// * small batches: the death is detected by a `save_parts` called while
+///   the open run holds batches 13–20: its hand-off finds shard 1's queue
+///   closed, or, if shard 1 is still reading, the snapshot reply does, and
+///   the rebuilt shards get that run from the replay log;
 /// * one large batch, then runs of three batches that each cost a shard
 ///   milliseconds: the driver normally fills both run slots and blocks
 ///   on the empty run pool while shard 1 is still reading the second
@@ -604,12 +604,12 @@ fn shard_death_while_the_driver_holds_its_open_run() {
                     engine.ingest(next(t))?;
                 }
                 // Hands batches 1..=12 off; in the small stream shard 1
-                // dies at its 10th, before the checkpoint fork.
-                engine.request_checkpoint()?;
+                // dies at its 10th, before the barrier fork.
+                engine.request_snapshot()?;
                 for t in 12..20 {
                     engine.ingest(next(t))?;
                 }
-                engine.wait_checkpoint(Duration::from_secs(30))?;
+                engine.save_parts()?;
                 for t in 20..BATCHES {
                     engine.ingest(next(t))?;
                 }

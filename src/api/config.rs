@@ -182,12 +182,11 @@ pub enum PublishPolicy {
 /// Checkpointing is the durability counterpart of [`PublishPolicy`]:
 /// publication hands frozen samples to in-process readers, checkpointing
 /// writes CRC-framed state blobs to disk so a crashed process can
-/// [`Sampler::recover`] and resume **bit-identically**. For sharded
-/// engines the automatic policy rides the same non-blocking barrier
-/// machinery as publication — shards fork their state at the boundary
-/// and keep ingesting while the checkpoint assembles in the background;
-/// single-node samplers serialize synchronously (their state is handle-
-/// owned and small).
+/// [`Sampler::recover`] and resume **bit-identically**. Every algorithm,
+/// sharded or not, checkpoints the same way: the handle takes a
+/// [`Sampler::snapshot`] at the boundary (sharded engines quiesce for
+/// it) and the store's write-behind thread frames, fsyncs and renames
+/// the generation off the ingest thread.
 ///
 /// A non-`Manual` policy is **inert without a store**: configure it and
 /// attach one with [`Sampler::set_checkpoint_store`]; nothing is written
@@ -196,6 +195,7 @@ pub enum PublishPolicy {
 /// [`CheckpointStore`]: crate::api::CheckpointStore
 /// [`Sampler::set_checkpoint_store`]: crate::api::Sampler::set_checkpoint_store
 /// [`Sampler::recover`]: crate::api::Sampler::recover
+/// [`Sampler::snapshot`]: crate::api::Sampler::snapshot
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CheckpointPolicy {
     /// Checkpoint only when [`crate::api::Sampler::checkpoint_now`] is
@@ -203,10 +203,10 @@ pub enum CheckpointPolicy {
     #[default]
     Manual,
     /// Write a checkpoint generation every `n` observed batches
-    /// (`n ≥ 1`; at batch counts `n, 2n, 3n, …`). Sharded engines
-    /// checkpoint asynchronously (the write lands a few batches after
-    /// the boundary it captures); [`crate::api::Sampler::flush_checkpoints`]
-    /// forces completion.
+    /// (`n ≥ 1`; at batch counts `n, 2n, 3n, …`). The state is captured
+    /// at that boundary; the write lands on the store's write-behind
+    /// thread, and [`crate::api::Sampler::flush_checkpoints`] waits for
+    /// it.
     EveryBatches(u64),
 }
 
@@ -342,7 +342,7 @@ impl SamplerConfig {
 
     /// Bounded depth of each shard's work queue, in messages (only
     /// meaningful with `shards > 1`). A message is a shared run of
-    /// batches or a control request (publish barrier, checkpoint, sync),
+    /// batches or a control request (publish barrier, snapshot, sync),
     /// so the depth bounds how many requests can queue up ahead of a
     /// shard. In-flight *items* are bounded independently of the depth,
     /// by the engine's fixed set of shared run slots times its run size

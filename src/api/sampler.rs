@@ -21,10 +21,9 @@
 use bytes::Bytes;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use tbs_core::checkpoint::{CheckpointError, Reader, Wire, Writer};
 use tbs_core::frozen::FrozenSample;
-use tbs_core::merge::{MergeableSample, ShardSpec};
+use tbs_core::merge::ShardSpec;
 use tbs_core::{BAres, BChao, BTbs, BatchedReservoir, CountWindow, RTbs, TTbs, TimeWindow};
 use tbs_distributed::engine::{EngineCheckpoint, EngineConfig, EngineHealth, ParallelIngestEngine};
 use tbs_distributed::fault::FaultPlan;
@@ -90,11 +89,6 @@ pub struct Sampler<T: Clone + Send + Sync + 'static> {
     /// `T: Wire`, but `observe` does not — the pointer carries the
     /// serialization capability across that bound).
     ckpt_tick: Option<CkptTick<T>>,
-    /// Async checkpoint generations requested from a sharded engine but
-    /// not yet persisted: `(engine generation, engine recovery count at
-    /// request)`. A pending generation whose recovery count is stale
-    /// died with the old pipeline and is dropped, never half-written.
-    pending_ckpts: Vec<(u64, u64)>,
 }
 
 impl<T: Clone + Send + Sync + 'static> std::fmt::Debug for Sampler<T> {
@@ -209,7 +203,6 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
             last_publish_batches: 0,
             store: None,
             ckpt_tick: None,
-            pending_ckpts: Vec::new(),
         }
     }
 
@@ -750,7 +743,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
             last_publish_batches: batches,
             store: None,
             ckpt_tick: None,
-            pending_ckpts: Vec::new(),
         })
     }
 
@@ -788,10 +780,9 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
     /// Attach a durable checkpoint destination. From here on,
     /// [`Sampler::checkpoint_now`] writes to it and a configured
     /// [`CheckpointPolicy::EveryBatches`] fires automatically during
-    /// [`Sampler::observe`] — asynchronously for sharded engines (the
-    /// generation rides the barrier machinery and lands a moment later;
-    /// [`Sampler::flush_checkpoints`] forces completion), synchronously
-    /// for single-node samplers.
+    /// [`Sampler::observe`]: the handle takes a [`Sampler::snapshot`] at
+    /// the boundary and the store's write-behind thread does the disk
+    /// work ([`Sampler::flush_checkpoints`] waits for it).
     pub fn set_checkpoint_store(&mut self, store: CheckpointStore) {
         self.store = Some(store);
         self.ckpt_tick = Some(Self::checkpoint_tick);
@@ -801,7 +792,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
     /// stops).
     pub fn take_checkpoint_store(&mut self) -> Option<CheckpointStore> {
         self.ckpt_tick = None;
-        self.pending_ckpts.clear();
         self.store.take()
     }
 
@@ -821,83 +811,27 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
         store.save(&blob)
     }
 
-    /// Persist every async checkpoint generation still in flight (or
-    /// drop the ones a pipeline recovery invalidated), returning how
-    /// many generations were written. For single-node samplers this
-    /// drains the store's write-behind queue instead (automatic policy
-    /// checkpoints defer their disk work to the store's writer thread);
-    /// their count is reported at queue time, not here.
-    pub fn flush_checkpoints(&mut self) -> Result<usize, TbsError> {
-        let mut persisted = self.drain_completed_checkpoints()?;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !self.pending_ckpts.is_empty() && Instant::now() < deadline {
-            let store = match self.store.as_mut() {
-                Some(store) => store,
-                None => break,
-            };
-            let wait = Duration::from_millis(50);
-            persisted += match &mut self.inner {
-                Inner::ParallelRTbs(e) => wait_engine_checkpoint(
-                    e,
-                    store,
-                    &self.config,
-                    &self.rng,
-                    &mut self.pending_ckpts,
-                    wait,
-                )?,
-                Inner::ParallelTTbs(e) => wait_engine_checkpoint(
-                    e,
-                    store,
-                    &self.config,
-                    &self.rng,
-                    &mut self.pending_ckpts,
-                    wait,
-                )?,
-                _ => break,
-            };
+    /// Block until every generation the automatic policy queued is
+    /// durable, re-raising the first background write failure. Policy
+    /// checkpoints leave their disk work to the store's write-behind
+    /// thread; this waits it out. A no-op without a store.
+    pub fn flush_checkpoints(&mut self) -> Result<(), TbsError> {
+        match self.store.as_mut() {
+            Some(store) => store.flush(),
+            None => Ok(()),
         }
-        // Single-node write-behind generations: wait for the store's
-        // writer to drain, surfacing any background I/O failure here.
-        if let Some(store) = self.store.as_mut() {
-            store.flush()?;
-        }
-        Ok(persisted)
     }
 
     /// One automatic-checkpoint turn, run after each observed batch once
-    /// a store is attached: drain async generations that finished
-    /// assembling, then fire the policy at its interval boundary.
+    /// a store is attached: at the policy's interval boundary, serialize
+    /// the state here (it must be captured at this batch boundary) and
+    /// leave the disk work — framing, fsync, rename — to the store's
+    /// write-behind thread, so the policy costs the ingest loop only the
+    /// snapshot. `flush_checkpoints` (or store drop) makes the queued
+    /// generations durable.
     fn checkpoint_tick(&mut self) -> Result<(), TbsError> {
-        self.drain_completed_checkpoints()?;
         if let CheckpointPolicy::EveryBatches(n) = self.config.checkpoint {
             if self.batches.is_multiple_of(n) {
-                self.request_checkpoint_generation()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Start one checkpoint generation: non-blocking barrier request for
-    /// sharded engines, immediate serialize-and-write for single-node.
-    fn request_checkpoint_generation(&mut self) -> Result<(), TbsError> {
-        match &mut self.inner {
-            Inner::ParallelRTbs(e) => {
-                let gen = e.request_checkpoint()?;
-                let recoveries = e.recoveries();
-                self.pending_ckpts.push((gen, recoveries));
-            }
-            Inner::ParallelTTbs(e) => {
-                let gen = e.request_checkpoint()?;
-                let recoveries = e.recoveries();
-                self.pending_ckpts.push((gen, recoveries));
-            }
-            _ => {
-                // Single-node: serialize here (the state must be captured
-                // at this batch boundary) but leave the disk work —
-                // framing, fsync, rename — to the store's write-behind
-                // thread, so the policy costs the ingest loop only the
-                // serialization. `flush_checkpoints` (or store drop)
-                // makes the queued generations durable.
                 let blob = self.snapshot()?;
                 if let Some(store) = self.store.as_mut() {
                     store.save_behind(&blob)?;
@@ -905,25 +839,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
             }
         }
         Ok(())
-    }
-
-    /// Persist every async generation the engine has finished
-    /// assembling, and drop pendings that died with a recovered
-    /// pipeline. Returns how many generations were written.
-    fn drain_completed_checkpoints(&mut self) -> Result<usize, TbsError> {
-        let store = match self.store.as_mut() {
-            Some(store) => store,
-            None => return Ok(0),
-        };
-        match &mut self.inner {
-            Inner::ParallelRTbs(e) => {
-                drain_engine_checkpoints(e, store, &self.config, &self.rng, &mut self.pending_ckpts)
-            }
-            Inner::ParallelTTbs(e) => {
-                drain_engine_checkpoints(e, store, &self.config, &self.rng, &mut self.pending_ckpts)
-            }
-            _ => Ok(0),
-        }
     }
 }
 
@@ -933,87 +848,6 @@ fn check(ok: bool, what: &'static str) -> Result<(), TbsError> {
         Ok(())
     } else {
         Err(TbsError::ConfigMismatch { what })
-    }
-}
-
-/// Serialize an async-assembled [`EngineCheckpoint`] into the same
-/// blob layout [`Sampler::snapshot`] produces, and write it to the
-/// store. The header batch count comes from the checkpoint (the barrier
-/// boundary it captured), and the handle RNG is recorded as-is —
-/// sharded ingest never touches it, so the blob is byte-identical to a
-/// synchronous snapshot taken at that boundary.
-fn persist_engine_parts<S>(
-    store: &mut CheckpointStore,
-    config: &SamplerConfig,
-    rng: &Xoshiro256PlusPlus,
-    parts: EngineCheckpoint<S>,
-) -> Result<u64, TbsError>
-where
-    S: SaveState,
-{
-    let mut w = Writer::new();
-    w.put_u8(config.algorithm.tag());
-    w.put_u32(config.shards as u32);
-    w.put_u64(parts.batches);
-    w.put_rng_state(rng.state());
-    save_engine(&mut w, parts);
-    store.save(&w.finish())
-}
-
-/// Drop pending async generations that were requested against a
-/// pipeline incarnation older than the engine's current one: their fork
-/// messages died with it, so they will never assemble.
-fn prune_stale_pendings(pending: &mut Vec<(u64, u64)>, current_recoveries: u64) {
-    pending.retain(|&(_, requested_at)| requested_at >= current_recoveries);
-}
-
-/// Non-blocking drain of every checkpoint generation the engine's
-/// merger has finished assembling.
-fn drain_engine_checkpoints<S>(
-    engine: &mut ParallelIngestEngine<S>,
-    store: &mut CheckpointStore,
-    config: &SamplerConfig,
-    rng: &Xoshiro256PlusPlus,
-    pending: &mut Vec<(u64, u64)>,
-) -> Result<usize, TbsError>
-where
-    S: MergeableSample + SaveState + Clone + Send + 'static,
-    S::Item: Clone + Send + Sync + 'static,
-{
-    let mut persisted = 0;
-    while let Some((generation, parts)) = engine.try_take_checkpoint() {
-        persist_engine_parts(store, config, rng, parts)?;
-        pending.retain(|&(g, _)| g != generation);
-        persisted += 1;
-    }
-    prune_stale_pendings(pending, engine.recoveries());
-    Ok(persisted)
-}
-
-/// One bounded wait for an async generation to assemble; persists it if
-/// one lands within `wait`.
-fn wait_engine_checkpoint<S>(
-    engine: &mut ParallelIngestEngine<S>,
-    store: &mut CheckpointStore,
-    config: &SamplerConfig,
-    rng: &Xoshiro256PlusPlus,
-    pending: &mut Vec<(u64, u64)>,
-    wait: Duration,
-) -> Result<usize, TbsError>
-where
-    S: MergeableSample + SaveState + Clone + Send + 'static,
-    S::Item: Clone + Send + Sync + 'static,
-{
-    match engine.wait_checkpoint(wait)? {
-        Some((generation, parts)) => {
-            persist_engine_parts(store, config, rng, parts)?;
-            pending.retain(|&(g, _)| g != generation);
-            Ok(1)
-        }
-        None => {
-            prune_stale_pendings(pending, engine.recoveries());
-            Ok(0)
-        }
     }
 }
 

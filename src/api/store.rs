@@ -17,9 +17,8 @@
 //!   through the ring to the newest generation that still validates.
 //!
 //! The store is deliberately dumb about contents: it moves opaque blobs
-//! produced by [`crate::api::Sampler::snapshot`] (or the async
-//! checkpoint path) and leaves interpretation to
-//! [`crate::api::Sampler::restore`].
+//! produced by [`crate::api::Sampler::snapshot`] and leaves
+//! interpretation to [`crate::api::Sampler::restore`].
 
 use bytes::Bytes;
 use std::fs;

@@ -246,3 +246,37 @@ fn threaded_and_sequential_drtbs_agree() {
         assert!((seq.sample_weight() - par.sample_weight()).abs() < 1e-12);
     }
 }
+
+#[test]
+fn sharded_expected_size_leaves_later_samples_unchanged() {
+    // Like every single-node `expected_size`, the sharded one is a pure
+    // read: a handle asked mid-stream ends with the same sample as one
+    // that was never asked.
+    for shards in [2usize, 4] {
+        for config in [
+            SamplerConfig::rtbs(0.1, 64),
+            SamplerConfig::ttbs(0.1, 64, 40.0),
+        ] {
+            let config = config.shards(shards).seed(17);
+            let run = |ask: bool| {
+                let mut sampler = config.build::<u64>().expect("valid config");
+                for t in 0..80u64 {
+                    let b = [40u64, 0, 7, 90, 3, 60][t as usize % 6];
+                    sampler
+                        .observe((0..b).map(|i| t * 1000 + i).collect())
+                        .unwrap();
+                    if ask && t == 39 {
+                        assert!(sampler.expected_size().unwrap() > 0.0);
+                    }
+                }
+                sampler.sample().unwrap()
+            };
+            assert_eq!(
+                run(true),
+                run(false),
+                "{} × {shards}: expected_size moved the sample",
+                config.algorithm().label()
+            );
+        }
+    }
+}

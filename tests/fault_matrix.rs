@@ -425,3 +425,95 @@ fn recovered_sampler_continues_bit_identically() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The automatic `CheckpointPolicy::EveryBatches` on sharded handles,
+/// K ∈ {2, 4} × {R-TBS, T-TBS}: after `flush_checkpoints` the ring holds
+/// the newest generations, each byte-identical to a twin handle's
+/// `snapshot()` at the same batch boundary; `Sampler::recover` resumes
+/// bit-identically; and under `RespawnFromBarrier` a worker killed
+/// between two checkpoints leaves the very same generation bytes.
+#[test]
+fn sharded_checkpoint_policy_writes_snapshot_bytes() {
+    use temporal_sampling::api::{CheckpointPolicy, CheckpointStore};
+
+    const EVERY: u64 = 10;
+    const RING: usize = 3;
+    silence_injected_panics();
+    for shards in [2usize, 4] {
+        for config in [
+            SamplerConfig::rtbs(0.2, 64),
+            SamplerConfig::ttbs(0.1, 50, 47.0),
+        ] {
+            let config = config
+                .shards(shards)
+                .seed(29)
+                .checkpoint_policy(CheckpointPolicy::EveryBatches(EVERY));
+            let ctx = format!("{} × {shards}", config.algorithm().label());
+            // The twin has no store, so its policy is inert: it snapshots
+            // by hand at every boundary the policy fires on.
+            let mut twin = config.build::<u64>().expect("valid config");
+            let mut expected = Vec::new();
+            for t in 0..BATCHES {
+                twin.observe(batch_at(t)).unwrap();
+                if twin.batches_observed() % EVERY == 0 {
+                    expected.push(twin.snapshot().unwrap());
+                }
+            }
+            let reference = twin.sample().unwrap();
+            let newest = expected.len() as u64;
+            let kept: Vec<u64> = (newest + 1 - RING as u64..=newest).collect();
+
+            // Fault-free, then a worker killed between the first two
+            // checkpoints with the pipeline respawned from its barrier.
+            let kill = FaultPlan::new().kill_worker(1, EVERY + EVERY / 2);
+            for (label, config, plan) in [
+                ("clean", config, None),
+                (
+                    "kill_worker",
+                    config.recovery_policy(RecoveryPolicy::RespawnFromBarrier),
+                    Some(Arc::new(kill)),
+                ),
+            ] {
+                let dir = scratch("policy");
+                let mut sampler = match &plan {
+                    Some(plan) => config.build_with_fault_plan::<u64>(Arc::clone(plan)),
+                    None => config.build::<u64>(),
+                }
+                .expect("valid config");
+                sampler.set_checkpoint_store(CheckpointStore::open(&dir, RING).expect("open"));
+                for t in 0..BATCHES {
+                    sampler.observe(batch_at(t)).unwrap();
+                }
+                sampler.flush_checkpoints().expect("flush");
+                assert_eq!(sampler.sample().unwrap(), reference, "{ctx}/{label}");
+                if let Some(plan) = &plan {
+                    assert_eq!(plan.fired_count(), 1, "{ctx}: the kill never fired");
+                    assert!(sampler.recoveries() >= 1, "{ctx}: no recovery recorded");
+                }
+                let store = sampler.take_checkpoint_store().expect("store attached");
+                drop(sampler);
+
+                assert_eq!(store.stored_generations().unwrap(), kept, "{ctx}/{label}");
+                for &seq in &kept {
+                    assert_eq!(
+                        store.load(seq).unwrap(),
+                        expected[seq as usize - 1],
+                        "{ctx}/{label}: generation {seq} is not the twin's snapshot"
+                    );
+                }
+                let (mut resumed, seq) = Sampler::<u64>::recover(&config, &store).expect("recover");
+                assert_eq!(seq, newest, "{ctx}/{label}");
+                assert_eq!(resumed.batches_observed(), newest * EVERY, "{ctx}/{label}");
+                for t in newest * EVERY..BATCHES {
+                    resumed.observe(batch_at(t)).unwrap();
+                }
+                assert_eq!(
+                    resumed.sample().unwrap(),
+                    reference,
+                    "{ctx}/{label}: resume diverged"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
